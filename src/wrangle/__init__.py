@@ -10,7 +10,6 @@ from .errors import WrangleError, DataError, WorkflowError
 from .table import (
     Cell,
     Column,
-    CsvDialect,
     CType,
     Table,
     infer_column_types,

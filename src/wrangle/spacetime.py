@@ -5,13 +5,23 @@ among those within both buffers (great-circle distance and absolute time
 difference); distance ties fall back to the smaller time gap, then to
 weather row order. Each traffic row gains at most one observation, so row
 count and order are preserved for downstream grouping.
+
+The time condition is a band join: weather observations are sorted by
+instant once, and each traffic row bisects the window
+``[instant - time_buffer_s, instant + time_buffer_s]`` (widened by a
+millisecond of slack, clamped to the ``datetime`` range) instead of
+scanning every observation. Inside the window the float test
+``abs(dt.total_seconds()) > time_buffer_s`` decides, so an observation
+exactly ``time_buffer_s`` away matches. Distances are computed, and bad
+coordinates raise :class:`RangeError`, only for pairs that pass it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 
 from .errors import RangeError, SchemaMismatch, TypeMismatch, UnknownColumn
 from .table import Cell, Column, CType, Table
@@ -22,6 +32,12 @@ EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_WET_CODES = frozenset({9, 10, 11, 12, 13, 14, 15})
 
 MILE_M = 1609.34
+
+# The float test in time_space_join decides the boundary; the bisected window
+# only has to contain every pair it admits. total_seconds() rounds, by under
+# 0.1 ms across the whole datetime range, so a millisecond of slack suffices.
+_WINDOW_SLACK = timedelta(milliseconds=1)
+_DATETIME_SPAN_S = (datetime.max - datetime.min).total_seconds()
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -106,11 +122,23 @@ def _traffic_instants(traffic: Table, p: SpaceTimeParams) -> list[datetime | Non
     return out
 
 
+def _shifted(instant: datetime, delta: timedelta) -> datetime:
+    """``instant + delta``, clamped to the ``datetime`` range."""
+    try:
+        return instant + delta
+    except OverflowError:
+        return datetime.max if delta > timedelta(0) else datetime.min
+
+
 def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table:
     """Append the nearest in-buffer weather observation to each traffic row.
 
     Weather columns arrive with a ``wx_`` prefix; unmatched traffic rows
     keep null weather cells. Traffic row count and order are unchanged.
+    An observation is in the time buffer when ``abs(dt.total_seconds())``
+    is at most ``time_buffer_s``, so a gap equal to the buffer matches.
+    Each traffic row looks only at the observations in a bisected
+    ``±time_buffer_s`` window of the instant-sorted weather rows.
     """
     lat_col = _require(traffic, p.traffic_lat, {CType.REAL, CType.INT}, "traffic")
     lon_col = _require(traffic, p.traffic_lon, {CType.REAL, CType.INT}, "traffic")
@@ -121,13 +149,16 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
     wdate = _require(weather, p.weather_date, {CType.DATE}, "weather")
     wtime = _require(weather, p.weather_time, {CType.TIME}, "weather")
 
-    candidates: list[tuple[int, float, float, datetime]] = []
+    candidates: list[tuple[datetime, int, float, float]] = []
     for j in range(weather.row_count):
         lat, lon = wlat.cells[j], wlon.cells[j]
         d, t = wdate.cells[j], wtime.cells[j]
         if lat is None or lon is None or d is None or t is None:
             continue
-        candidates.append((j, float(lat), float(lon), datetime.combine(d, t)))  # type: ignore[arg-type]
+        candidates.append((datetime.combine(d, t), j, float(lat), float(lon)))  # type: ignore[arg-type]
+    candidates.sort()  # by (instant, j); j is unique, so coordinates never compare
+    wx_instants = [c[0] for c in candidates]
+    buf = timedelta(seconds=min(p.time_buffer_s, _DATETIME_SPAN_S)) + _WINDOW_SLACK
 
     matches: list[int | None] = []
     for i in range(traffic.row_count):
@@ -135,8 +166,10 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
         if lat is None or lon is None or instant is None:
             matches.append(None)
             continue
+        lo = bisect_left(wx_instants, _shifted(instant, -buf))
+        hi = bisect_right(wx_instants, _shifted(instant, buf))
         best: tuple[float, float, int] | None = None
-        for j, wx_lat, wx_lon, wx_instant in candidates:
+        for wx_instant, j, wx_lat, wx_lon in candidates[lo:hi]:
             dt = abs((instant - wx_instant).total_seconds())
             if dt > p.time_buffer_s:
                 continue

@@ -24,7 +24,8 @@ header row, apostrophe-prefixed identifiers kept verbatim as text, and a
 tolerated trailing empty field at the end of data rows. A bare empty field
 is null; a quoted empty field (``""``) is the empty string. Times carry
 fractional seconds to two decimals and reprint exactly as parsed
-(``2018-02-01 00:00:01.18`` survives a round trip byte-for-byte).
+(``2018-02-01 00:00:01.18`` survives a round trip byte-for-byte). A leading
+UTF-8 byte order mark, as some spreadsheet exports write, is dropped.
 """
 
 from __future__ import annotations
@@ -310,17 +311,6 @@ _PARSERS = (
 # CSV codec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CsvDialect:
-    """The fixed export dialect. A single instance exists; the fields are
-    documentation more than configuration."""
-
-    delimiter: str = ","
-    quote: str = '"'
-
-
-DIALECT = CsvDialect()
-
 # Raw fields distinguish bare-empty (null) from quoted-empty (empty text).
 _NULL_FIELD = object()
 
@@ -420,15 +410,16 @@ def _strip_trailing_nulls(fields: list[object]) -> list[object]:
     return fields[:end]
 
 
-def parse_csv(data: bytes, dialect: CsvDialect = DIALECT) -> Table:
+def parse_csv(data: bytes) -> Table:
     """Parse CSV bytes into a table of text columns (no type inference).
 
-    The first row is the header. Data rows shorter than the header are
-    padded with nulls; rows longer only by trailing empty fields are
-    truncated; any other raggedness raises :class:`MalformedCsv`.
+    A leading UTF-8 byte order mark is dropped. The first row is the
+    header. Data rows shorter than the header are padded with nulls; rows
+    longer only by trailing empty fields are truncated; any other
+    raggedness raises :class:`MalformedCsv`.
     """
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"not valid UTF-8: {exc}") from None
     records = _split_records(text)

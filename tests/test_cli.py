@@ -46,6 +46,28 @@ class TestRun:
         t = infer_column_types(parse_csv((out / "journey_time_s.csv").read_bytes()))
         assert t.column("journey_time_s").cells[0] > 0
 
+    def test_dwr1_bom_prefixed_inputs_write_same_bytes(self, dataset, tmp_path, capsys):
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            src = tmp_path / f"in{len(bom)}"
+            src.mkdir()
+            for name in ("site_1.csv", "site_2.csv", "sites.csv"):
+                (src / name).write_bytes(bom + (dataset / name).read_bytes())
+            out = tmp_path / f"out{len(bom)}"
+            run_ok(
+                [
+                    "run", "dwr1.json",
+                    "--input", f"ds1_1={src}/site_1.csv",
+                    "--input", f"ds1_2={src}/site_2.csv",
+                    "--input", f"ds1_3={src}/sites.csv",
+                    "--out", str(out),
+                    "--deterministic-keys",
+                ],
+                capsys,
+            )
+            outputs.append((out / "journey_time_s.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_input_is_usage_error(self, dataset, tmp_path, capsys):
         code = main(
             ["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",

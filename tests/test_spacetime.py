@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import opharness
 import oracles
+import slowpaths
+from wrangle import spacetime
 from wrangle.errors import RangeError, TypeMismatch, UnknownColumn
 from wrangle.spacetime import (
     DEFAULT_WET_CODES,
@@ -210,6 +213,191 @@ class TestTimeSpaceJoin:
 
     def test_against_oracle(self):
         opharness.run_batch("time_space_join", 15, "spacetime:oracle")
+
+
+# Anchors for generated instants: windows that cross midnight and a month
+# end, and both ends of the datetime range.
+_ANCHORS = (
+    datetime(2018, 2, 2, 23, 50),
+    datetime(2018, 2, 28, 23, 59, 59, 990000),
+    datetime.min,
+    datetime.max,
+)
+_CENTI = timedelta(milliseconds=10)
+# Grid steps of ~450 m and ~400 m: distances tie, and some exceed a mile.
+_LATS = st.sampled_from([53.0 + 0.004 * k for k in range(-3, 4)])
+_LONS = st.sampled_from([-2.0 + 0.006 * k for k in range(-3, 4)])
+# Half the rows are complete; the rest null one field.
+_NULLED = st.sampled_from((None, None, None, None, "lat", "lon", "date", "time"))
+
+
+def _clamped(instant, delta):
+    try:
+        return instant + delta
+    except OverflowError:
+        return datetime.max if delta > timedelta(0) else datetime.min
+
+
+def _nulled(lat, lon, instant, which):
+    return [
+        None if which == "lat" else lat,
+        None if which == "lon" else lon,
+        None if which == "date" else instant.date(),
+        None if which == "time" else instant.time(),
+    ]
+
+
+@st.composite
+def _join_cases(draw):
+    anchor = draw(st.sampled_from(_ANCHORS))
+    buf_s = draw(st.sampled_from((1, 900, 1800, 86400)))
+    reach = (buf_s + 60) * 100
+    near_anchor = st.integers(-reach, reach).map(lambda c: _clamped(anchor, c * _CENTI))
+
+    t_rows = draw(st.lists(st.tuples(_LATS, _LONS, near_anchor, _NULLED), max_size=10))
+    w_rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("free", "edge", "dup", "same_instant")))
+        lat, lon, instant = draw(_LATS), draw(_LONS), draw(near_anchor)
+        if kind == "edge" and t_rows:
+            # Exactly one buffer from a traffic instant, or 10 ms either side.
+            _, _, t_instant, _ = draw(st.sampled_from(t_rows))
+            sign = draw(st.sampled_from((-1, 1)))
+            nudge = draw(st.sampled_from((-1, 0, 1))) * _CENTI
+            instant = _clamped(t_instant, sign * timedelta(seconds=buf_s) + nudge)
+        elif kind == "dup" and w_rows:
+            lat, lon, instant, _ = draw(st.sampled_from(w_rows))
+        elif kind == "same_instant" and w_rows:
+            _, _, instant, _ = draw(st.sampled_from(w_rows))
+        w_rows.append((lat, lon, instant, draw(_NULLED)))
+
+    p = SpaceTimeParams(
+        space_buffer_m=draw(st.sampled_from((500.0, 1609.34, 5000.0))),
+        time_buffer_s=buf_s,
+        traffic_timestamp="When" if draw(st.booleans()) else None,
+    )
+    if p.traffic_timestamp:
+        traffic = table_from_rows(
+            ["Lat", "Lon", "When", "Speed"],
+            [CType.REAL, CType.REAL, CType.TIMESTAMP, CType.REAL],
+            [
+                [None if which == "lat" else lat, None if which == "lon" else lon,
+                 None if which in ("date", "time") else instant, 30.0]
+                for lat, lon, instant, which in t_rows
+            ],
+        )
+    else:
+        traffic = _traffic([_nulled(*row) + [30.0] for row in t_rows])
+    weather = _weather([_nulled(*row) + [j] for j, row in enumerate(w_rows)])
+    return traffic, weather, p
+
+
+class TestTimeWindow:
+    """The bisected time window against the nested loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_join_cases())
+    def test_matches_nested_loop(self, case):
+        traffic, weather, p = case
+        assert time_space_join(traffic, weather, p) == (
+            slowpaths.nested_loop_time_space_join(traffic, weather, p)
+        )
+
+    def test_gap_equal_to_buffer_matches(self):
+        traffic = _traffic([[53.0, -2.0, date(2018, 2, 2), time(23, 50, 0, 370000), 30.0]])
+        weather = _weather(
+            [
+                [53.0, -2.0, date(2018, 2, 3), time(0, 20, 0, 380000), 1],  # 1800.01 s
+                [53.0, -2.0, date(2018, 2, 3), time(0, 20, 0, 370000), 2],  # 1800 s
+            ]
+        )
+        got = time_space_join(traffic, weather, SpaceTimeParams(time_buffer_s=1800))
+        assert got.column("wx_W").cells == (2,)
+
+    def test_range_ends_do_not_overflow(self):
+        traffic = table_from_rows(
+            ["Lat", "Lon", "When"],
+            [CType.REAL, CType.REAL, CType.TIMESTAMP],
+            [[53.0, -2.0, datetime.min], [53.0, -2.0, datetime.max]],
+        )
+        weather = _weather(
+            [
+                [53.0, -2.0, date.min, time(23, 0), 1],
+                [53.0, -2.0, date.max, time(1, 0), 2],
+            ]
+        )
+        for buf_s, want in ((3600, (None, None)), (86400, (1, 2)), (10**15, (1, 2))):
+            p = SpaceTimeParams(traffic_timestamp="When", time_buffer_s=buf_s)
+            got = time_space_join(traffic, weather, p)
+            assert got.column("wx_W").cells == want
+            assert got == slowpaths.nested_loop_time_space_join(traffic, weather, p)
+
+    def test_work_is_bounded_by_pairs_inside_the_time_buffer(self, monkeypatch):
+        # A scan of every weather row per traffic row would take 4M time
+        # differences here, against ~40k pairs inside the buffer.
+        subtractions = 0
+
+        class CountedInstant(datetime):
+            def __sub__(self, other):
+                nonlocal subtractions
+                subtractions += isinstance(other, datetime)
+                return super().__sub__(other)
+
+            def __rsub__(self, other):
+                nonlocal subtractions
+                subtractions += isinstance(other, datetime)
+                return super().__rsub__(other)
+
+        rng = random.Random("st:workbound")
+        four_days_cs = 4 * 86400 * 100
+        t_cs = [rng.randrange(four_days_cs) for _ in range(2000)]
+        w_cs = [rng.randrange(four_days_cs) for _ in range(2000)]
+        traffic = table_from_rows(
+            ["Lat", "Lon", "When"],
+            [CType.REAL, CType.REAL, CType.TIMESTAMP],
+            [[53.0, -2.0, CountedInstant(2018, 2, 1) + c * _CENTI] for c in t_cs],
+        )
+        w_instants = [datetime(2018, 2, 1) + c * _CENTI for c in w_cs]
+        weather = _weather([[53.0, -2.0, w.date(), w.time(), 0] for w in w_instants])
+
+        calls = 0
+        real = spacetime.haversine_m
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(spacetime, "haversine_m", counting)
+        time_space_join(traffic, weather, SpaceTimeParams(traffic_timestamp="When"))
+        buf_cs = 1800 * 100
+        in_buffer = sum(1 for a in t_cs for b in w_cs if -buf_cs <= a - b <= buf_cs)
+        assert 0 < calls == in_buffer
+        assert subtractions <= in_buffer
+
+    def test_float_rounding_of_huge_gaps_still_decides(self):
+        # 2**35 s plus 1 us rounds to exactly 2**35 in total_seconds(), so the
+        # float test admits a gap just past the buffer; the window must too.
+        start = datetime(2018, 2, 1)
+        traffic = table_from_rows(
+            ["Lat", "Lon", "When"], [CType.REAL, CType.REAL, CType.TIMESTAMP],
+            [[53.0, -2.0, start]],
+        )
+        w = start + timedelta(seconds=2**35, microseconds=1)
+        weather = _weather([[53.0, -2.0, w.date(), w.time(), 7]])
+        p = SpaceTimeParams(traffic_timestamp="When", time_buffer_s=2**35)
+        got = time_space_join(traffic, weather, p)
+        assert got.column("wx_W").cells == (7,)
+        assert got == slowpaths.nested_loop_time_space_join(traffic, weather, p)
+
+    def test_bad_weather_coordinate_raises_only_inside_a_window(self):
+        day = date(2018, 2, 2)
+        traffic = _traffic([[53.0, -2.0, day, time(12, 0), 30.0]])
+        far = _weather([[53.0, -2.0, day, time(12, 5), 1], [95.0, -2.0, day, time(18, 0), 2]])
+        assert time_space_join(traffic, far, SpaceTimeParams()).column("wx_W").cells == (1,)
+        near = _weather([[53.0, -2.0, day, time(12, 5), 1], [95.0, -2.0, day, time(12, 20), 2]])
+        with pytest.raises(RangeError):
+            time_space_join(traffic, near, SpaceTimeParams())
 
 
 class TestWetCodes:

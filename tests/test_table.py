@@ -91,6 +91,20 @@ class TestParseCsv:
         t = parse_csv(b"a,b,\n1,2,\n")
         assert t.column_names == ("a", "b")
 
+    def test_leading_bom_dropped(self):
+        data = b'"Site ID","Date"\r\n\'000000001083,2018-02-01 00:00:01.18,\r\n'
+        t = parse_csv(b"\xef\xbb\xbf" + data)
+        assert t.column_names == ("Site ID", "Date")
+        assert t == parse_csv(data)
+
+    def test_bom_keeps_error_line_numbers(self):
+        for data in (b"a,b\n1,2\n1,2,3\n", b'a\n1\n"oops\n', b"a,a\n"):
+            with pytest.raises(MalformedCsv) as plain:
+                parse_csv(data)
+            with pytest.raises(MalformedCsv) as bom:
+                parse_csv(b"\xef\xbb\xbf" + data)
+            assert str(bom.value) == str(plain.value)
+
 
 class TestWriteCsv:
     def test_empty_table(self):
