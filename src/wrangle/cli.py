@@ -29,7 +29,8 @@ from .gen import GenConfig, generate
 from .ops import OpDef, get_op, kind_of_result, list_ops
 from .table import Table, infer_column_types, parse_csv, write_csv
 from .weather import flatten_weather, parse_weather_json
-from .workflow import execute, parse_workflow, random_keys, sequential_keys
+from .workflow import (execute, parse_workflow, random_keys, sequential_keys,
+                       write_atomic, write_result)
 
 BUNDLED_WORKFLOWS = ("dwr1.json", "dwr2.json")
 
@@ -77,19 +78,6 @@ def _workflow_bytes(path: str) -> bytes:
     raise FileNotFoundError(f"no such workflow file: {path}")
 
 
-def _write_output(out_dir: Path, name: str, value: object) -> Path:
-    if isinstance(value, Table):
-        path = out_dir / f"{name}.csv"
-        path.write_bytes(write_csv(value))
-    elif isinstance(value, bytes):
-        path = out_dir / f"{name}.svg"
-        path.write_bytes(value)
-    else:
-        raise DataError(f"output '{name}' has kind {kind_of_result(value)}; "
-                        "only tables and charts can be written")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -124,13 +112,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         spill_dir.mkdir(parents=True, exist_ok=True)
 
     issuer = sequential_keys() if args.deterministic_keys else random_keys()
-    mode = "sequential" if args.seq else "parallel"
-    outputs, report = execute(spec, inputs, mode=mode, key_issuer=issuer, spill_dir=spill_dir)
+    outputs, report = execute(spec, inputs, key_issuer=issuer, spill_dir=spill_dir)
 
     for line in report.lines():
         print(line)
     for name, value in outputs.items():
-        path = _write_output(out_dir, name, value)
+        path = write_result(out_dir, name, value)
         print(f"output {name} -> {path}")
     return 0
 
@@ -166,7 +153,7 @@ def cmd_op(args: argparse.Namespace) -> int:
     if not isinstance(params, dict):
         return _fail(1, "--params must be a JSON object")
 
-    bound = op_def.validate(params)
+    bound = op_def.bind(params)
     values = _bind_files(op_def, args.table or [], args.weather or [])
     result = op_def.run(values, bound)
 
@@ -177,7 +164,7 @@ def cmd_op(args: argparse.Namespace) -> int:
     else:
         return _fail(2, f"op produced unwritable kind {kind_of_result(result)}")
     if args.out:
-        Path(args.out).write_bytes(payload)
+        write_atomic(Path(args.out), payload)
     else:
         sys.stdout.buffer.write(payload)
     return 0
@@ -204,7 +191,7 @@ def cmd_flatten_weather(args: argparse.Namespace) -> int:
     doc = _load_weather(args.weather_json)
     payload = write_csv(flatten_weather(doc))
     if args.out:
-        Path(args.out).write_bytes(payload)
+        write_atomic(Path(args.out), payload)
     else:
         sys.stdout.buffer.write(payload)
     return 0
@@ -213,7 +200,7 @@ def cmd_flatten_weather(args: argparse.Namespace) -> int:
 def cmd_chart(args: argparse.Namespace) -> int:
     t = _load_table(args.table)
     spec = ChartSpec(category_col=args.category, value_col=args.value, title=args.title)
-    Path(args.out).write_bytes(render_bar_chart(t, spec))
+    write_atomic(Path(args.out), render_bar_chart(t, spec))
     print(f"wrote {args.out}")
     return 0
 
@@ -241,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", action="append", metavar="NAME=PATH",
                    help="bind a declared workflow input to a file (repeatable)")
     p.add_argument("--out", required=True, help="directory for workflow outputs")
-    p.add_argument("--seq", action="store_true", help="run nodes sequentially")
+    p.add_argument("--seq", action="store_true",
+                   help="accepted and ignored: nodes always run one at a time")
     p.add_argument("--keep-intermediates", action="store_true",
                    help="spill every node result to the workspace directory")
     p.add_argument("--deterministic-keys", action="store_true",

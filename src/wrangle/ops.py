@@ -1,9 +1,9 @@
 """The operator registry: every service invocable from workflows or the CLI.
 
 An :class:`OpDef` couples a qualified name (``module.op``) with its input
-ports, its parameter validator, and its implementation. Validators run at
-workflow-validation time so that bad params (including grammar strings that
-fail to parse) are rejected before anything executes.
+ports, its parameter validator, and its implementation. Validators run, via
+:meth:`OpDef.bind`, at workflow-validation time so that bad params (including
+grammar strings that fail to parse) are rejected before anything executes.
 
 Port and result kinds are ``table``, ``weatherdoc`` or ``svg``; the
 workflow validator uses them to check port wiring statically.
@@ -50,6 +50,13 @@ class OpDef:
             if name == port:
                 return kind
         raise KeyError(port)
+
+    def bind(self, params: dict) -> dict:
+        """Validate raw params; every rejection is an :class:`InvalidNode`."""
+        try:
+            return self.validate(params)
+        except (WrangleError, ValueError, OverflowError) as exc:
+            raise InvalidNode(str(exc)) from None
 
 
 REGISTRY: dict[str, OpDef] = {}
@@ -275,10 +282,7 @@ def _v_spacetime(params: dict) -> dict:
     for key in _ST_KEYS - {"space_buffer_m", "time_buffer_s"}:
         if key in params:
             kwargs[key] = _want_str(params, key)
-    try:
-        return {"params": SpaceTimeParams(**kwargs)}  # type: ignore[arg-type]
-    except (ValueError, WrangleError) as exc:
-        raise InvalidNode(str(exc)) from None
+    return {"params": SpaceTimeParams(**kwargs)}  # type: ignore[arg-type]
 
 
 _register(

@@ -56,7 +56,7 @@ def union(a: Table, b: Table) -> Table:
             )
     return Table(
         tuple(
-            Column(ca.name, ca.ctype, ca.cells + cb.cells)
+            Column._unchecked(ca.name, ca.ctype, ca.cells + cb.cells)
             for ca, cb in zip(a.columns, b.columns)
         )
     )
@@ -84,11 +84,7 @@ def filter_rows(t: Table, p: PredicateExpr) -> Table:
         for i in range(t.row_count)
         if eval_predicate(p, {name: cells[i] for name, cells in cols.items()})
     ]
-    return Table(
-        tuple(
-            Column(c.name, c.ctype, tuple(c.cells[i] for i in keep)) for c in t.columns
-        )
-    )
+    return t.take(keep)
 
 
 def mutate_column(t: Table, name: str, e: MutateExpr) -> Table:
@@ -124,14 +120,6 @@ def join(left: Table, right: Table, keys: list[tuple[str, str]]) -> Table:
                 f"'{rc.name}' is {rc.ctype.value} on the right"
             )
 
-    right_key_names = {rk for _, rk in keys}
-    out_right = [c for c in right.columns if c.name not in right_key_names]
-    left_names = set(left.column_names)
-    renamed = []
-    for c in out_right:
-        name = c.name + ".y" if c.name in left_names else c.name
-        renamed.append((name, c))
-
     index: dict[tuple[Cell, ...], list[int]] = {}
     for j in range(right.row_count):
         key = tuple(col.cells[j] for col in right_keys)
@@ -149,15 +137,14 @@ def join(left: Table, right: Table, keys: list[tuple[str, str]]) -> Table:
             left_idx.append(i)
             right_idx.append(j)
 
-    out = [
-        Column(c.name, c.ctype, tuple(c.cells[i] for i in left_idx))
-        for c in left.columns
-    ]
-    out += [
-        Column(name, c.ctype, tuple(c.cells[j] for j in right_idx))
-        for name, c in renamed
-    ]
-    return Table(tuple(out))
+    right_key_names = {rk for _, rk in keys}
+    right_out = Table(tuple(c for c in right.columns if c.name not in right_key_names))
+    left_names = set(left.column_names)
+    renamed = tuple(
+        Column._unchecked(c.name + ".y", c.ctype, c.cells) if c.name in left_names else c
+        for c in right_out.take(right_idx).columns
+    )
+    return Table(left.take(left_idx).columns + renamed)
 
 
 def _aggregate(func: str, values: list[Cell]) -> Cell:

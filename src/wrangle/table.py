@@ -134,6 +134,13 @@ class Column:
                     f"column '{self.name}' is {self.ctype.value} but cell {i} is {v!r}"
                 )
 
+    @classmethod
+    def _unchecked(cls, name: str, ctype: CType, cells: tuple[Cell, ...]) -> "Column":
+        """A column of cells already checked against ``ctype``: skips the check."""
+        col = object.__new__(cls)
+        col.__dict__.update(name=name, ctype=ctype, cells=cells)
+        return col
+
 
 @dataclass(frozen=True)
 class Table:
@@ -178,6 +185,15 @@ class Table:
     def rows(self) -> Iterable[tuple[Cell, ...]]:
         for i in range(self.row_count):
             yield self.row(i)
+
+    def take(self, indices: Sequence[int]) -> "Table":
+        """The rows at ``indices`` in that order, repeats allowed; no cell is checked again."""
+        return Table(
+            tuple(
+                Column._unchecked(c.name, c.ctype, tuple(map(c.cells.__getitem__, indices)))
+                for c in self.columns
+            )
+        )
 
 
 def table_from_rows(
@@ -315,7 +331,7 @@ _PARSERS = (
 _NULL_FIELD = object()
 
 
-def _split_records(text: str, on_error_line: int = 1) -> list[tuple[int, list[object]]]:
+def _split_records(text: str) -> list[tuple[int, list[object]]]:
     """Char-by-char record splitter.
 
     Returns (line_number, fields) pairs where a field is either a str or the
@@ -328,7 +344,7 @@ def _split_records(text: str, on_error_line: int = 1) -> list[tuple[int, list[ob
     quoted = False      # current field was opened with a quote
     in_quotes = False   # currently inside the quoted section
     field_open = False  # some char consumed for the current field
-    line = on_error_line
+    line = 1
     record_line = line
     i, n = 0, len(text)
 

@@ -85,11 +85,7 @@ def filter_weekdays(t: Table, date_col: str, days: set[str]) -> Table:
         d = v.date() if isinstance(v, datetime) else v
         if weekday_name(d) in days:
             keep.append(i)
-    return Table(
-        tuple(
-            Column(c.name, c.ctype, tuple(c.cells[i] for i in keep)) for c in t.columns
-        )
-    )
+    return t.take(keep)
 
 
 @dataclass(frozen=True)
@@ -150,11 +146,6 @@ def average_speed_by_condition(t: Table, speed_col: str) -> Table:
     if speeds.ctype not in (CType.INT, CType.REAL):
         raise TypeMismatch(f"column '{speed_col}' is {speeds.ctype.value}, need numeric")
     keep = [i for i, v in enumerate(cond.cells) if v is not None]
-    pruned = Table(
-        tuple(
-            Column(c.name, c.ctype, tuple(c.cells[i] for i in keep)) for c in t.columns
-        )
-    )
     return group_summarise(
-        pruned, ["weatherCond"], [AggSpec("avg_speed", "mean", speed_col)]
+        t.take(keep), ["weatherCond"], [AggSpec("avg_speed", "mean", speed_col)]
     )

@@ -7,34 +7,36 @@ happen in :func:`parse_workflow`; a spec that validates cannot fail at run
 time with an unknown op, a dangling reference, or a cycle.
 
 Execution materializes every node result in a :class:`Registry` under a
-fresh session key. Independent nodes (same longest-path depth) may run
-concurrently; operators are pure and tables immutable, so parallel and
-sequential runs produce identical outputs.
+fresh session key. Nodes run one at a time, stage by stage in
+:func:`topo_schedule` order: operators are pure Python, so threads would
+only take turns on the interpreter lock.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time as _time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .errors import (
     BadVersion,
     CycleDetected,
     DanglingReference,
+    DataError,
     DuplicateNodeId,
     InvalidNode,
     MalformedJson,
     NodeFailed,
     RegistryError,
-    WrangleError,
 )
 from .ops import OpDef, get_op, kind_of_result
+from .table import Table, write_csv
 
 INPUT_KINDS = ("table-csv", "weather-json")
 
@@ -228,8 +230,8 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
         if not isinstance(raw_params, dict):
             raise MalformedJson(f"{where}: 'params' must be an object")
         try:
-            bound = op_def.validate(raw_params)
-        except WrangleError as exc:
+            bound = op_def.bind(raw_params)
+        except InvalidNode as exc:
             raise InvalidNode(f"node '{node_id}': {exc}") from None
 
         raw_inputs = entry.get("inputs", {})
@@ -328,12 +330,11 @@ class NodeReport:
 @dataclass(frozen=True)
 class RunReport:
     workflow: str
-    mode: str
     nodes: tuple[NodeReport, ...]
     total_ms: float
 
     def lines(self) -> list[str]:
-        out = [f"workflow '{self.workflow}' ({self.mode}, {self.total_ms:.1f} ms)"]
+        out = [f"workflow '{self.workflow}' ({self.total_ms:.1f} ms)"]
         for n in self.nodes:
             rows = "-" if n.rows is None else str(n.rows)
             out.append(
@@ -342,13 +343,29 @@ class RunReport:
         return out
 
 
-def _spill(spill_dir, key: str, value: object) -> None:
-    from .table import Table, write_csv
+def write_atomic(path: Path, payload: bytes) -> None:
+    """Write through a temp file beside ``path`` that replaces it only when
+    complete, so a failed write leaves any earlier file at ``path`` whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
+
+def write_result(out_dir: Path, name: str, value: object) -> Path:
+    """Write a table as ``<name>.csv`` or a chart as ``<name>.svg`` in ``out_dir``."""
     if isinstance(value, Table):
-        (spill_dir / f"{key}.csv").write_bytes(write_csv(value))
+        path, payload = out_dir / f"{name}.csv", write_csv(value)
     elif isinstance(value, bytes):
-        (spill_dir / f"{key}.svg").write_bytes(value)
+        path, payload = out_dir / f"{name}.svg", value
+    else:
+        raise DataError(f"output '{name}' has kind {kind_of_result(value)}; "
+                        "only tables and charts can be written")
+    write_atomic(path, payload)
+    return path
 
 
 def execute(
@@ -356,13 +373,16 @@ def execute(
     inputs: Mapping[str, object],
     mode: str = "parallel",
     key_issuer: Callable[[], str] | None = None,
-    spill_dir=None,
+    spill_dir: Path | None = None,
 ) -> tuple[dict[str, object], RunReport]:
     """Run a validated workflow; returns (outputs, report).
 
-    A node failure aborts the run with :class:`NodeFailed` naming the node;
-    downstream nodes are not executed. With ``spill_dir`` set, every node
-    result is also written there under its session key.
+    Nodes run one at a time in :func:`topo_schedule` order; ``mode``
+    (``"parallel"``/``"sequential"``) is checked and ignored, kept only for
+    ``perfbench/traced_run.py``. A node failure aborts the run with
+    :class:`NodeFailed` naming the node; later nodes are not executed. With
+    ``spill_dir`` set, every node result is also written there under its
+    session key.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"mode must be 'parallel' or 'sequential', got {mode!r}")
@@ -405,22 +425,12 @@ def execute(
         timings[node_id] = (_time.perf_counter() - started) * 1000.0
         registry.put(keys[node_id], result)
         if spill_dir is not None:
-            _spill(spill_dir, keys[node_id], result)
+            write_result(spill_dir, keys[node_id], result)
 
     run_started = _time.perf_counter()
-    stages = topo_schedule(w)
-    for stage in stages:
-        if mode == "sequential" or len(stage) == 1:
-            for node_id in stage:
-                run_node(node_id)
-            continue
-        with ThreadPoolExecutor(max_workers=len(stage)) as pool:
-            futures = {node_id: pool.submit(run_node, node_id) for node_id in stage}
-        failures = [
-            node_id for node_id in stage if futures[node_id].exception() is not None
-        ]
-        if failures:
-            raise futures[failures[0]].exception()  # earliest declared node wins
+    for stage in topo_schedule(w):
+        for node_id in stage:
+            run_node(node_id)
 
     reports = []
     for n in w.nodes:
@@ -430,4 +440,4 @@ def execute(
     total_ms = (_time.perf_counter() - run_started) * 1000.0
 
     outputs = {o.name: resolve(o.ref) for o in w.outputs}
-    return outputs, RunReport(w.name, mode, tuple(reports), total_ms)
+    return outputs, RunReport(w.name, tuple(reports), total_ms)

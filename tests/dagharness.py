@@ -2,7 +2,8 @@
 
 All generated nodes preserve one canonical schema (k int, v real, s text),
 so any wiring of table ports is valid and outputs can reference any node.
-Used to check that parallel and sequential execution are indistinguishable.
+Used to check scheduling, session keys and spilling on arbitrary DAGs, and
+that the accepted ``mode`` values of ``execute`` change nothing.
 """
 
 from __future__ import annotations

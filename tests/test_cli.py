@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -18,6 +19,10 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_data")
     generate(GenConfig(seed=11, sites=2, rows_per_site=150), out)
     return out
+
+
+def _refuse_replace(src, dst):
+    raise OSError("disk full")
 
 
 def run_ok(args, capsys):
@@ -152,6 +157,59 @@ class TestRun:
     def test_unknown_workflow_file(self, tmp_path, capsys):
         assert main(["run", "nope.json", "--out", str(tmp_path)]) == 1
 
+    def test_failed_write_keeps_old_output_and_leaves_no_temp(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "journey_time_s.csv").write_bytes(b"old\n")
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(
+                [
+                    "run", "dwr1.json",
+                    "--input", f"ds1_1={dataset}/site_1.csv",
+                    "--input", f"ds1_2={dataset}/site_2.csv",
+                    "--input", f"ds1_3={dataset}/sites.csv",
+                    "--out", str(out),
+                ]
+            )
+        assert (out / "journey_time_s.csv").read_bytes() == b"old\n"
+        assert sorted(p.name for p in out.iterdir()) == ["journey_time_s.csv"]
+
+
+def _one_node_flow(op: str, params: dict) -> dict:
+    return {
+        "version": 1,
+        "name": "one",
+        "inputs": [{"name": "x", "kind": "table-csv"}],
+        "nodes": [{"id": "n", "op": op, "inputs": {"in": "$inputs.x"}, "params": params}],
+        "outputs": [{"name": "y", "from": "n.out"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "op, params",
+    [
+        ("relops.filter", {"predicate": "k >="}),
+        ("relops.group_summarise", {"aggs": ["bogus(x)"]}),
+    ],
+)
+def test_bad_grammar_param_is_exit_3_in_op_and_run(op, params, dataset, tmp_path, capsys):
+    table = f"{dataset}/sites.csv"
+    code = main(["op", op, "--table", table, "--params", json.dumps(params)])
+    op_err = capsys.readouterr().err
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps(_one_node_flow(op, params)))
+    run_code = main(["run", str(flow), "--input", f"x={table}", "--out", str(tmp_path / "o")])
+    run_err = capsys.readouterr().err
+    assert (code, run_code) == (3, 3)
+    assert op_err.startswith("workflow error: ")
+    assert run_err.startswith("workflow error: node 'n': ")
+    assert op_err.removeprefix("workflow error: ") == run_err.removeprefix(
+        "workflow error: node 'n': "
+    )
+
 
 class TestOp:
     def test_clean_site_id(self, dataset, tmp_path, capsys):
@@ -186,6 +244,16 @@ class TestOp:
              "--params", "{bad"]
         )
         assert code == 1
+
+    def test_failed_out_write_keeps_old_file(self, dataset, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "cleaned.csv"
+        out.write_bytes(b"old\n")
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["op", "traffic.clean_site_id", "--table", f"{dataset}/site_1.csv",
+                  "--params", '{"col": "Site ID"}', "--out", str(out)])
+        assert out.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cleaned.csv"]
 
     def test_stdout_output(self, dataset, capsys):
         code = main(

@@ -12,7 +12,9 @@ import random
 from datetime import date, datetime, time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import slowpaths
 from conftest import assert_tables_equal, random_typed_table
 from wrangle.errors import EmptyInput, MalformedCsv
 from wrangle.table import (
@@ -236,3 +238,46 @@ class TestTableModel:
         with pytest.raises(TypeMismatch):
             Column("d", CType.DATE, (datetime(2020, 1, 1, 5),))
         Column("d", CType.DATE, (date(2020, 1, 1),))
+
+
+_CELLS = {
+    CType.TEXT: st.text(max_size=5),
+    CType.INT: st.integers(-(2**63), 2**63 - 1),
+    CType.REAL: st.floats(allow_nan=False),
+    CType.DATE: st.dates(),
+    CType.TIME: st.times(),
+    CType.TIMESTAMP: st.datetimes(),
+    CType.BOOL: st.booleans(),
+}
+
+
+@st.composite
+def _take_cases(draw):
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(list(CType)), max_size=len(CType) + 1))
+    columns = tuple(
+        Column(
+            f"c{i}",
+            kind,
+            tuple(draw(st.lists(st.none() | _CELLS[kind], min_size=n_rows, max_size=n_rows))),
+        )
+        for i, kind in enumerate(kinds)
+    )
+    if not n_rows:
+        return Table(columns), []
+    # Lists of indices are free to repeat and to run out of order.
+    return Table(columns), draw(st.lists(st.integers(0, n_rows - 1), max_size=20))
+
+
+_AB = table_from_rows(["a", "b"], [CType.INT, CType.TEXT], [(1, "x"), (None, None), (3, "")])
+
+
+class TestTake:
+    @settings(max_examples=300, deadline=None)
+    @given(_take_cases())
+    @example((Table(()), []))
+    @example((_AB, []))
+    @example((_AB, [2, 0, 2, 1, 0]))
+    def test_matches_hand_rolled_copy(self, case):
+        t, indices = case
+        assert t.take(indices) == slowpaths.hand_rolled_take(t, indices)

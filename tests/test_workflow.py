@@ -122,6 +122,17 @@ class TestParseWorkflow:
             parse_workflow(wf([filter_node("a", "$inputs.x", predicate="k >=")]))
         assert "node 'a'" in str(err.value)
 
+    def test_infinite_time_buffer_is_invalid_node(self):
+        node = {
+            "id": "st",
+            "op": "spacetime.time_space_join",
+            "inputs": {"traffic": "$inputs.x", "weather": "$inputs.x"},
+            "params": {"time_buffer_s": float("inf")},
+        }
+        with pytest.raises(InvalidNode) as err:
+            parse_workflow(wf([node]))
+        assert "node 'st'" in str(err.value)
+
     def test_wrong_ports_rejected(self):
         node = {"id": "a", "op": "relops.union", "inputs": {"in": "$inputs.x"}}
         with pytest.raises(InvalidNode):
@@ -225,6 +236,26 @@ class TestExecute:
         with pytest.raises(ValueError):
             execute(spec, {"x": b"not a table"})
 
+    def test_unknown_mode_rejected(self):
+        spec = parse_workflow(wf([]))
+        table = dagharness.canonical_table(random.Random("exec:mode"))
+        with pytest.raises(ValueError):
+            execute(spec, {"x": table}, mode="threads")
+
+    def test_failure_stops_the_rest_of_its_stage(self, tmp_path):
+        nodes = [
+            filter_node("a", "$inputs.x"),
+            filter_node("boom", "$inputs.x", predicate="missing_col == 1"),
+            filter_node("c", "$inputs.x"),
+        ]
+        spec = parse_workflow(wf(nodes))
+        assert topo_schedule(spec) == [["a", "boom", "c"]]
+        table = dagharness.canonical_table(random.Random("exec:stage"))
+        with pytest.raises(NodeFailed) as err:
+            execute(spec, {"x": table}, key_issuer=sequential_keys(), spill_dir=tmp_path)
+        assert err.value.node_id == "boom"
+        assert [p.name for p in tmp_path.iterdir()] == ["tbl-000000000001.csv"]
+
     def test_node_failure_names_node_and_skips_downstream(self):
         nodes = [
             filter_node("boom", "$inputs.x", predicate="missing_col == 1"),
@@ -258,6 +289,7 @@ class TestExecute:
         assert len(set(keys)) == len(keys)
 
     def test_parallel_equals_sequential_random_dags(self):
+        # Nodes always run one at a time; this pins that mode changes nothing.
         rng = random.Random("exec:equiv")
         for _ in range(8):
             spec, tables = dagharness.random_workflow(rng)
