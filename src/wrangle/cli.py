@@ -26,11 +26,11 @@ from pathlib import Path
 from .chart import ChartSpec, render_bar_chart
 from .errors import DataError, RangeError, UnknownOp, WorkflowError
 from .gen import GenConfig, generate
-from .ops import OpDef, get_op, kind_of_result, list_ops
+from .ops import OpDef, get_op, list_ops
 from .table import Table, infer_column_types, parse_csv, write_csv
 from .weather import flatten_weather, parse_weather_json
-from .workflow import (execute, parse_workflow, random_keys, sequential_keys,
-                       write_atomic, write_result)
+from .workflow import (encode_result, execute, parse_workflow, random_keys,
+                       sequential_keys, write_atomic, write_result)
 
 BUNDLED_WORKFLOWS = ("dwr1.json", "dwr2.json")
 
@@ -155,14 +155,7 @@ def cmd_op(args: argparse.Namespace) -> int:
 
     bound = op_def.bind(params)
     values = _bind_files(op_def, args.table or [], args.weather or [])
-    result = op_def.run(values, bound)
-
-    if isinstance(result, Table):
-        payload = write_csv(result)
-    elif isinstance(result, bytes):
-        payload = result
-    else:
-        return _fail(2, f"op produced unwritable kind {kind_of_result(result)}")
+    _, payload = encode_result(op_def.name, op_def.run(values, bound))
     if args.out:
         write_atomic(Path(args.out), payload)
     else:
@@ -208,7 +201,11 @@ def cmd_chart(args: argparse.Namespace) -> int:
 def cmd_list_ops(args: argparse.Namespace) -> int:
     for op_def in list_ops():
         ports = ", ".join(f"{name}:{kind}" for name, kind in op_def.ports)
-        print(f"{op_def.name:<36} ({ports}) -> {op_def.result}")
+        params = " ".join(
+            p.name if p.required else f"{p.name}={json.dumps(p.default, separators=(',', ':'))}"
+            for p in op_def.params
+        )
+        print(f"{op_def.name:<36} ({ports}) -> {op_def.result}  {params}".rstrip())
     return 0
 
 

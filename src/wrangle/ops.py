@@ -1,9 +1,12 @@
 """The operator registry: every service invocable from workflows or the CLI.
 
 An :class:`OpDef` couples a qualified name (``module.op``) with its input
-ports, its parameter validator, and its implementation. Validators run, via
-:meth:`OpDef.bind`, at workflow-validation time so that bad params (including
-grammar strings that fail to parse) are rejected before anything executes.
+ports, its declared params, and its implementation. Each :class:`Param`
+gives a name, a JSON shape, a default (or none: the param is required) and
+an optional conversion to the bound form. :meth:`OpDef.bind`, the one place
+params are checked, runs at workflow-validation time, so bad params
+(including grammar strings that fail to parse) are rejected before anything
+executes.
 
 Port and result kinds are ``table``, ``weatherdoc`` or ``svg``; the
 workflow validator uses them to check port wiring statically.
@@ -11,13 +14,13 @@ workflow validator uses them to check port wiring statically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping
 
 from . import relops, traffic
 from .chart import ChartSpec, render_bar_chart
 from .errors import InvalidNode, UnknownOp, WrangleError
-from .expr import parse_agg, parse_mutate, parse_predicate
+from .expr import AggSpec, parse_agg, parse_mutate, parse_predicate
 from .spacetime import (
     DEFAULT_WET_CODES,
     SpaceTimeParams,
@@ -32,14 +35,43 @@ TABLE = "table"
 WEATHERDOC = "weatherdoc"
 SVG = "svg"
 
+# JSON shapes of param values: (what the rejection says, test).
+STR = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+STR_LIST = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+ANY = ("any JSON value", lambda v: True)  # the param's convert checks it
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared operator param.
+
+    A param without a ``default`` is required. A given value must have the
+    JSON ``shape``, unless it equals the default: giving the default binds
+    exactly like leaving the param out. ``convert`` then maps the value,
+    the default included, to its bound form, and may reject it by raising.
+    """
+
+    name: str
+    shape: tuple[str, Callable[[Any], bool]]
+    default: Any = _REQUIRED
+    convert: Callable[[Any], Any] | None = None
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED
+
 
 @dataclass(frozen=True)
 class OpDef:
     name: str
     ports: tuple[tuple[str, str], ...]  # (port name, kind)
     result: str
-    validate: Callable[[dict], dict]
+    params: tuple[Param, ...]
     run: Callable[[Mapping[str, Any], dict], object]
+    make: Callable[[dict], dict] = dict  # converted params -> bound params
 
     @property
     def port_names(self) -> tuple[str, ...]:
@@ -52,9 +84,26 @@ class OpDef:
         raise KeyError(port)
 
     def bind(self, params: dict) -> dict:
-        """Validate raw params; every rejection is an :class:`InvalidNode`."""
+        """Check raw params against the declared ones and bind them.
+
+        Unknown keys are reported first; then each declared param, in
+        order, is checked for presence, shape and conversion. Every
+        rejection is an :class:`InvalidNode`.
+        """
+        extra = set(params) - {p.name for p in self.params}
+        if extra:
+            raise InvalidNode(f"unknown params: {sorted(extra)}")
+        bound = {}
         try:
-            return self.validate(params)
+            for p in self.params:
+                value = params.get(p.name, p.default)
+                if value is _REQUIRED:
+                    raise InvalidNode(f"missing param '{p.name}'")
+                what, ok = p.shape
+                if value != p.default and not ok(value):
+                    raise InvalidNode(f"param '{p.name}' must be {what}")
+                bound[p.name] = value if p.convert is None else p.convert(value)
+            return self.make(bound)
         except (WrangleError, ValueError, OverflowError) as exc:
             raise InvalidNode(str(exc)) from None
 
@@ -79,130 +128,26 @@ def _register(
     name: str,
     ports: tuple[tuple[str, str], ...],
     result: str,
-    validate: Callable[[dict], dict],
+    params: tuple[Param, ...],
     run: Callable[[Mapping[str, Any], dict], object],
+    make: Callable[[dict], dict] = dict,
 ) -> None:
     assert name not in REGISTRY
-    REGISTRY[name] = OpDef(name, ports, result, validate, run)
+    REGISTRY[name] = OpDef(name, ports, result, params, run, make)
 
 
 # ---------------------------------------------------------------------------
-# Param checking helpers
+# Conversions that check more than a shape
 # ---------------------------------------------------------------------------
 
-def _reject_unknown(params: dict, allowed: set[str]) -> None:
-    extra = set(params) - allowed
-    if extra:
-        raise InvalidNode(f"unknown params: {sorted(extra)}")
-
-
-def _want_str(params: dict, key: str, default: str | None = None) -> str:
-    if key not in params:
-        if default is None:
-            raise InvalidNode(f"missing param '{key}'")
-        return default
-    v = params[key]
-    if not isinstance(v, str) or not v:
-        raise InvalidNode(f"param '{key}' must be a non-empty string")
-    return v
-
-
-def _want_str_list(params: dict, key: str, default: list[str] | None = None) -> list[str]:
-    if key not in params:
-        if default is None:
-            raise InvalidNode(f"missing param '{key}'")
-        return default
-    v = params[key]
-    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
-        raise InvalidNode(f"param '{key}' must be a list of strings")
-    return list(v)
-
-
-def _want_number(params: dict, key: str, default: float) -> float:
-    v = params.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvalidNode(f"param '{key}' must be a number")
-    return float(v)
-
-
-def _no_params(params: dict) -> dict:
-    _reject_unknown(params, set())
-    return {}
-
-
-# ---------------------------------------------------------------------------
-# table / relops
-# ---------------------------------------------------------------------------
-
-_register(
-    "table.infer_types",
-    (("in", TABLE),),
-    TABLE,
-    _no_params,
-    lambda inputs, p: infer_column_types(inputs["in"]),
-)
-
-_register(
-    "relops.union",
-    (("a", TABLE), ("b", TABLE)),
-    TABLE,
-    _no_params,
-    lambda inputs, p: relops.union(inputs["a"], inputs["b"]),
-)
-
-
-def _v_select(params: dict) -> dict:
-    _reject_unknown(params, {"names", "mode"})
-    mode = _want_str(params, "mode", "keep")
+def _keep_or_drop(mode: str) -> str:
     if mode not in ("keep", "drop"):
         raise InvalidNode("param 'mode' must be 'keep' or 'drop'")
-    return {"names": _want_str_list(params, "names"), "mode": mode}
+    return mode
 
 
-_register(
-    "relops.select_columns",
-    (("in", TABLE),),
-    TABLE,
-    _v_select,
-    lambda inputs, p: relops.select_columns(inputs["in"], p["names"], p["mode"]),
-)
-
-
-def _v_filter(params: dict) -> dict:
-    _reject_unknown(params, {"predicate"})
-    text = _want_str(params, "predicate")
-    return {"predicate": parse_predicate(text)}
-
-
-_register(
-    "relops.filter",
-    (("in", TABLE),),
-    TABLE,
-    _v_filter,
-    lambda inputs, p: relops.filter_rows(inputs["in"], p["predicate"]),
-)
-
-
-def _v_mutate(params: dict) -> dict:
-    _reject_unknown(params, {"name", "expr"})
-    return {
-        "name": _want_str(params, "name"),
-        "expr": parse_mutate(_want_str(params, "expr")),
-    }
-
-
-_register(
-    "relops.mutate",
-    (("in", TABLE),),
-    TABLE,
-    _v_mutate,
-    lambda inputs, p: relops.mutate_column(inputs["in"], p["name"], p["expr"]),
-)
-
-
-def _v_join(params: dict) -> dict:
-    _reject_unknown(params, {"keys"})
-    raw = params.get("keys")
+def _key_pairs(raw: Any) -> list[tuple[str, str]]:
+    # No usable default: null, like any value that is not a list of pairs, is refused.
     if (
         not isinstance(raw, list)
         or not raw
@@ -214,34 +159,98 @@ def _v_join(params: dict) -> dict:
         )
     ):
         raise InvalidNode("param 'keys' must be a non-empty list of [left, right] pairs")
-    return {"keys": [tuple(pair) for pair in raw]}
+    return [tuple(pair) for pair in raw]
 
+
+def _aggs(texts: list[str]) -> list[AggSpec]:
+    if not texts:
+        raise InvalidNode("param 'aggs' must name at least one aggregation")
+    return [parse_agg(a) for a in texts]
+
+
+def _wet_codes(raw: Any) -> WetCodeSet:
+    if (
+        not isinstance(raw, list)
+        or not raw
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
+    ):
+        raise InvalidNode("param 'wet_codes' must be a non-empty list of integers")
+    return WetCodeSet(frozenset(raw))
+
+
+def _whole_seconds(value: float) -> int:
+    seconds = float(value)
+    if not seconds.is_integer():
+        raise InvalidNode("param 'time_buffer_s' must be a whole number of seconds")
+    return int(seconds)
+
+
+def _weekdays(days: list[str]) -> set[str]:
+    bad = set(days) - set(traffic.WEEKDAY_NAMES)
+    if not days or bad:
+        raise InvalidNode(
+            f"param 'days' must be non-empty weekday names; bad: {sorted(bad)}"
+        )
+    return set(days)
+
+
+# ---------------------------------------------------------------------------
+# table / relops
+# ---------------------------------------------------------------------------
+
+_register(
+    "table.infer_types",
+    (("in", TABLE),),
+    TABLE,
+    (),
+    lambda inputs, p: infer_column_types(inputs["in"]),
+)
+
+_register(
+    "relops.union",
+    (("a", TABLE), ("b", TABLE)),
+    TABLE,
+    (),
+    lambda inputs, p: relops.union(inputs["a"], inputs["b"]),
+)
+
+_register(
+    "relops.select_columns",
+    (("in", TABLE),),
+    TABLE,
+    (Param("mode", STR, "keep", _keep_or_drop), Param("names", STR_LIST)),
+    lambda inputs, p: relops.select_columns(inputs["in"], p["names"], p["mode"]),
+)
+
+_register(
+    "relops.filter",
+    (("in", TABLE),),
+    TABLE,
+    (Param("predicate", STR, convert=parse_predicate),),
+    lambda inputs, p: relops.filter_rows(inputs["in"], p["predicate"]),
+)
+
+_register(
+    "relops.mutate",
+    (("in", TABLE),),
+    TABLE,
+    (Param("name", STR), Param("expr", STR, convert=parse_mutate)),
+    lambda inputs, p: relops.mutate_column(inputs["in"], p["name"], p["expr"]),
+)
 
 _register(
     "relops.join",
     (("left", TABLE), ("right", TABLE)),
     TABLE,
-    _v_join,
+    (Param("keys", ANY, None, _key_pairs),),
     lambda inputs, p: relops.join(inputs["left"], inputs["right"], p["keys"]),
 )
-
-
-def _v_group(params: dict) -> dict:
-    _reject_unknown(params, {"by", "aggs"})
-    aggs = _want_str_list(params, "aggs")
-    if not aggs:
-        raise InvalidNode("param 'aggs' must name at least one aggregation")
-    return {
-        "by": _want_str_list(params, "by", []),
-        "aggs": [parse_agg(a) for a in aggs],
-    }
-
 
 _register(
     "relops.group_summarise",
     (("in", TABLE),),
     TABLE,
-    _v_group,
+    (Param("aggs", STR_LIST, convert=_aggs), Param("by", STR_LIST, [], list)),
     lambda inputs, p: relops.group_summarise(inputs["in"], p["by"], p["aggs"]),
 )
 
@@ -254,64 +263,31 @@ _register(
     "weather.flatten",
     (("in", WEATHERDOC),),
     TABLE,
-    _no_params,
+    (),
     lambda inputs, p: flatten_weather(inputs["in"]),
 )
 
-_ST_KEYS = {
-    "space_buffer_m",
-    "time_buffer_s",
-    "traffic_lat",
-    "traffic_lon",
-    "traffic_timestamp",
-    "traffic_date",
-    "traffic_time",
-    "weather_lat",
-    "weather_lon",
-    "weather_date",
-    "weather_time",
-}
-
-
-def _v_spacetime(params: dict) -> dict:
-    _reject_unknown(params, _ST_KEYS)
-    kwargs: dict[str, object] = {
-        "space_buffer_m": _want_number(params, "space_buffer_m", SpaceTimeParams.space_buffer_m),
-        "time_buffer_s": int(_want_number(params, "time_buffer_s", SpaceTimeParams.time_buffer_s)),
-    }
-    for key in _ST_KEYS - {"space_buffer_m", "time_buffer_s"}:
-        if key in params:
-            kwargs[key] = _want_str(params, key)
-    return {"params": SpaceTimeParams(**kwargs)}  # type: ignore[arg-type]
-
+_BUFFERS = {"space_buffer_m": float, "time_buffer_s": _whole_seconds}
 
 _register(
     "spacetime.time_space_join",
     (("traffic", TABLE), ("weather", TABLE)),
     TABLE,
-    _v_spacetime,
+    tuple(
+        Param(f.name, NUMBER if f.name in _BUFFERS else STR, f.default, _BUFFERS.get(f.name))
+        for f in fields(SpaceTimeParams)
+    ),
     lambda inputs, p: time_space_join(inputs["traffic"], inputs["weather"], p["params"]),
+    lambda p: {"params": SpaceTimeParams(**p)},
 )
-
-
-def _v_weather_cond(params: dict) -> dict:
-    _reject_unknown(params, {"wet_codes", "col"})
-    raw = params.get("wet_codes", sorted(DEFAULT_WET_CODES))
-    if (
-        not isinstance(raw, list)
-        or not raw
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
-    ):
-        raise InvalidNode("param 'wet_codes' must be a non-empty list of integers")
-    return {"wet": WetCodeSet(frozenset(raw)), "col": _want_str(params, "col", "wx_W")}
-
 
 _register(
     "spacetime.add_weather_condition",
     (("in", TABLE),),
     TABLE,
-    _v_weather_cond,
+    (Param("wet_codes", ANY, sorted(DEFAULT_WET_CODES), _wet_codes), Param("col", STR, "wx_W")),
     lambda inputs, p: add_weather_condition(inputs["in"], p["wet"], p["col"]),
+    lambda p: {"wet": p["wet_codes"], "col": p["col"]},
 )
 
 
@@ -319,16 +295,11 @@ _register(
 # traffic
 # ---------------------------------------------------------------------------
 
-def _v_col(params: dict) -> dict:
-    _reject_unknown(params, {"col"})
-    return {"col": _want_str(params, "col")}
-
-
 _register(
     "traffic.clean_site_id",
     (("in", TABLE),),
     TABLE,
-    _v_col,
+    (Param("col", STR),),
     lambda inputs, p: traffic.clean_site_id(inputs["in"], p["col"]),
 )
 
@@ -336,38 +307,17 @@ _register(
     "traffic.separate_datetime",
     (("in", TABLE),),
     TABLE,
-    _v_col,
+    (Param("col", STR),),
     lambda inputs, p: traffic.separate_datetime(inputs["in"], p["col"]),
 )
-
-
-def _v_weekdays(params: dict) -> dict:
-    _reject_unknown(params, {"col", "days"})
-    days = _want_str_list(params, "days")
-    bad = set(days) - set(traffic.WEEKDAY_NAMES)
-    if not days or bad:
-        raise InvalidNode(
-            f"param 'days' must be non-empty weekday names; bad: {sorted(bad)}"
-        )
-    return {"col": _want_str(params, "col"), "days": set(days)}
-
 
 _register(
     "traffic.filter_weekdays",
     (("in", TABLE),),
     TABLE,
-    _v_weekdays,
+    (Param("days", STR_LIST, convert=_weekdays), Param("col", STR)),
     lambda inputs, p: traffic.filter_weekdays(inputs["in"], p["col"], p["days"]),
 )
-
-
-def _v_journey(params: dict) -> dict:
-    _reject_unknown(params, {"site_col", "length_col", "speed_col"})
-    return {
-        "site_col": _want_str(params, "site_col", "Site.ID"),
-        "length_col": _want_str(params, "length_col", "LinkLength"),
-        "speed_col": _want_str(params, "speed_col", "mean_speed"),
-    }
 
 
 def _run_journey(inputs: Mapping[str, Any], p: dict) -> Table:
@@ -378,19 +328,23 @@ def _run_journey(inputs: Mapping[str, Any], p: dict) -> Table:
     return Table((Column("journey_time_s", CType.REAL, (seconds,)),))
 
 
-_register("traffic.journey_time", (("in", TABLE),), TABLE, _v_journey, _run_journey)
-
-
-def _v_speed_col(params: dict) -> dict:
-    _reject_unknown(params, {"speed_col"})
-    return {"speed_col": _want_str(params, "speed_col")}
-
+_register(
+    "traffic.journey_time",
+    (("in", TABLE),),
+    TABLE,
+    (
+        Param("site_col", STR, "Site.ID"),
+        Param("length_col", STR, "LinkLength"),
+        Param("speed_col", STR, "mean_speed"),
+    ),
+    _run_journey,
+)
 
 _register(
     "traffic.average_speed_by_condition",
     (("in", TABLE),),
     TABLE,
-    _v_speed_col,
+    (Param("speed_col", STR),),
     lambda inputs, p: traffic.average_speed_by_condition(inputs["in"], p["speed_col"]),
 )
 
@@ -399,23 +353,13 @@ _register(
 # chart
 # ---------------------------------------------------------------------------
 
-def _v_chart(params: dict) -> dict:
-    _reject_unknown(params, {"category_col", "value_col", "title"})
-    return {
-        "spec": ChartSpec(
-            category_col=_want_str(params, "category_col"),
-            value_col=_want_str(params, "value_col"),
-            title=_want_str(params, "title", ""),
-        )
-    }
-
-
 _register(
     "chart.bar",
     (("in", TABLE),),
     SVG,
-    _v_chart,
+    (Param("category_col", STR), Param("value_col", STR), Param("title", STR, "")),
     lambda inputs, p: render_bar_chart(inputs["in"], p["spec"]),
+    lambda p: {"spec": ChartSpec(**p)},
 )
 
 

@@ -77,7 +77,7 @@ class SpaceTimeParams:
     weather_time: str = "ObsTime"
 
     def __post_init__(self) -> None:
-        if self.space_buffer_m <= 0 or self.time_buffer_s <= 0:
+        if not (self.space_buffer_m > 0 and self.time_buffer_s > 0):  # NaN too
             raise RangeError("buffers must be positive")
         if self.traffic_timestamp is not None:
             if self.traffic_date is not None and self.traffic_time is not None:

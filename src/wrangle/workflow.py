@@ -355,15 +355,20 @@ def write_atomic(path: Path, payload: bytes) -> None:
         raise
 
 
-def write_result(out_dir: Path, name: str, value: object) -> Path:
-    """Write a table as ``<name>.csv`` or a chart as ``<name>.svg`` in ``out_dir``."""
+def encode_result(name: str, value: object) -> tuple[str, bytes]:
+    """File name and bytes of a result: a table as ``<name>.csv``, a chart as ``<name>.svg``."""
     if isinstance(value, Table):
-        path, payload = out_dir / f"{name}.csv", write_csv(value)
-    elif isinstance(value, bytes):
-        path, payload = out_dir / f"{name}.svg", value
-    else:
-        raise DataError(f"output '{name}' has kind {kind_of_result(value)}; "
-                        "only tables and charts can be written")
+        return f"{name}.csv", write_csv(value)
+    if isinstance(value, bytes):
+        return f"{name}.svg", value
+    raise DataError(f"output '{name}' has kind {kind_of_result(value)}; "
+                    "only tables and charts can be written")
+
+
+def write_result(out_dir: Path, name: str, value: object) -> Path:
+    """Write ``value`` into ``out_dir`` under its :func:`encode_result` name."""
+    file_name, payload = encode_result(name, value)
+    path = out_dir / file_name
     write_atomic(path, payload)
     return path
 

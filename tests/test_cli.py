@@ -11,6 +11,7 @@ import pytest
 
 from wrangle.cli import main
 from wrangle.gen import GenConfig, generate
+from wrangle.ops import REGISTRY
 from wrangle.table import infer_column_types, parse_csv
 
 
@@ -255,6 +256,22 @@ class TestOp:
         assert out.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cleaned.csv"]
 
+    def test_nan_space_buffer_is_exit_3(self, capsys):
+        code = main(["op", "spacetime.time_space_join", "--params", '{"space_buffer_m": NaN}'])
+        assert code == 3
+        assert capsys.readouterr().err == "workflow error: buffers must be positive\n"
+
+    def test_chart_op_writes_svg(self, dataset, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("cond,speed\ndry,30.5\nwet,25.0\n")
+        out = tmp_path / "c.svg"
+        run_ok(["op", "chart.bar", "--table", str(table), "--out", str(out),
+                "--params", '{"category_col": "cond", "value_col": "speed", "title": ""}'],
+               capsys)
+        assert main(["chart", str(table), "--category", "cond", "--value", "speed",
+                     "--out", str(tmp_path / "d.svg")]) == 0
+        assert out.read_bytes() == (tmp_path / "d.svg").read_bytes()
+
     def test_stdout_output(self, dataset, capsys):
         code = main(
             ["op", "table.infer_types", "--table", f"{dataset}/sites.csv"]
@@ -298,6 +315,13 @@ class TestOtherCommands:
     def test_list_ops(self, capsys):
         run = run_ok(["list-ops"], capsys)
         assert "spacetime.time_space_join" in run.out
+
+    def test_list_ops_shows_every_declared_param(self, capsys):
+        lines = {line.split()[0]: line for line in run_ok(["list-ops"], capsys).out.splitlines()}
+        assert set(lines) == set(REGISTRY)
+        for op in REGISTRY.values():
+            shown = [word.partition("=")[0] for word in lines[op.name].split(" -> ")[1].split()[1:]]
+            assert shown == [p.name for p in op.params]
 
     def test_no_command_is_usage(self, capsys):
         assert main([]) == 1
