@@ -26,6 +26,10 @@ is null; a quoted empty field (``""``) is the empty string. Times carry
 fractional seconds to two decimals and reprint exactly as parsed
 (``2018-02-01 00:00:01.18`` survives a round trip byte-for-byte). A leading
 UTF-8 byte order mark, as some spreadsheet exports write, is dropped.
+
+The reader splits, checks and types whole columns at once, and falls back
+to a char-by-char splitter and to per-cell parsers for what that cannot
+decide (see :func:`parse_csv` and :func:`infer_column_types`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import enum
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch, UnknownColumn
 
@@ -313,16 +317,6 @@ def parse_bool_text(text: str) -> bool | None:
     return None
 
 
-_PARSERS = (
-    (CType.INT, parse_int_text),
-    (CType.REAL, parse_real_text),
-    (CType.TIMESTAMP, parse_timestamp_text),
-    (CType.DATE, parse_date_text),
-    (CType.TIME, parse_time_text),
-    (CType.BOOL, parse_bool_text),
-)
-
-
 # ---------------------------------------------------------------------------
 # CSV codec
 # ---------------------------------------------------------------------------
@@ -433,11 +427,128 @@ def parse_csv(data: bytes) -> Table:
     header. Data rows shorter than the header are padded with nulls; rows
     longer only by trailing empty fields are truncated; any other
     raggedness raises :class:`MalformedCsv`.
+
+    Text with LF or CRLF line ends, no comma or newline inside quotes, and
+    rows that all split into the header's width (or one more, when every
+    row ends in a bare empty field) takes the column path,
+    :func:`_parse_columns`. Anything else (a lone CR, a quoted comma or
+    newline, a stray quote, ragged rows, a bad header) goes through the
+    char-by-char :func:`_split_records`, the only source of
+    :class:`MalformedCsv` messages and line numbers.
     """
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"not valid UTF-8: {exc}") from None
+    table = _parse_columns(text)
+    return table if table is not None else _parse_records(text)
+
+
+# The rows are split and transposed per block of about this many characters
+# (some 2,500 traffic rows), so that only one block's pieces are alive at a time.
+_BLOCK_CHARS = 1 << 18
+
+# Finds the first line of a newline-joined column that is neither free of
+# quotes nor one whole quoted field with ``""`` escapes. This and the other
+# column searches compile on first use (``re`` caches them), not at import.
+_BAD_QUOTING = r'^(?!"[^"\n]*(?:""[^"\n]*)*"$|[^"\n]*$)'
+
+
+def _parse_columns(text: str) -> Table | None:
+    """The column path of :func:`parse_csv`; None where it cannot decide.
+
+    Splitting each line on every comma gives the char splitter's fields
+    exactly when each piece is either free of quotes or one whole quoted
+    field, which :func:`_unquote_column` checks a column at a time.
+    """
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    stop = len(text) - 1 if text.endswith("\n") else len(text)
+    header_end = text.find("\n", 0, stop)
+    try:
+        header = _split_records(text[: stop if header_end < 0 else header_end])
+    except MalformedCsv:
+        return None
+    names = _strip_trailing_nulls(header[0][1]) if header else []
+    if (
+        not names
+        or any(f is _NULL_FIELD or f == "" for f in names)
+        or len(set(names)) != len(names)
+    ):
+        return None
+
+    cols: list[list[Cell]] = [[] for _ in names]
+    start, end = header_end + 1, header_end
+    while 0 <= end < stop:
+        end = text.find("\n", start + _BLOCK_CHARS, stop)
+        if end < 0:
+            end = stop
+        if not _split_block(text[start:end], cols):
+            return None
+        start = end + 1
+    return Table(
+        tuple(
+            Column._unchecked(name, CType.TEXT, tuple(cells))
+            for name, cells in zip(names, cols)
+        )
+    )
+
+
+def _split_block(block: str, cols: list[list[Cell]]) -> bool:
+    """Append the cells of the lines in ``block`` to ``cols``.
+
+    Every line must split into ``len(cols)`` pieces, or into one more when
+    each line's last piece is bare empty; else False, ``cols`` part-filled.
+    """
+    lines = block.count("\n") + 1
+    # A newline becomes a piece of its own, found every stride pieces.
+    pieces = block.replace("\n", ",\n,").split(",")
+    stride, ragged = divmod(len(pieces) + 1, lines)
+    if ragged or pieces[stride - 1 :: stride].count("\n") != lines - 1:
+        return False
+    width = len(cols)
+    if stride == width + 2:
+        if any(pieces[width::stride]):
+            return False
+    elif stride != width + 1:
+        return False
+    return all(
+        _unquote_column(pieces[i::stride], cells) for i, cells in enumerate(cols)
+    )
+
+
+def _unquote_column(raw: list[str], out: list[Cell]) -> bool:
+    """Append the cells of one column's comma-split pieces to ``out``.
+
+    A bare empty piece is null and ``""`` is the empty string. False, with
+    ``out`` left part-filled, when a piece is not a whole field.
+    """
+    joined = "\n".join(raw)
+    if '"' not in joined:
+        out.extend(raw if "" not in raw else [piece or None for piece in raw])
+        return True
+    if re.search(_BAD_QUOTING, joined, re.M):
+        return False
+    if joined.count('\n"') + (joined[0] == '"') == len(raw):
+        # Every piece is quoted: strip the quotes around all of them at once.
+        contents = joined[1:-1].split('"\n"')
+        if joined.count('"') > 2 * len(raw):
+            contents = [c.replace('""', '"') for c in contents]
+        out.extend(contents)
+    else:
+        out.extend(
+            [
+                piece[1:-1].replace('""', '"') if piece[:1] == '"' else piece or None
+                for piece in raw
+            ]
+        )
+    return True
+
+
+def _parse_records(text: str) -> Table:
+    """The char-by-char path of :func:`parse_csv`, for any text."""
     records = _split_records(text)
     if not records:
         raise EmptyInput("no header row")
@@ -471,7 +582,8 @@ def parse_csv(data: bytes) -> Table:
                 cols[i].append(fields[i])  # type: ignore[arg-type]
     return Table(
         tuple(
-            Column(name, CType.TEXT, tuple(cells)) for name, cells in zip(names, cols)
+            Column._unchecked(name, CType.TEXT, tuple(cells))
+            for name, cells in zip(names, cols)
         )
     )
 
@@ -506,23 +618,138 @@ def infer_column_types(t: Table) -> Table:
     with any non-conforming cell stays text, as does an all-null column.
     Already-typed columns pass through, so the operation is idempotent and
     usable mid-pipeline.
+
+    A column is checked whole: its non-null cells joined by newlines are
+    searched once per kind for a line outside that kind's ASCII form, and
+    a column that has none is converted in bulk. The per-cell parsers
+    decide what that cannot: a cell holding a newline, a line outside the
+    ASCII form that they may still accept (non-ASCII digits, one-digit
+    hours), and a bulk conversion that fails (int64 overflow, 2018-02-30).
     """
-    new_cols = []
-    for col in t.columns:
-        if col.ctype is not CType.TEXT:
-            new_cols.append(col)
-            continue
-        values = [v for v in col.cells if v is not None]
-        if not values:
-            new_cols.append(col)
-            continue
-        for ctype, parser in _PARSERS:
-            parsed = [parser(v) for v in values]  # type: ignore[arg-type]
-            if all(p is not None for p in parsed):
-                it = iter(parsed)
-                cells = tuple(None if v is None else next(it) for v in col.cells)
-                new_cols.append(Column(col.name, ctype, cells))
-                break
-        else:
-            new_cols.append(col)
-    return Table(tuple(new_cols))
+    return Table(tuple(map(_infer_column, t.columns)))
+
+
+def _infer_column(col: Column) -> Column:
+    if col.ctype is not CType.TEXT:
+        return col
+    nulls = col.cells.count(None)
+    if nulls == len(col.cells):
+        return col
+    values: Sequence[str] = (
+        col.cells if not nulls else [v for v in col.cells if v is not None]  # type: ignore[assignment]
+    )
+    found = _infer_values(values)
+    if found is None:
+        return col
+    ctype, parsed = found
+    if not nulls:
+        return Column._unchecked(col.name, ctype, tuple(parsed))
+    step = iter(parsed).__next__
+    return Column._unchecked(
+        col.name, ctype, tuple([None if v is None else step() for v in col.cells])
+    )
+
+
+def _infer_values(values: Sequence[str]) -> tuple[CType, list[Cell]] | None:
+    """The first kind in :data:`_KINDS` that takes every value, and the values parsed."""
+    joined = "\n".join(values)
+    one_per_line = joined.count("\n") == len(values) - 1
+    for ctype, parser, bad_line, convert in _KINDS:
+        if one_per_line:
+            m = re.search(bad_line, joined, re.M)
+            if m is None:
+                parsed = convert(values)
+                if parsed is not None:
+                    return ctype, parsed
+            elif parser(_line_at(joined, m.start())) is None:
+                continue
+        parsed = _parse_each(parser, values)
+        if parsed is not None:
+            return ctype, parsed
+    return None
+
+
+def _line_at(joined: str, start: int) -> str:
+    end = joined.find("\n", start)
+    return joined[start:] if end < 0 else joined[start:end]
+
+
+def _parse_each(parser: Callable[[str], Cell], values: Sequence[str]) -> list[Cell] | None:
+    """Per cell: the parsed values, or None at the first value ``parser`` rejects."""
+    parsed = []
+    for v in values:
+        p = parser(v)
+        if p is None:
+            return None
+        parsed.append(p)
+    return parsed
+
+
+def _bad_line(form: str) -> str:
+    """A multiline search for the first line of a newline-joined column that is not ``form``."""
+    return rf"^(?!(?:{form})$)"
+
+
+def _to_ints(values: Sequence[str]) -> list[Cell] | None:
+    ints = list(map(int, values))
+    if min(ints) < _INT64_MIN or max(ints) > _INT64_MAX:
+        return None
+    return ints  # type: ignore[return-value]
+
+
+def _to_reals(values: Sequence[str]) -> list[Cell] | None:
+    return list(map(float, values))
+
+
+def _to_bools(values: Sequence[str]) -> list[Cell] | None:
+    return list(map("true".__eq__, values))
+
+
+def _from_iso(
+    fromisoformat: Callable[[str], Cell], whole: int
+) -> Callable[[Sequence[str]], list[Cell] | None]:
+    """Bulk ``fromisoformat`` of values whose first ``whole`` chars stop at the seconds.
+
+    A fraction after them is padded to six digits: before 3.11,
+    ``fromisoformat`` reads only three or six.
+    """
+
+    def convert(values: Sequence[str]) -> list[Cell] | None:
+        padded = [v if len(v) <= whole else v.ljust(whole + 7, "0") for v in values]
+        try:
+            return list(map(fromisoformat, padded))
+        except ValueError:
+            return None
+
+    return convert
+
+
+_YMD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_HMS = r"[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{1,2})?"
+
+#: Per kind, in inference order: the per-cell parser, a search for the first
+#: line outside the kind's ASCII form, and the bulk conversion of a column
+#: with no such line (None where it finds a value out of range).
+_KINDS = (
+    (CType.INT, parse_int_text, _bad_line(r"[+-]?[0-9]+"), _to_ints),
+    (
+        CType.REAL,
+        parse_real_text,
+        _bad_line(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+        _to_reals,
+    ),
+    (
+        CType.TIMESTAMP,
+        parse_timestamp_text,
+        _bad_line(f"{_YMD} {_HMS}"),
+        _from_iso(datetime.fromisoformat, 19),
+    ),
+    (CType.DATE, parse_date_text, _bad_line(_YMD), _from_iso(date.fromisoformat, 10)),
+    (
+        CType.TIME,
+        parse_time_text,
+        _bad_line(r"[0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,2})?)?"),
+        _from_iso(time.fromisoformat, 8),
+    ),
+    (CType.BOOL, parse_bool_text, _bad_line("true|false"), _to_bools),
+)

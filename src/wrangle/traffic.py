@@ -42,7 +42,7 @@ def clean_site_id(t: Table, col: str) -> Table:
         return stripped if stripped else "0"
 
     cells = tuple(clean(v) for v in target.cells)
-    new_col = Column(col, CType.TEXT, cells)
+    new_col = Column._unchecked(col, CType.TEXT, cells)
     return Table(tuple(new_col if c.name == col else c for c in t.columns))
 
 
@@ -59,8 +59,8 @@ def separate_datetime(t: Table, col: str) -> Table:
     out: list[Column] = []
     for c in t.columns:
         if c.name == col:
-            out.append(Column("Date", CType.DATE, dates))
-            out.append(Column("Hours", CType.TIME, times))
+            out.append(Column._unchecked("Date", CType.DATE, dates))
+            out.append(Column._unchecked("Hours", CType.TIME, times))
         else:
             out.append(c)
     return Table(tuple(out))

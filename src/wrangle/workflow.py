@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import time as _time
 import uuid
 from dataclasses import dataclass, field
@@ -72,32 +71,28 @@ class Registry:
     """Session-key -> materialized value store for one run.
 
     put never overwrites and get never defaults; both raise
-    :class:`RegistryError` on misuse. Safe for concurrent use.
+    :class:`RegistryError` on misuse. Nodes run one at a time, so it takes
+    no lock.
     """
 
     def __init__(self) -> None:
         self._data: dict[str, object] = {}
-        self._lock = threading.Lock()
 
     def put(self, key: str, value: object) -> None:
-        with self._lock:
-            if key in self._data:
-                raise RegistryError(f"key '{key}' already present")
-            self._data[key] = value
+        if key in self._data:
+            raise RegistryError(f"key '{key}' already present")
+        self._data[key] = value
 
     def get(self, key: str) -> object:
-        with self._lock:
-            if key not in self._data:
-                raise RegistryError(f"unknown key '{key}'")
-            return self._data[key]
+        if key not in self._data:
+            raise RegistryError(f"unknown key '{key}'")
+        return self._data[key]
 
     def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._data)
+        return list(self._data)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return len(self._data)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,18 @@
 
 Each function here is the straightforward form of a fast path in the
 package, kept verbatim so tests can require exactly equal results. Unlike
-:mod:`oracles`, these call package helpers (``haversine_m`` in particular)
-so that floating-point results are bit-identical, not merely close.
+:mod:`oracles`, these call package helpers (``haversine_m`` and the
+per-cell ``parse_*_text`` parsers in particular) so that results are
+bit-identical, not merely close.
+
+- :func:`nested_loop_time_space_join`: ``spacetime.time_space_join`` as a
+  scan of every weather row per traffic row.
+- :func:`hand_rolled_take`: ``Table.take`` as a per-column copy, every
+  cell checked again.
+- :func:`char_split_parse_csv`: ``table.parse_csv`` as the char-by-char
+  record splitter followed by a row-by-row fill of the columns.
+- :func:`per_cell_infer_column_types`: ``table.infer_column_types`` as
+  every parser run on every cell, kind by kind.
 """
 
 from __future__ import annotations
@@ -11,9 +21,20 @@ from __future__ import annotations
 from datetime import datetime
 
 from wrangle import spacetime
-from wrangle.errors import SchemaMismatch
+from wrangle.errors import EmptyInput, MalformedCsv, SchemaMismatch
 from wrangle.spacetime import SpaceTimeParams
-from wrangle.table import Cell, Column, CType, Table
+from wrangle.table import (
+    Cell,
+    Column,
+    CType,
+    Table,
+    parse_bool_text,
+    parse_date_text,
+    parse_int_text,
+    parse_real_text,
+    parse_time_text,
+    parse_timestamp_text,
+)
 
 
 def nested_loop_time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table:
@@ -74,3 +95,191 @@ def hand_rolled_take(t: Table, indices: list[int]) -> Table:
             Column(c.name, c.ctype, tuple(c.cells[i] for i in indices)) for c in t.columns
         )
     )
+
+
+# Raw fields distinguish bare-empty (null) from quoted-empty (empty text).
+_NULL_FIELD = object()
+
+
+def _split_records(text: str) -> list[tuple[int, list[object]]]:
+    """Char-by-char record splitter.
+
+    Returns (line_number, fields) pairs where a field is either a str or the
+    _NULL_FIELD marker (a bare empty field). Tolerates CRLF and lone CR as
+    terminators; newlines inside quotes are content.
+    """
+    records: list[tuple[int, list[object]]] = []
+    fields: list[object] = []
+    buf: list[str] = []
+    quoted = False      # current field was opened with a quote
+    in_quotes = False   # currently inside the quoted section
+    field_open = False  # some char consumed for the current field
+    line = 1
+    record_line = line
+    i, n = 0, len(text)
+
+    def end_field() -> None:
+        nonlocal buf, quoted, field_open
+        if not field_open:
+            fields.append(_NULL_FIELD)
+        elif quoted or buf:
+            fields.append("".join(buf))
+        else:
+            fields.append(_NULL_FIELD)
+        buf = []
+        quoted = False
+        field_open = False
+
+    def end_record() -> None:
+        nonlocal fields, record_line
+        end_field()
+        records.append((record_line, fields))
+        fields = []
+
+    while i < n:
+        ch = text[i]
+        if in_quotes:
+            if ch == '"':
+                if i + 1 < n and text[i + 1] == '"':
+                    buf.append('"')
+                    i += 2
+                    continue
+                in_quotes = False
+                i += 1
+                continue
+            if ch == "\n":
+                line += 1
+            buf.append(ch)
+            i += 1
+            continue
+        if ch == '"':
+            if field_open and (buf or quoted):
+                raise MalformedCsv("quote opened mid-field", line)
+            quoted = True
+            in_quotes = True
+            field_open = True
+            i += 1
+            continue
+        if ch == ",":
+            end_field()
+            i += 1
+            continue
+        if ch == "\r":
+            end_record()
+            line += 1
+            i += 2 if i + 1 < n and text[i + 1] == "\n" else 1
+            record_line = line
+            continue
+        if ch == "\n":
+            end_record()
+            line += 1
+            i += 1
+            record_line = line
+            continue
+        if quoted:
+            raise MalformedCsv("content after closing quote", line)
+        buf.append(ch)
+        field_open = True
+        i += 1
+
+    if in_quotes:
+        raise MalformedCsv("unclosed quote", record_line)
+    if field_open or fields:
+        end_record()
+    return records
+
+
+def _strip_trailing_nulls(fields: list[object]) -> list[object]:
+    end = len(fields)
+    while end > 0 and fields[end - 1] is _NULL_FIELD:
+        end -= 1
+    return fields[:end]
+
+
+def char_split_parse_csv(data: bytes) -> Table:
+    """Parse CSV bytes into a table of text columns (no type inference).
+
+    A leading UTF-8 byte order mark is dropped. The first row is the
+    header. Data rows shorter than the header are padded with nulls; rows
+    longer only by trailing empty fields are truncated; any other
+    raggedness raises :class:`MalformedCsv`.
+    """
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"not valid UTF-8: {exc}") from None
+    records = _split_records(text)
+    if not records:
+        raise EmptyInput("no header row")
+
+    header_line, raw_header = records[0]
+    raw_header = _strip_trailing_nulls(raw_header)
+    names: list[str] = []
+    for f in raw_header:
+        if f is _NULL_FIELD or f == "":
+            raise MalformedCsv("empty header name", header_line)
+        names.append(f)  # type: ignore[arg-type]
+    if not names:
+        raise EmptyInput("header row has no names")
+    if len(set(names)) != len(names):
+        raise MalformedCsv("duplicate header names", header_line)
+
+    width = len(names)
+    cols: list[list[Cell]] = [[] for _ in range(width)]
+    for line, fields in records[1:]:
+        if len(fields) > width:
+            extra = fields[width:]
+            if any(f is not _NULL_FIELD for f in extra):
+                raise MalformedCsv(
+                    f"row has {len(fields)} fields, header has {width}", line
+                )
+            fields = fields[:width]
+        for i in range(width):
+            if i >= len(fields) or fields[i] is _NULL_FIELD:
+                cols[i].append(None)
+            else:
+                cols[i].append(fields[i])  # type: ignore[arg-type]
+    return Table(
+        tuple(
+            Column(name, CType.TEXT, tuple(cells)) for name, cells in zip(names, cols)
+        )
+    )
+
+
+_PARSERS = (
+    (CType.INT, parse_int_text),
+    (CType.REAL, parse_real_text),
+    (CType.TIMESTAMP, parse_timestamp_text),
+    (CType.DATE, parse_date_text),
+    (CType.TIME, parse_time_text),
+    (CType.BOOL, parse_bool_text),
+)
+
+
+def per_cell_infer_column_types(t: Table) -> Table:
+    """Promote text columns to the narrowest kind matching every non-null cell.
+
+    Kinds are tried in order int, real, timestamp, date, time, bool; a column
+    with any non-conforming cell stays text, as does an all-null column.
+    Already-typed columns pass through, so the operation is idempotent and
+    usable mid-pipeline.
+    """
+    new_cols = []
+    for col in t.columns:
+        if col.ctype is not CType.TEXT:
+            new_cols.append(col)
+            continue
+        values = [v for v in col.cells if v is not None]
+        if not values:
+            new_cols.append(col)
+            continue
+        for ctype, parser in _PARSERS:
+            parsed = [parser(v) for v in values]  # type: ignore[arg-type]
+            if all(p is not None for p in parsed):
+                it = iter(parsed)
+                cells = tuple(None if v is None else next(it) for v in col.cells)
+                new_cols.append(Column(col.name, ctype, cells))
+                break
+        else:
+            new_cols.append(col)
+    return Table(tuple(new_cols))

@@ -1,0 +1,47 @@
+"""Static guards on the import graph.
+
+The package has no runtime dependencies: every absolute import in
+``src/wrangle`` names a standard-library module. The independent oracles in
+``tests/oracles.py`` import nothing from the package they check.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "wrangle"
+ORACLES = ROOT / "tests" / "oracles.py"
+
+
+def imported_modules(path: Path) -> list[tuple[int, str]]:
+    """(level, module) of every import in ``path``; level 0 is absolute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found.extend((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.level, node.module or ""))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    absolute = [m for level, m in imported_modules(path) if level == 0]
+    outside = [m for m in absolute if m.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_package_modules_are_found():
+    assert len(list(PACKAGE.glob("*.py"))) > 10
+
+
+def test_oracles_import_nothing_from_the_package():
+    imports = imported_modules(ORACLES)
+    assert imports, "oracles.py should import something from the standard library"
+    assert [m for level, m in imports if level > 0] == []
+    assert [m for _, m in imports if m.split(".")[0] == "wrangle"] == []

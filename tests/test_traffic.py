@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import assert_cells_close
 from wrangle.errors import EmptyInput, NonPositiveSpeed, TypeMismatch
-from wrangle.table import CType, Table, table_from_rows
+from wrangle.table import Column, CType, Table, table_from_rows
 from wrangle.traffic import (
     MPH_TO_MPS,
     LinkMeasure,
@@ -54,6 +54,11 @@ class TestCleanSiteId:
         assert twice == once
         assert len(once) <= max(len(raw), 1)
 
+    @given(st.lists(st.none() | st.text(alphabet="'0123456789ab", max_size=8), max_size=12))
+    def test_result_column_passes_the_checking_constructor(self, raw):
+        col = clean_site_id(text_col_table(raw), "Site ID").column("Site ID")
+        assert Column(col.name, col.ctype, col.cells) == col
+
     def test_non_text_rejected(self):
         t = table_from_rows(["Site ID"], [CType.INT], [[1083]])
         with pytest.raises(TypeMismatch):
@@ -93,6 +98,14 @@ class TestSeparateDatetime:
             stamps, got.column("Date").cells, got.column("Hours").cells
         ):
             assert f"{format_cell(d)} {format_cell(h)}" == format_cell(stamp)
+
+    @given(st.lists(st.none() | st.datetimes(), max_size=12))
+    def test_result_columns_pass_the_checking_constructor(self, stamps):
+        t = table_from_rows(["Date"], [CType.TIMESTAMP], [[s] for s in stamps])
+        got = separate_datetime(t, "Date")
+        for col in got.columns:
+            assert Column(col.name, col.ctype, col.cells) == col
+        assert [c.ctype for c in got.columns] == [CType.DATE, CType.TIME]
 
     def test_non_timestamp_rejected(self):
         t = table_from_rows(["Date"], [CType.DATE], [[date(2018, 2, 1)]])
