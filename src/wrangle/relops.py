@@ -95,7 +95,7 @@ def mutate_column(t: Table, name: str, e: MutateExpr) -> Table:
     for i in range(t.row_count):
         v = eval_mutate(e, {n: c[i] for n, c in cols.items()})
         cells.append(None if v is None else float(v))
-    new_col = Column(name, CType.REAL, tuple(cells))
+    new_col = Column._unchecked(name, CType.REAL, tuple(cells))
     if t.has_column(name):
         return Table(tuple(new_col if c.name == name else c for c in t.columns))
     return Table(t.columns + (new_col,))
@@ -191,11 +191,11 @@ def group_summarise(t: Table, group_cols: list[str], aggs: list[AggSpec]) -> Tab
 
     out_cols: list[Column] = []
     for pos, (col, name) in enumerate(zip(key_cols, group_cols)):
-        out_cols.append(Column(name, col.ctype, tuple(key[pos] for key in groups)))
+        out_cols.append(Column._unchecked(name, col.ctype, tuple(key[pos] for key in groups)))
     for spec in aggs:
         if spec.func == "count":
             cells: tuple[Cell, ...] = tuple(len(rows) for rows in groups.values())
-            out_cols.append(Column(spec.new_name, CType.INT, cells))
+            out_cols.append(Column._unchecked(spec.new_name, CType.INT, cells))
             continue
         target = t.column(spec.target)  # type: ignore[arg-type]
         out_kind = CType.REAL if spec.func in ("mean", "sum") else target.ctype
@@ -203,5 +203,5 @@ def group_summarise(t: Table, group_cols: list[str], aggs: list[AggSpec]) -> Tab
             _aggregate(spec.func, [target.cells[i] for i in rows])
             for rows in groups.values()
         )
-        out_cols.append(Column(spec.new_name, out_kind, cells))
+        out_cols.append(Column._unchecked(spec.new_name, out_kind, cells))
     return Table(tuple(out_cols))

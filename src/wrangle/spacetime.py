@@ -203,4 +203,4 @@ def add_weather_condition(t: Table, wet: WetCodeSet = WetCodeSet(), col: str = "
         None if v is None else ("wet" if v in wet.codes else "dry")
         for v in codes.cells
     )
-    return Table(t.columns + (Column("weatherCond", CType.TEXT, cells),))
+    return Table(t.columns + (Column._unchecked("weatherCond", CType.TEXT, cells),))

@@ -29,7 +29,11 @@ UTF-8 byte order mark, as some spreadsheet exports write, is dropped.
 
 The reader splits, checks and types whole columns at once, and falls back
 to a char-by-char splitter and to per-cell parsers for what that cannot
-decide (see :func:`parse_csv` and :func:`infer_column_types`).
+decide (see :func:`parse_csv` and :func:`infer_column_types`). The writer
+formats a block of rows at a time, each column's slice whole by its kind,
+and writes the same bytes as formatting cell by cell (see :func:`write_csv`).
+The slow paths both replaced are kept in ``tests/slowpaths.py`` as
+differential oracles.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import enum
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, time
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch, UnknownColumn
@@ -183,13 +188,6 @@ class Table:
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
 
-    def row(self, i: int) -> tuple[Cell, ...]:
-        return tuple(col.cells[i] for col in self.columns)
-
-    def rows(self) -> Iterable[tuple[Cell, ...]]:
-        for i in range(self.row_count):
-            yield self.row(i)
-
     def take(self, indices: Sequence[int]) -> "Table":
         """The rows at ``indices`` in that order, repeats allowed; no cell is checked again."""
         return Table(
@@ -258,10 +256,17 @@ def format_cell(value: Cell) -> str:
 def parse_int_text(text: str) -> int | None:
     if not _INT_RE.match(text):
         return None
-    v = int(text)
+    try:
+        v = int(text)
+    except ValueError:
+        # More digits than int() converts (4,300 by default). Decimal has no
+        # such limit; only zero padding can leave the value in range.
+        from decimal import Decimal
+
+        v = Decimal(text)
     if not _INT64_MIN <= v <= _INT64_MAX:
         return None
-    return v
+    return int(v)
 
 
 def parse_real_text(text: str) -> float | None:
@@ -599,12 +604,70 @@ def _write_field(value: Cell) -> str:
     return text
 
 
+# Rows are formatted and joined per block of this many, so that only one
+# block's formatted cells are alive at a time.
+_WRITE_BLOCK_ROWS = 4096
+
+# Finds a character that makes a text field need quotes; compiles on first use.
+_NEEDS_QUOTES = r'[,"\r\n]'
+
+
 def write_csv(t: Table) -> bytes:
-    """Serialize a table: header then rows, LF line endings, UTF-8."""
-    lines = [",".join(_write_field(name) for name in t.column_names)]
-    for row in t.rows():
-        lines.append(",".join(_write_field(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Serialize a table: header then rows, LF line endings, UTF-8.
+
+    Rows go out per block of :data:`_WRITE_BLOCK_ROWS`: each column's slice
+    of the block is formatted whole by its kind (:func:`_format_slice`), and
+    the block's lines are joined with ``zip``. The bytes equal those of
+    :func:`_write_field` applied cell by cell, row by row, which
+    ``tests/slowpaths.py`` keeps as the oracle ``row_wise_write_csv``.
+    """
+    chunks = [",".join(map(_write_field, t.column_names)).encode("utf-8")]
+    for start in range(0, t.row_count, _WRITE_BLOCK_ROWS):
+        stop = start + _WRITE_BLOCK_ROWS
+        fields = [_format_slice(c.ctype, c.cells[start:stop]) for c in t.columns]
+        chunks.append("\n".join(map(",".join, zip(*fields))).encode("utf-8"))
+    chunks.append(b"")
+    return b"\n".join(chunks)
+
+
+def _format_slice(ctype: CType, cells: tuple[Cell, ...]) -> Iterable[str]:
+    """The written fields of a slice of a ``ctype`` column, as :func:`_write_field` gives them."""
+    if ctype is CType.TEXT:
+        plain = None not in cells and "" not in cells
+        if plain and not re.search(_NEEDS_QUOTES, "".join(cells)):  # type: ignore[arg-type]
+            return cells  # type: ignore[return-value]
+        return map(_write_field, cells)
+    fmt = _FORMATTERS[ctype]
+    if None not in cells:
+        return fmt(cells)
+    step = iter(fmt([v for v in cells if v is not None])).__next__
+    return ["" if v is None else step() for v in cells]
+
+
+def _format_timestamps(values: Sequence[datetime]) -> Iterable[str]:
+    # The first 22 chars keep two fractional digits, as format_time does;
+    # an aware value's offset would survive them, so aware slices go per cell.
+    if not all(v.tzinfo is None for v in values):
+        return map(format_cell, values)
+    return [s[:22] for s in map(datetime.__str__, values)]
+
+
+def _format_times(values: Sequence[time]) -> Iterable[str]:
+    if not all(v.tzinfo is None for v in values):
+        return map(format_cell, values)
+    return [s[:11] for s in map(time.isoformat, values)]
+
+
+#: Per non-text kind, the text forms of a slice of non-null cells, each
+#: equal to :func:`format_cell`'s; none of them needs quotes.
+_FORMATTERS: dict[CType, Callable[[Sequence], Iterable[str]]] = {
+    CType.INT: partial(map, str),
+    CType.REAL: partial(map, repr),
+    CType.BOOL: partial(map, {True: "true", False: "false"}.__getitem__),
+    CType.DATE: partial(map, date.isoformat),
+    CType.TIMESTAMP: _format_timestamps,
+    CType.TIME: _format_times,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +754,10 @@ def _bad_line(form: str) -> str:
 
 
 def _to_ints(values: Sequence[str]) -> list[Cell] | None:
-    ints = list(map(int, values))
+    try:
+        ints = list(map(int, values))
+    except ValueError:  # a value past int()'s digit limit: the per-cell parser decides
+        return None
     if min(ints) < _INT64_MIN or max(ints) > _INT64_MAX:
         return None
     return ints  # type: ignore[return-value]

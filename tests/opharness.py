@@ -15,8 +15,13 @@ from wrangle.spacetime import SpaceTimeParams, time_space_join
 from wrangle.table import Column, CType, Table
 
 
+def row(t: Table, i: int) -> tuple:
+    """The cells of row ``i``, one per column."""
+    return tuple(col.cells[i] for col in t.columns)
+
+
 def rows_of(t: Table) -> list[tuple]:
-    return [t.row(i) for i in range(t.row_count)]
+    return [row(t, i) for i in range(t.row_count)]
 
 
 def _int_col(rng, name, n, lo=0, hi=9, null_rate=0.1):
@@ -204,9 +209,9 @@ def check_group(rng: random.Random) -> None:
     expected = oracles.brute_force_groups(rows_of(t), gidx, 2)
     assert got.row_count == len(expected)
     for i, (key, stats) in enumerate(expected.items()):
-        row = got.row(i)
-        assert row[: len(group_cols)] == key
-        m, s, lo, hi, cnt = row[len(group_cols) :]
+        cells = row(got, i)
+        assert cells[: len(group_cols)] == key
+        m, s, lo, hi, cnt = cells[len(group_cols) :]
         assert_cells_close(m, stats["mean"])
         assert_cells_close(s, stats["sum"])
         assert lo == stats["min"] and hi == stats["max"] and cnt == stats["count"]
@@ -284,11 +289,11 @@ def check_spacetime(rng: random.Random) -> None:
         params.time_buffer_s,
     )
     for i, j in enumerate(expected):
-        wx_cells = got.row(i)[len(traffic.column_names) :]
+        wx_cells = row(got, i)[len(traffic.column_names) :]
         if j is None:
             assert all(v is None for v in wx_cells)
         else:
-            assert wx_cells == weather.row(j)
+            assert wx_cells == row(weather, j)
 
 
 OPERATOR_CHECKS = {

@@ -14,6 +14,8 @@ bit-identical, not merely close.
   record splitter followed by a row-by-row fill of the columns.
 - :func:`per_cell_infer_column_types`: ``table.infer_column_types`` as
   every parser run on every cell, kind by kind.
+- :func:`row_wise_write_csv`: ``table.write_csv`` as every cell formatted
+  on its own by ``format_cell``, row by row.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from wrangle.table import (
     Column,
     CType,
     Table,
+    format_cell,
     parse_bool_text,
     parse_date_text,
     parse_int_text,
@@ -283,3 +286,22 @@ def per_cell_infer_column_types(t: Table) -> Table:
         else:
             new_cols.append(col)
     return Table(tuple(new_cols))
+
+
+def _write_field(value: Cell) -> str:
+    if value is None:
+        return ""
+    text = format_cell(value)
+    if isinstance(value, str) and text == "":
+        return '""'
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def row_wise_write_csv(t: Table) -> bytes:
+    """Serialize a table: header then rows, LF line endings, UTF-8."""
+    lines = [",".join(_write_field(name) for name in t.column_names)]
+    for i in range(t.row_count):
+        lines.append(",".join(_write_field(col.cells[i]) for col in t.columns))
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -280,6 +280,13 @@ class TestOp:
         assert code == 0
         assert out.startswith("Site.ID,")
 
+    def test_infer_types_on_ints_past_the_digit_limit(self, tmp_path, capsys):
+        table = tmp_path / "big.csv"
+        table.write_text(f"n,m\n{'9' * 4301},{'0' * 4301}7\n1,2\n")
+        code = main(["op", "table.infer_types", "--table", str(table)])
+        assert code == 0
+        assert capsys.readouterr().out == "n,m\ninf,7\n1.0,2\n"
+
 
 class TestGenCommand:
     def test_gen_writes_files(self, tmp_path, capsys):

@@ -222,6 +222,8 @@ class TestInferDifferential:
     @example(["9223372036854775807", "-9223372036854775808"])  # int64 edges
     @example(["9223372036854775808", "1"])  # overflow: real
     @example(["-9223372036854775809"])
+    @example(["1" * 4301, "2"])  # past int()'s digit limit: real, like an overflow
+    @example(["0" * 4301 + "7", "-" + "0" * 4301 + "9223372036854775808"])  # padded: int
     @example(["2018-02-30"])  # no such day: text
     @example(["2018-02-28", "2018-02-30"])
     @example(["2018-02-01 00:00:00", "2018-02-30 00:00:00"])

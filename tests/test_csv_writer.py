@@ -1,0 +1,121 @@
+"""The block writer against the row-wise writer it replaced (kept in
+:mod:`slowpaths`): both must give the same bytes for every table."""
+
+from __future__ import annotations
+
+import gc
+import math
+import tracemalloc
+from datetime import date, datetime, time, timedelta, timezone
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import slowpaths
+from wrangle import table
+from wrangle.gen import GenConfig, generate
+from wrangle.table import Column, CType, Table, infer_column_types, parse_csv, write_csv
+
+_INT64 = (-(2**63), 2**63 - 1)
+_ZONES = st.sampled_from(
+    [timezone.utc, timezone(timedelta(hours=-5, minutes=-30)), timezone(timedelta(seconds=1))]
+)
+# Whole hundredths, and the microseconds that the two printed digits truncate.
+_MICROS = st.sampled_from([0, 0, 5, 10_000, 180_000, 999_999]) | st.integers(0, 999_999)
+
+
+def _with_micros(values):
+    return st.builds(lambda v, us: v.replace(microsecond=us), values, _MICROS)
+
+
+_CELLS = {
+    CType.TEXT: st.sampled_from(["", "a", "a,b", 'say "hi"', "l1\nl2", "\r", "x\r\ny", "é", "None"])
+    | st.text(max_size=5),
+    CType.INT: st.sampled_from([0, -1, *_INT64]) | st.integers(*_INT64),
+    CType.REAL: st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300])
+    | st.floats(),
+    CType.BOOL: st.booleans(),
+    CType.DATE: st.dates(),
+    CType.TIME: _with_micros(st.times(timezones=st.none() | _ZONES)),
+    CType.TIMESTAMP: _with_micros(st.datetimes(timezones=st.none() | _ZONES)),
+}
+_NAMES = st.sampled_from(["a", "b", "", "c,d", 'q"t', "l\nm", "x y", "é"]) | st.text(max_size=3)
+
+
+@st.composite
+def tables(draw, max_rows: int = 12):
+    """Tables of every kind, with nulls, including zero rows and zero columns."""
+    width = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(0, max_rows)) if width else 0
+    names = draw(st.lists(_NAMES, min_size=width, max_size=width, unique=True))
+    columns = []
+    for name in names:
+        ctype = draw(st.sampled_from(list(CType)))
+        cells = draw(st.lists(st.none() | _CELLS[ctype], min_size=n_rows, max_size=n_rows))
+        columns.append(Column(name, ctype, tuple(cells)))
+    return Table(tuple(columns))
+
+
+def _column(ctype, cells):
+    return Table((Column("x", ctype, tuple(cells)),))
+
+
+class TestWriteDifferential:
+    @settings(max_examples=500, deadline=None)
+    @given(tables(), st.integers(1, 5))
+    @example(Table(()), 1)  # zero columns
+    @example(_column(CType.TEXT, []), 1)  # zero rows
+    @example(_column(CType.TEXT, ["", None, "a"]), 4)  # empty text vs null
+    @example(_column(CType.TEXT, ["a,b", 'q"', "\r", "l1\nl2"]), 2)
+    @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, 0, 0, 1, 5)]), 1)
+    @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, 23, 59, 59, 999_999)]), 1)
+    @example(_column(CType.TIME, [time(0, 0, 1, 5), time(23, 59, 59, 999_999)]), 1)
+    @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, tzinfo=timezone.utc)]), 1)
+    @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, 0, 0, 0, 5, timezone.utc)]), 1)
+    @example(_column(CType.TIME, [time(7, 5, tzinfo=timezone.utc), time(7, 5)]), 2)
+    @example(_column(CType.TIME, [time(7, 5, 0, 180_000, timezone.utc)]), 1)
+    @example(_column(CType.REAL, [math.nan, math.inf, -math.inf, -0.0, None]), 5)
+    @example(_column(CType.INT, [*_INT64, None]), 2)
+    @example(_column(CType.BOOL, [True, None, False]), 3)
+    @example(_column(CType.DATE, [date(1, 1, 1), None, date(9999, 12, 31)]), 2)
+    @example(Table((Column('a "b",c', CType.INT, ()), Column("", CType.TEXT, ()))), 1)
+    def test_equals_row_wise(self, t, block_rows):
+        with mock.patch.object(table, "_WRITE_BLOCK_ROWS", block_rows):
+            assert write_csv(t) == slowpaths.row_wise_write_csv(t)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 5, table._WRITE_BLOCK_ROWS])
+    def test_row_counts_around_the_block_size(self, block_rows):
+        for n in (block_rows - 1, block_rows, block_rows + 1, 2 * block_rows + 1):
+            t = Table(
+                (
+                    Column("i", CType.INT, tuple(range(n))),
+                    Column("s", CType.TEXT, tuple(f"r{i}" if i % 3 else "" for i in range(n))),
+                    Column("r", CType.REAL, tuple(None if i % 5 else i / 7 for i in range(n))),
+                )
+            )
+            with mock.patch.object(table, "_WRITE_BLOCK_ROWS", block_rows):
+                assert write_csv(t) == slowpaths.row_wise_write_csv(t), n
+
+    def test_plain_text_slice_is_written_as_is(self):
+        cells = ("a", "b c", "'0001083")
+        assert table._format_slice(CType.TEXT, cells) is cells
+
+
+class TestMemory:
+    def test_peak_no_higher_than_the_row_wise_writer(self, tmp_path):
+        # tracemalloc counts are deterministic, so this needs no timing.
+        paths = generate(GenConfig(seed=7, sites=2, rows_per_site=20_000), tmp_path)
+        t = infer_column_types(parse_csv(paths[0].read_bytes()))
+        assert t.row_count == 20_000 and t.row_count > 4 * table._WRITE_BLOCK_ROWS
+
+        def peak(write):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                write(t)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(write_csv) <= peak(slowpaths.row_wise_write_csv)

@@ -147,6 +147,15 @@ class TestMutate:
                 want = None if x is None or y is None else x * 2 + y / 4 - 1
                 assert_cells_close(got.column("z").cells[i], want)
 
+    @given(
+        st.lists(st.tuples(st.none() | st.floats(), st.none() | st.integers(-3, 3)), max_size=12),
+        st.sampled_from(["x * 2 + y / 4 - 1", "x / y", "y", "1"]),
+    )
+    def test_result_column_passes_the_checking_constructor(self, rows, expr):
+        t = table_from_rows(["x", "y"], [CType.REAL, CType.INT], rows)
+        col = relops.mutate_column(t, "z", parse_mutate(expr)).column("z")
+        assert Column(col.name, col.ctype, col.cells) == col
+
     def test_text_column_rejected(self):
         t = table_from_rows(["s"], [CType.TEXT], [["hi"]])
         with pytest.raises(TypeMismatch):
@@ -219,6 +228,29 @@ class TestGroupSummarise:
                 t, list(t.column_names), [AggSpec("n", "count", None)]
             )
             assert sum(got.column("n").cells) == t.row_count
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.none() | st.sampled_from(["a", "b"]),
+                st.none() | st.integers(-3, 3),
+                st.none() | st.floats(-10, 10),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([[], ["k"], ["k", "n"]]),
+    )
+    def test_result_columns_pass_the_checking_constructor(self, rows, by):
+        t = table_from_rows(["k", "n", "v"], [CType.TEXT, CType.INT, CType.REAL], rows)
+        aggs = [
+            AggSpec("mean_v", "mean", "v"),
+            AggSpec("sum_n", "sum", "n"),
+            AggSpec("min_n", "min", "n"),
+            AggSpec("max_k", "max", "k"),
+            AggSpec("rows", "count", None),
+        ]
+        for col in relops.group_summarise(t, by, aggs).columns:
+            assert Column(col.name, col.ctype, col.cells) == col
 
     def test_mean_requires_numeric(self):
         t = table_from_rows(["g", "s"], [CType.INT, CType.TEXT], [[1, "a"]])

@@ -419,6 +419,11 @@ class TestWetCodes:
             if code is not None:
                 assert label == ("wet" if code in DEFAULT_WET_CODES else "dry")
 
+    @given(st.lists(st.none() | st.integers(-1, 20), max_size=12))
+    def test_result_column_passes_the_checking_constructor(self, codes):
+        col = add_weather_condition(self._joined(codes)).column("weatherCond")
+        assert Column(col.name, col.ctype, col.cells) == col
+
     def test_custom_code_set(self):
         got = add_weather_condition(self._joined([5]), WetCodeSet(frozenset({5})))
         assert got.column("weatherCond").cells == ("wet",)

@@ -2,7 +2,8 @@
 
 The package has no runtime dependencies: every absolute import in
 ``src/wrangle`` names a standard-library module. The independent oracles in
-``tests/oracles.py`` import nothing from the package they check.
+``tests/oracles.py`` import nothing from the package they check. The
+package works on whole columns: no module in it iterates a table by rows.
 """
 
 from __future__ import annotations
@@ -45,3 +46,15 @@ def test_oracles_import_nothing_from_the_package():
     assert imports, "oracles.py should import something from the standard library"
     assert [m for level, m in imports if level > 0] == []
     assert [m for _, m in imports if m.split(".")[0] == "wrangle"] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_iterate_rows(path):
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("row", "rows")
+    ]
+    assert calls == []
