@@ -16,6 +16,7 @@ per-node results.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -83,6 +84,20 @@ def _workflow_bytes(path: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # A run frees its tables by reference counting and makes few cycles, but
+    # the cyclic collector walks every cell tuple of the loaded tables (some
+    # 20 ms a young-generation pass in dwr1). It is off for the run and then
+    # set back as it was, for callers in the same process.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_workflow(args)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run_workflow(args: argparse.Namespace) -> int:
     spec = parse_workflow(_workflow_bytes(args.workflow))
 
     declared = {x.name: x.kind for x in spec.inputs}

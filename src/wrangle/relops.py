@@ -43,23 +43,36 @@ def _kinds(t: Table) -> dict[str, CType]:
 
 
 def union(a: Table, b: Table) -> Table:
-    """Rows of ``a`` followed by rows of ``b``; schemas must match exactly."""
+    """Rows of ``a`` followed by rows of ``b``; schemas must match exactly.
+
+    A text column with cells that are all null has no kind of its own (type
+    inference leaves a blank column text), so it takes the other side's kind.
+    """
     if a.column_names != b.column_names:
         raise SchemaMismatch(
             f"column names differ: {list(a.column_names)} vs {list(b.column_names)}"
         )
-    for ca, cb in zip(a.columns, b.columns):
-        if ca.ctype != cb.ctype:
-            raise SchemaMismatch(
-                f"column '{ca.name}' is {ca.ctype.value} on one side, "
-                f"{cb.ctype.value} on the other"
-            )
     return Table(
         tuple(
-            Column._unchecked(ca.name, ca.ctype, ca.cells + cb.cells)
+            Column._unchecked(ca.name, _union_kind(ca, cb), ca.cells + cb.cells)
             for ca, cb in zip(a.columns, b.columns)
         )
     )
+
+
+def _union_kind(a: Column, b: Column) -> CType:
+    if a.ctype == b.ctype or _blank_text(b):
+        return a.ctype
+    if _blank_text(a):
+        return b.ctype
+    raise SchemaMismatch(
+        f"column '{a.name}' is {a.ctype.value} on one side, {b.ctype.value} on the other"
+    )
+
+
+def _blank_text(c: Column) -> bool:
+    """A text column with at least one cell, every cell null."""
+    return c.ctype is CType.TEXT and 0 < c.cells.count(None) == len(c.cells)
 
 
 def select_columns(t: Table, names: list[str], mode: str = "keep") -> Table:

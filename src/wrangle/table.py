@@ -27,11 +27,14 @@ fractional seconds to two decimals and reprint exactly as parsed
 (``2018-02-01 00:00:01.18`` survives a round trip byte-for-byte). A leading
 UTF-8 byte order mark, as some spreadsheet exports write, is dropped.
 
-The reader splits, checks and types whole columns at once, and falls back
-to a char-by-char splitter and to per-cell parsers for what that cannot
-decide (see :func:`parse_csv` and :func:`infer_column_types`). The writer
-formats a block of rows at a time, each column's slice whole by its kind,
-and writes the same bytes as formatting cell by cell (see :func:`write_csv`).
+The reader splits, checks and types whole columns at once. Quote counts,
+character sets and anchored regex matches over a column's newline-joined
+text prove its quoting and its kind, and a proved column is converted in
+bulk. What that cannot decide falls back to a char-by-char splitter and to
+per-cell parsers (see :func:`parse_csv` and :func:`infer_column_types`).
+The writer formats a block of rows at a time, each column's slice whole by
+its kind, and writes the same bytes as formatting cell by cell (see
+:func:`write_csv`).
 The slow paths both replaced are kept in ``tests/slowpaths.py`` as
 differential oracles.
 """
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from functools import partial
@@ -534,12 +538,25 @@ def _unquote_column(raw: list[str], out: list[Cell]) -> bool:
     if '"' not in joined:
         out.extend(raw if "" not in raw else [piece or None for piece in raw])
         return True
+    n = len(raw)
+    all_quoted = joined.count('\n"') + (joined[0] == '"') == n
+    quotes = joined.count('"')
+    if (
+        all_quoted
+        and quotes == 2 * n
+        and joined.count('"\n') + (joined[-1] == '"') == n
+        and not _lone_quote(joined)
+    ):
+        # Every piece opens and closes with a quote, none is a lone quote doing
+        # both, and two quotes each leave none inside: whole fields, no escapes.
+        out.extend(joined[1:-1].split('"\n"'))
+        return True
     if re.search(_BAD_QUOTING, joined, re.M):
         return False
-    if joined.count('\n"') + (joined[0] == '"') == len(raw):
+    if all_quoted:
         # Every piece is quoted: strip the quotes around all of them at once.
         contents = joined[1:-1].split('"\n"')
-        if joined.count('"') > 2 * len(raw):
+        if quotes > 2 * n:
             contents = [c.replace('""', '"') for c in contents]
         out.extend(contents)
     else:
@@ -550,6 +567,16 @@ def _unquote_column(raw: list[str], out: list[Cell]) -> bool:
             ]
         )
     return True
+
+
+def _lone_quote(joined: str) -> bool:
+    """Whether a piece of a newline-joined column is a lone ``"``."""
+    return (
+        joined == '"'
+        or joined.startswith('"\n')
+        or joined.endswith('\n"')
+        or '\n"\n' in joined
+    )
 
 
 def _parse_records(text: str) -> Table:
@@ -682,30 +709,37 @@ def infer_column_types(t: Table) -> Table:
     Already-typed columns pass through, so the operation is idempotent and
     usable mid-pipeline.
 
-    A column is checked whole: its non-null cells joined by newlines are
-    searched once per kind for a line outside that kind's ASCII form, and
-    a column that has none is converted in bulk. The per-cell parsers
-    decide what that cannot: a cell holding a newline, a line outside the
-    ASCII form that they may still accept (non-ASCII digits, one-digit
-    hours), and a bulk conversion that fails (int64 overflow, 2018-02-30).
+    A column is checked whole, its non-null cells joined by newlines, and a
+    kind its first cell fits is proved in one pass over the joined text: an
+    int or real column by deleting its characters (``str.translate``; inside
+    that charset ``int`` and ``float`` accept exactly the kind's ASCII
+    form), any kind by one anchored match of its form repeated line after
+    line, which also finds the first line outside it. A proved column is
+    converted in bulk; an int column with repeats converts each distinct
+    text once. The per-cell parsers decide what that cannot: a cell holding
+    a newline, a line outside the ASCII form that they may still accept
+    (non-ASCII digits, one-digit hours), and a bulk conversion that fails
+    (``""`` or ``+`` in the int charset, int64 overflow, 2018-02-30).
     """
     return Table(tuple(map(_infer_column, t.columns)))
 
 
 def _infer_column(col: Column) -> Column:
-    if col.ctype is not CType.TEXT:
+    if col.ctype is not CType.TEXT or not col.cells:
         return col
-    nulls = col.cells.count(None)
-    if nulls == len(col.cells):
-        return col
-    values: Sequence[str] = (
-        col.cells if not nulls else [v for v in col.cells if v is not None]  # type: ignore[assignment]
-    )
-    found = _infer_values(values)
+    values: Sequence[str]
+    try:
+        values, joined = col.cells, "\n".join(col.cells)  # type: ignore[arg-type]
+    except TypeError:  # a null among the cells
+        values = [v for v in col.cells if v is not None]  # type: ignore[misc]
+        if not values:
+            return col
+        joined = "\n".join(values)
+    found = _infer_values(values, joined)
     if found is None:
         return col
     ctype, parsed = found
-    if not nulls:
+    if values is col.cells:
         return Column._unchecked(col.name, ctype, tuple(parsed))
     step = iter(parsed).__next__
     return Column._unchecked(
@@ -713,23 +747,55 @@ def _infer_column(col: Column) -> Column:
     )
 
 
-def _infer_values(values: Sequence[str]) -> tuple[CType, list[Cell]] | None:
-    """The first kind in :data:`_KINDS` that takes every value, and the values parsed."""
-    joined = "\n".join(values)
+def _infer_values(values: Sequence[str], joined: str) -> tuple[CType, list[Cell]] | None:
+    """The first kind in :data:`_KINDS` that takes every value, and the values parsed.
+
+    ``joined`` is the values joined by newlines.
+    """
     one_per_line = joined.count("\n") == len(values) - 1
-    for ctype, parser, bad_line, convert in _KINDS:
+    for ctype, parser, form, convert, charset in _KINDS:
+        if parser(values[0]) is None:  # rules out most kinds at once
+            continue
         if one_per_line:
-            m = re.search(bad_line, joined, re.M)
-            if m is None:
-                parsed = convert(values)
+            if charset is not None and not joined.translate(charset):
+                # Only the form's characters: the bulk conversion decides,
+                # and what it rejects goes on to the match and the parser.
+                parsed = _bulk(convert, values)
                 if parsed is not None:
                     return ctype, parsed
-            elif parser(_line_at(joined, m.start())) is None:
+            bad = _first_bad_line(form, joined)
+            if bad < 0:
+                parsed = _bulk(convert, values)
+                if parsed is not None:
+                    return ctype, parsed
+            elif parser(_line_at(joined, bad)) is None:
                 continue
         parsed = _parse_each(parser, values)
         if parsed is not None:
             return ctype, parsed
     return None
+
+
+# From Python 3.11, ``re`` has possessive repeats and ``fromisoformat``
+# reads a fraction of any length up to six digits.
+_PY311 = sys.version_info >= (3, 11)
+
+
+def _first_bad_line(form: str, joined: str) -> int:
+    """Where the first line of ``joined`` that is not ``form`` starts, or -1.
+
+    From 3.11, one anchored match takes the lines in the form, each with
+    its newline, and ends where the first other line starts, unless that is
+    a last line in the form. Its repeat is possessive, so it keeps no state
+    per line (a greedy one holds some 700 bytes a line). Before 3.11, a
+    multiline search tries every character. The patterns compile on first
+    use; ``re`` caches them.
+    """
+    if _PY311:
+        end = re.match(rf"(?:(?:{form})\n)*+", joined).end()  # type: ignore[union-attr]
+        return -1 if re.compile(form).fullmatch(joined, end) else end
+    m = re.search(rf"^(?!(?:{form})$)", joined, re.M)
+    return -1 if m is None else m.start()
 
 
 def _line_at(joined: str, start: int) -> str:
@@ -748,16 +814,25 @@ def _parse_each(parser: Callable[[str], Cell], values: Sequence[str]) -> list[Ce
     return parsed
 
 
-def _bad_line(form: str) -> str:
-    """A multiline search for the first line of a newline-joined column that is not ``form``."""
-    return rf"^(?!(?:{form})$)"
+def _bulk(
+    convert: Callable[[Sequence[str]], list[Cell] | None], values: Sequence[str]
+) -> list[Cell] | None:
+    """``convert(values)``, or None where it finds a value it rejects or out of range."""
+    try:
+        return convert(values)
+    except ValueError:  # outside the form, or past int()'s digit limit
+        return None
 
 
 def _to_ints(values: Sequence[str]) -> list[Cell] | None:
-    try:
-        ints = list(map(int, values))
-    except ValueError:  # a value past int()'s digit limit: the per-cell parser decides
-        return None
+    distinct = set(values)
+    if 2 * len(distinct) <= len(values):
+        # Repeats: convert and range-check each distinct text once.
+        by_text = dict(zip(distinct, map(int, distinct)))
+        if not _INT64_MIN <= min(by_text.values()) <= max(by_text.values()) <= _INT64_MAX:
+            return None
+        return list(map(by_text.__getitem__, values))
+    ints = list(map(int, values))
     if min(ints) < _INT64_MIN or max(ints) > _INT64_MAX:
         return None
     return ints  # type: ignore[return-value]
@@ -776,16 +851,14 @@ def _from_iso(
 ) -> Callable[[Sequence[str]], list[Cell] | None]:
     """Bulk ``fromisoformat`` of values whose first ``whole`` chars stop at the seconds.
 
-    A fraction after them is padded to six digits: before 3.11,
-    ``fromisoformat`` reads only three or six.
+    Before 3.11, ``fromisoformat`` reads a fraction of three or six digits
+    only, so a fraction after them is padded to six.
     """
 
     def convert(values: Sequence[str]) -> list[Cell] | None:
-        padded = [v if len(v) <= whole else v.ljust(whole + 7, "0") for v in values]
-        try:
-            return list(map(fromisoformat, padded))
-        except ValueError:
-            return None
+        if not _PY311:
+            values = [v if len(v) <= whole else v.ljust(whole + 7, "0") for v in values]
+        return list(map(fromisoformat, values))
 
     return convert
 
@@ -793,29 +866,41 @@ def _from_iso(
 _YMD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _HMS = r"[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]{1,2})?"
 
-#: Per kind, in inference order: the per-cell parser, a search for the first
-#: line outside the kind's ASCII form, and the bulk conversion of a column
-#: with no such line (None where it finds a value out of range).
+#: Per kind, in inference order: the per-cell parser, which has the last
+#: word; the kind's ASCII form of one line, a regex; the bulk conversion of
+#: values in that form (None where it finds one out of range, ValueError
+#: where one is outside the form); and for int and real, a ``str.translate``
+#: table deleting the form's characters and newline, so that a column it
+#: leaves nothing of converts in bulk exactly when every line is in the form.
 _KINDS = (
-    (CType.INT, parse_int_text, _bad_line(r"[+-]?[0-9]+"), _to_ints),
+    (
+        CType.INT,
+        parse_int_text,
+        r"[+-]?[0-9]+",
+        _to_ints,
+        str.maketrans("", "", "0123456789+-\n"),
+    ),
     (
         CType.REAL,
         parse_real_text,
-        _bad_line(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+        r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?",
         _to_reals,
+        str.maketrans("", "", "0123456789+-.eE\n"),
     ),
     (
         CType.TIMESTAMP,
         parse_timestamp_text,
-        _bad_line(f"{_YMD} {_HMS}"),
+        f"{_YMD} {_HMS}",
         _from_iso(datetime.fromisoformat, 19),
+        None,
     ),
-    (CType.DATE, parse_date_text, _bad_line(_YMD), _from_iso(date.fromisoformat, 10)),
+    (CType.DATE, parse_date_text, _YMD, _from_iso(date.fromisoformat, 10), None),
     (
         CType.TIME,
         parse_time_text,
-        _bad_line(r"[0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,2})?)?"),
+        r"[0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,2})?)?",
         _from_iso(time.fromisoformat, 8),
+        None,
     ),
-    (CType.BOOL, parse_bool_text, _bad_line("true|false"), _to_bools),
+    (CType.BOOL, parse_bool_text, "true|false", _to_bools, None),
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from wrangle import cli
 from wrangle.cli import main
 from wrangle.gen import GenConfig, generate
 from wrangle.ops import REGISTRY
@@ -73,6 +75,69 @@ class TestRun:
             )
             outputs.append((out / "journey_time_s.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_dwr1_with_a_column_blank_in_one_export(self, tmp_path, capsys):
+        # Headway left empty in every row of one site: that column reads as
+        # text, all null, and the union takes the other site's kind for it.
+        src = tmp_path / "in"
+        generate(GenConfig(seed=3, sites=2, rows_per_site=2000), src)
+        lines = (src / "site_2.csv").read_text().split("\n")
+        at = lines[0].split(",").index('"Headway"')
+        for r in range(1, len(lines)):
+            if lines[r]:
+                fields = lines[r].split(",")
+                fields[at] = ""
+                lines[r] = ",".join(fields)
+        (src / "site_2.csv").write_text("\n".join(lines))
+        assert parse_csv((src / "site_2.csv").read_bytes()).column("Headway").cells == (
+            (None,) * 2000
+        )
+        out = tmp_path / "o"
+        run_ok(
+            [
+                "run", "dwr1.json",
+                "--input", f"ds1_1={src}/site_1.csv",
+                "--input", f"ds1_2={src}/site_2.csv",
+                "--input", f"ds1_3={src}/sites.csv",
+                "--out", str(out),
+                "--deterministic-keys",
+            ],
+            capsys,
+        )
+        t = infer_column_types(parse_csv((out / "journey_time_s.csv").read_bytes()))
+        assert t.row_count > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_cyclic_collector_as_it_found_it(
+        self, enabled, dataset, tmp_path, capsys, monkeypatch
+    ):
+        during, real_execute = [], cli.execute
+
+        def execute(*args, **kwargs):
+            during.append(gc.isenabled())
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "execute", execute)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            codes = [
+                main(
+                    [
+                        "run", "dwr1.json",
+                        "--input", f"ds1_1={dataset}/site_1.csv",
+                        "--input", f"ds1_2={dataset}/site_2.csv",
+                        "--input", f"ds1_3={dataset}/sites.csv",
+                        "--out", str(tmp_path / "o"),
+                    ]
+                ),
+                main(["run", "dwr1.json", "--out", str(tmp_path / "o")]),  # fails
+            ]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert codes == [0, 1]
+        assert during == [False]  # off while the workflow runs
 
     def test_missing_input_is_usage_error(self, dataset, tmp_path, capsys):
         code = main(

@@ -71,9 +71,16 @@ _ANY_TEXT = st.sampled_from([v for vs in _LOOKS.values() for v in vs]) | st.text
 
 
 @st.composite
-def column_cells(draw, n: int):
-    """``n`` cells that mostly look like one kind, with nulls and strays."""
-    pool = st.sampled_from(_LOOKS[draw(st.sampled_from(sorted(_LOOKS)))])
+def column_cells(draw, n: int, repeats: bool = False):
+    """``n`` cells that mostly look like one kind, with nulls and strays.
+
+    With ``repeats``, the kind's cells come from at most three of its texts,
+    so that each recurs (as lane numbers and flags do in a traffic export).
+    """
+    looks = _LOOKS[draw(st.sampled_from(sorted(_LOOKS)))]
+    if repeats:
+        looks = draw(st.lists(st.sampled_from(looks), min_size=1, max_size=3, unique=True))
+    pool = st.sampled_from(looks)
     stray = draw(st.floats(0, 0.3))
     return [
         draw(st.none() | (_ANY_TEXT if draw(st.floats(0, 1)) < stray else pool))
@@ -162,6 +169,14 @@ class TestParseDifferential:
     @example(b"a\n1\n2\n3\n4\n", 2)
     @example(b"a,b\n1,2\n3,4,\n", 3)  # trailing comma in the second block only
     @example(b"a\n\xff\n", table._BLOCK_CHARS)  # not UTF-8
+    @example(b'a\n"\n"x"\n"y"\n', table._BLOCK_CHARS)  # all quoted, a lone quote first
+    @example(b'a\n"x"\n"\n"y"\n', table._BLOCK_CHARS)  # in the middle
+    @example(b'a\n"x"\n"y"\n"\n', table._BLOCK_CHARS)  # last
+    @example(b'a\n"a""\n"\n', table._BLOCK_CHARS)  # three quotes beside a lone one
+    @example(b'a\n"\n"a""\n', table._BLOCK_CHARS)
+    @example(b'a\n"x"\n""""\n', table._BLOCK_CHARS)  # an escaped quote only
+    @example(b'a\n"x"\n"a"b"\n', table._BLOCK_CHARS)  # a quote inside
+    @example(b'a,b\n"x",1\n"",2\n"y",3\n', table._BLOCK_CHARS)  # all quoted, one empty
     @example(TRAFFIC, table._BLOCK_CHARS)
     @example(TRAFFIC, 40)
     def test_equals_char_splitter(self, data, block_chars):
@@ -212,13 +227,66 @@ class TestColumnPathTaken:
         assert table._parse_columns(text) is None
 
 
+class TestInferPathTaken:
+    """A generated export's int and real columns are proved by their charset."""
+
+    def test_generated_export(self, tmp_path):
+        paths = generate(GenConfig(seed=3, sites=2, rows_per_site=300), tmp_path)
+        parsed = parse_csv(paths[0].read_bytes())
+        calls = {}
+        for col in parsed.columns:
+            with mock.patch.object(
+                table, "_parse_each", wraps=table._parse_each
+            ) as each, mock.patch.object(
+                table, "_first_bad_line", wraps=table._first_bad_line
+            ) as lines, mock.patch.object(table.re, "search", wraps=table.re.search) as search:
+                kind = table._infer_column(col).ctype
+            calls[col.name] = (kind, each.call_count, lines.call_count, search.call_count)
+        numeric = {k: v for k, v in calls.items() if v[0] in (CType.INT, CType.REAL)}
+        assert len(numeric) == 12
+        assert all(v[1:] == (0, 0, 0) for v in numeric.values()), numeric
+        # The timestamp column is proved by one look over its lines.
+        assert calls["Date"][:3] == (CType.TIMESTAMP, 0, 1)
+
+
 def _infer_outcome(fn, cells):
     return outcome(fn, table_from_rows(["x"], [CType.TEXT], [[c] for c in cells]))
 
 
+_INT_CHARSET_EDGES = ["+", "-", "", "+-1", "1-2", "--1", "1_000", " 1"]
+_REAL_CHARSET_EDGES = [".", "e5", "1e", "1.2.3", "inf", "nan", "1_0.5", "+.5", "5.", "-.5E+3"]
+
+
+def _examples(columns):
+    """Hypothesis ``@example``s, one per column of cells."""
+
+    def decorate(test):
+        for cells in reversed(columns):
+            test = example(cells)(test)
+        return test
+
+    return decorate
+
+
 class TestInferDifferential:
     @settings(max_examples=500, deadline=None)
-    @given(st.integers(0, 12).flatmap(column_cells))
+    @given(
+        st.integers(0, 12).flatmap(column_cells)
+        | st.integers(0, 40).flatmap(lambda n: column_cells(n, repeats=True))
+    )
+    # Each edge of the int and the real charset after a cell of the kind,
+    # so that it meets the bulk conversion, not the first-cell check.
+    @_examples([["1", edge] for edge in _INT_CHARSET_EDGES])
+    @example(["0", "-0", "+0"])
+    @_examples([["1.5", edge] for edge in _REAL_CHARSET_EDGES])
+    @example(["9223372036854775808"] * 50)  # repeats past int64: real
+    @example(["-9223372036854775809", "1"] * 25)
+    @example(["1", None, "2", None] * 10)  # repeats with nulls
+    @example([None, "7", "7", "x", None] * 10)
+    @example([None, "+0", "-0", "0"] * 10)
+    @example(["1.5", None, "1e5"] * 10)
+    @example(["2018-02-01", None] * 10)
+    @example(["true", "1", None] * 10)
     @example(["9223372036854775807", "-9223372036854775808"])  # int64 edges
     @example(["9223372036854775808", "1"])  # overflow: real
     @example(["-9223372036854775809"])
@@ -239,6 +307,8 @@ class TestInferDifferential:
     @example(["12", "٣.٥"])  # and real
     @example(["1", "l1\nl2"])  # a cell holding a newline
     @example(["1\n2"])
+    @example(["1", "2\n"])  # int() and float() would take the newline as space
+    @example(["1.5", "\n2.5"])
     @example(["1", ""])  # empty text is not a number
     @example([None, None])  # all null
     @example([None])
@@ -249,6 +319,39 @@ class TestInferDifferential:
         assert _infer_outcome(infer_column_types, cells) == _infer_outcome(
             slowpaths.per_cell_infer_column_types, cells
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12).flatmap(column_cells))
+    @example(["2018-02-01 00:00:01.5", "2018-02-01 7:05:00"])
+    @example(["00:00:01.18", "00:00:01"])
+    def test_equals_per_cell_as_before_python_3_11(self, cells):
+        # A multiline search finds the first bad line; fractions are padded.
+        with mock.patch.object(table, "_PY311", False):
+            assert _infer_outcome(infer_column_types, cells) == _infer_outcome(
+                slowpaths.per_cell_infer_column_types, cells
+            )
+
+    def test_a_million_lines_in_one_match(self):
+        form = f"{table._YMD} {table._HMS}"  # a timestamp
+        lines = ["2018-02-01 00:03:35.23"] * 1_000_000
+        assert table._first_bad_line(form, "\n".join(lines)) == -1
+        lines[-1] = "2018-02-01 7:05:00"
+        joined = "\n".join(lines)
+        assert table._first_bad_line(form, joined) == len(joined) - 18
+        lines[1] = "x"
+        assert table._first_bad_line(form, "\n".join(lines)) == 23
+
+    def test_one_match_keeps_no_state_per_line(self):
+        form = f"{table._YMD} {table._HMS}"
+        joined = "\n".join(["2018-02-01 00:03:35.23"] * 100_000)
+        table._first_bad_line(form, joined)  # compiles the patterns
+        tracemalloc.start()
+        try:
+            assert table._first_bad_line(form, joined) == -1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a greedy repeat holds some 70 MB here
 
     def test_typed_columns_pass_through(self):
         t = table_from_rows(["n", "s"], [CType.INT, CType.TEXT], [[1, "2"], [None, "3"]])

@@ -39,6 +39,33 @@ class TestUnion:
                 table_from_rows(["x"], [CType.REAL], []),
             )
 
+    @pytest.mark.parametrize("kind", [CType.REAL, CType.INT, CType.TIMESTAMP, CType.TEXT])
+    def test_blank_text_column_takes_the_other_sides_kind(self, kind):
+        blank = table_from_rows(["x"], [CType.TEXT], [[None], [None]])
+        typed = table_from_rows(["x"], [kind], [[None]])
+        for a, b in ((blank, typed), (typed, blank)):
+            col = relops.union(a, b).column("x")
+            assert col.ctype is kind
+            assert col.cells == (None,) * 3
+            assert Column(col.name, col.ctype, col.cells) == col
+
+    def test_blank_text_column_keeps_the_other_sides_cells(self):
+        blank = table_from_rows(["x", "y"], [CType.TEXT, CType.INT], [[None, 1]])
+        reals = table_from_rows(["x", "y"], [CType.REAL, CType.INT], [[1.5, 2], [None, 3]])
+        got = relops.union(blank, reals)
+        assert [c.ctype for c in got.columns] == [CType.REAL, CType.INT]
+        assert got.column("x").cells == (None, 1.5, None)
+
+    def test_text_with_a_value_or_no_cells_still_mismatches(self):
+        reals = table_from_rows(["x"], [CType.REAL], [[1.5]])
+        for text in (
+            table_from_rows(["x"], [CType.TEXT], [[None], [""]]),
+            table_from_rows(["x"], [CType.TEXT], []),
+        ):
+            for a, b in ((text, reals), (reals, text)):
+                with pytest.raises(SchemaMismatch, match="'x' is"):
+                    relops.union(a, b)
+
     def test_associative(self):
         rng = random.Random("union:assoc")
         for _ in range(10):
