@@ -147,7 +147,7 @@ def _keep_or_drop(mode: str) -> str:
 
 
 def _key_pairs(raw: Any) -> list[tuple[str, str]]:
-    # No usable default: null, like any value that is not a list of pairs, is refused.
+    # Null, like any value that is not a list of pairs, is refused.
     if (
         not isinstance(raw, list)
         or not raw
@@ -242,7 +242,7 @@ _register(
     "relops.join",
     (("left", TABLE), ("right", TABLE)),
     TABLE,
-    (Param("keys", ANY, None, _key_pairs),),
+    (Param("keys", ANY, convert=_key_pairs),),
     lambda inputs, p: relops.join(inputs["left"], inputs["right"], p["keys"]),
 )
 

@@ -13,7 +13,9 @@ millisecond of slack, clamped to the ``datetime`` range) instead of
 scanning every observation. Inside the window the float test
 ``abs(dt.total_seconds()) > time_buffer_s`` decides, so an observation
 exactly ``time_buffer_s`` away matches. Distances are computed, and bad
-coordinates raise :class:`RangeError`, only for pairs that pass it.
+coordinates raise :class:`RangeError`, only for pairs that pass it. A
+call keeps the distances it computed, up to a bound, so a coordinate
+quadruple that recurs across pairs is measured once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ MILE_M = 1609.34
 # 0.1 ms across the whole datetime range, so a millisecond of slack suffices.
 _WINDOW_SLACK = timedelta(milliseconds=1)
 _DATETIME_SPAN_S = (datetime.max - datetime.min).total_seconds()
+
+# time_space_join keeps at most this many distances, and starts over when
+# full: every pair of a few sites and stations fits, and coordinates that
+# never repeat cannot grow the memo with the number of pairs.
+_MAX_KEPT_DISTANCES = 4096
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -160,11 +167,17 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
     wx_instants = [c[0] for c in candidates]
     buf = timedelta(seconds=min(p.time_buffer_s, _DATETIME_SPAN_S)) + _WINDOW_SLACK
 
-    matches: list[int | None] = []
+    # Few distinct coordinate quadruples recur across many pairs; only a
+    # distance that was computed is kept, so a bad coordinate raises each time.
+    dists: dict[tuple[Cell, Cell, float, float], float] = {}
+    # The weather row each traffic row takes; unmatched rows take the null
+    # row appended one past the last weather row.
+    unmatched = weather.row_count
+    picks: list[int] = []
     for i in range(traffic.row_count):
         lat, lon, instant = lat_col.cells[i], lon_col.cells[i], instants[i]
         if lat is None or lon is None or instant is None:
-            matches.append(None)
+            picks.append(unmatched)
             continue
         lo = bisect_left(wx_instants, _shifted(instant, -buf))
         hi = bisect_right(wx_instants, _shifted(instant, buf))
@@ -173,13 +186,18 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
             dt = abs((instant - wx_instant).total_seconds())
             if dt > p.time_buffer_s:
                 continue
-            dist = haversine_m(float(lat), float(lon), wx_lat, wx_lon)
+            key = (lat, lon, wx_lat, wx_lon)
+            dist = dists.get(key)
+            if dist is None:
+                if len(dists) == _MAX_KEPT_DISTANCES:
+                    dists.clear()
+                dist = dists[key] = haversine_m(float(lat), float(lon), wx_lat, wx_lon)
             if dist > p.space_buffer_m:
                 continue
             rank = (dist, dt, j)
             if best is None or rank < best:
                 best = rank
-        matches.append(best[2] if best is not None else None)
+        picks.append(best[2] if best is not None else unmatched)
 
     taken = set(traffic.column_names)
     out = list(traffic.columns)
@@ -187,10 +205,8 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
         name = f"wx_{col.name}"
         if name in taken:
             raise SchemaMismatch(f"traffic table already has a column '{name}'")
-        cells: list[Cell] = [
-            col.cells[j] if j is not None else None for j in matches
-        ]
-        out.append(Column(name, col.ctype, tuple(cells)))
+        cells = col.cells + (None,)
+        out.append(Column(name, col.ctype, tuple(map(cells.__getitem__, picks))))
     return Table(tuple(out))
 
 

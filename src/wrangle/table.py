@@ -35,7 +35,9 @@ per-cell parsers (see :func:`parse_csv` and :func:`infer_column_types`).
 The writer formats a block of rows at a time, each column's slice whole by
 its kind, and writes the same bytes as formatting cell by cell (see
 :func:`write_csv`).
-The slow paths both replaced are kept in ``tests/slowpaths.py`` as
+A :class:`Column` checks its cells by their set of exact types, and walks
+them one by one only when that set holds a type outside the kind's.
+The slow paths these replaced are kept in ``tests/slowpaths.py`` as
 differential oracles.
 """
 
@@ -134,13 +136,40 @@ def kind_of_value(value: Cell) -> CType:
     raise TypeMismatch(f"unsupported cell value {value!r}")
 
 
+#: Each kind's exact cell types, null included: the check's fast path (see Column).
+_EXACT_TYPES = {
+    kind: frozenset({py_type, type(None)})
+    for kind, py_type in (
+        (CType.TEXT, str),
+        (CType.INT, int),
+        (CType.REAL, float),
+        (CType.DATE, date),
+        (CType.TIME, time),
+        (CType.TIMESTAMP, datetime),
+        (CType.BOOL, bool),
+    )
+}
+
+
 @dataclass(frozen=True)
 class Column:
+    """A named, typed, immutable column of cells.
+
+    Construction checks every cell against ``ctype`` (see
+    :func:`cell_matches`) and raises :class:`TypeMismatch` naming the first
+    bad cell. A column whose cells' exact types all belong to the kind (or
+    are ``NoneType``) passes in one C-level pass over ``map(type, cells)``;
+    any other type, a subclass such as an ``IntEnum`` or a wrong kind,
+    sends the column cell by cell through :func:`cell_matches`.
+    """
+
     name: str
     ctype: CType
     cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
+        if _EXACT_TYPES[self.ctype].issuperset(map(type, self.cells)):
+            return
         for i, v in enumerate(self.cells):
             if not cell_matches(v, self.ctype):
                 raise TypeMismatch(

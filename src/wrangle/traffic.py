@@ -8,7 +8,8 @@ the single conversion constant 1 mph = 0.44704 m/s lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
+from itertools import compress
 
 from .errors import EmptyInput, NonPositiveSpeed, SchemaMismatch, TypeMismatch
 from .relops import group_summarise
@@ -33,15 +34,14 @@ def clean_site_id(t: Table, col: str) -> Table:
     if target.ctype is not CType.TEXT:
         raise TypeMismatch(f"column '{col}' is {target.ctype.value}, need text")
 
-    def clean(v: Cell) -> Cell:
-        if v is None:
-            return None
-        # Any leading run of apostrophes and zeroes goes; the combined strip
-        # (rather than apostrophes-then-zeroes) keeps the operation idempotent.
-        stripped = v.lstrip("'0")  # type: ignore[union-attr]
-        return stripped if stripped else "0"
-
-    cells = tuple(clean(v) for v in target.cells)
+    # Exports repeat a few ids over many rows: clean each distinct id once.
+    # Any leading run of apostrophes and zeroes goes; the combined strip
+    # (rather than apostrophes-then-zeroes) keeps the operation idempotent.
+    lookup = {
+        v: None if v is None else (v.lstrip("'0") or "0")  # type: ignore[union-attr]
+        for v in set(target.cells)
+    }
+    cells = tuple(map(lookup.__getitem__, target.cells))
     new_col = Column._unchecked(col, CType.TEXT, cells)
     return Table(tuple(new_col if c.name == col else c for c in t.columns))
 
@@ -78,13 +78,13 @@ def filter_weekdays(t: Table, date_col: str, days: set[str]) -> Table:
         raise TypeMismatch(
             f"column '{date_col}' is {target.ctype.value}, need date or timestamp"
         )
-    keep = []
-    for i, v in enumerate(target.cells):
-        if v is None:
-            continue
-        d = v.date() if isinstance(v, datetime) else v
-        if weekday_name(d) in days:
-            keep.append(i)
+    wanted = {WEEKDAY_NAMES.index(day) for day in days}
+    cells = target.cells
+    # date.weekday reads a datetime's date too, so one call serves both kinds.
+    if None in cells:
+        keep = [i for i, v in enumerate(cells) if v is not None and date.weekday(v) in wanted]
+    else:
+        keep = list(compress(range(len(cells)), map(wanted.__contains__, map(date.weekday, cells))))
     return t.take(keep)
 
 

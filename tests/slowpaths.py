@@ -16,20 +16,25 @@ bit-identical, not merely close.
   every parser run on every cell, kind by kind.
 - :func:`row_wise_write_csv`: ``table.write_csv`` as every cell formatted
   on its own by ``format_cell``, row by row.
+- :func:`per_cell_column_check`: ``Column``'s construction check as
+  ``cell_matches`` run on every cell in order.
+- :func:`per_cell_clean_site_id` and :func:`per_cell_filter_weekdays`:
+  the ``traffic`` ops as one Python step per cell.
 """
 
 from __future__ import annotations
 
 from datetime import datetime
 
-from wrangle import spacetime
-from wrangle.errors import EmptyInput, MalformedCsv, SchemaMismatch
+from wrangle import spacetime, traffic
+from wrangle.errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch
 from wrangle.spacetime import SpaceTimeParams
 from wrangle.table import (
     Cell,
     Column,
     CType,
     Table,
+    cell_matches,
     format_cell,
     parse_bool_text,
     parse_date_text,
@@ -305,3 +310,31 @@ def row_wise_write_csv(t: Table) -> bytes:
     for i in range(t.row_count):
         lines.append(",".join(_write_field(col.cells[i]) for col in t.columns))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def per_cell_column_check(name: str, ctype: CType, cells: tuple[Cell, ...]) -> None:
+    """``Column``'s construction check as ``cell_matches`` on every cell in order."""
+    for i, v in enumerate(cells):
+        if not cell_matches(v, ctype):
+            raise TypeMismatch(f"column '{name}' is {ctype.value} but cell {i} is {v!r}")
+
+
+def per_cell_clean_site_id(t: Table, col: str) -> Table:
+    """``traffic.clean_site_id`` as one strip per cell."""
+    cells = tuple(
+        None if v is None else (v.lstrip("'0") or "0")  # type: ignore[union-attr]
+        for v in t.column(col).cells
+    )
+    return Table(tuple(Column(col, CType.TEXT, cells) if c.name == col else c for c in t.columns))
+
+
+def per_cell_filter_weekdays(t: Table, date_col: str, days: set[str]) -> Table:
+    """``traffic.filter_weekdays`` as a weekday name looked up per cell."""
+    keep = []
+    for i, v in enumerate(t.column(date_col).cells):
+        if v is None:
+            continue
+        d = v.date() if isinstance(v, datetime) else v
+        if traffic.weekday_name(d) in days:
+            keep.append(i)
+    return hand_rolled_take(t, keep)

@@ -72,7 +72,7 @@ CASES: dict[str, dict[str, list]] = {
         "accepted": [
             ({"keys": [["a", "b"], ["c", "c"]]}, {"keys": [("a", "b"), ("c", "c")]}),
         ],
-        "missing": [({}, _KEYS)],
+        "missing": [({}, "missing param 'keys'")],
         "shape": [({"keys": "a"}, _KEYS), ({"keys": None}, _KEYS)],
         "specific": [
             ({"keys": []}, _KEYS),

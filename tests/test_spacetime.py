@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from datetime import date, datetime, time, timedelta
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import opharness
 import oracles
 import slowpaths
-from wrangle import spacetime
+from wrangle import relops, spacetime, table
 from wrangle.errors import RangeError, TypeMismatch, UnknownColumn
 from wrangle.spacetime import (
     DEFAULT_WET_CODES,
@@ -21,7 +23,10 @@ from wrangle.spacetime import (
     haversine_m,
     time_space_join,
 )
-from wrangle.table import Column, CType, Table, table_from_rows
+from wrangle.gen import GenConfig, generate
+from wrangle.table import Column, CType, Table, infer_column_types, parse_csv, table_from_rows
+from wrangle.traffic import clean_site_id, separate_datetime
+from wrangle.weather import flatten_weather, parse_weather_json
 
 
 class TestHaversine:
@@ -214,6 +219,25 @@ class TestTimeSpaceJoin:
     def test_against_oracle(self):
         opharness.run_batch("time_space_join", 15, "spacetime:oracle")
 
+    def test_generated_weather_skips_the_per_cell_check(self, tmp_path):
+        # The flattened weather and the joined wx_ columns go through the
+        # checking Column(...), but by their cell types, never cell by cell.
+        site, _, sites, wx = generate(
+            GenConfig(seed=7, sites=2, rows_per_site=2000, weather_locations=4), tmp_path
+        )
+        traffic = infer_column_types(clean_site_id(parse_csv(site.read_bytes()), "Site ID"))
+        traffic = relops.join(
+            traffic, infer_column_types(parse_csv(sites.read_bytes())), [("Site ID", "Site.ID")]
+        )
+        traffic = separate_datetime(traffic, "Date")
+        doc = parse_weather_json(wx.read_bytes())
+        with mock.patch.object(table, "cell_matches", wraps=table.cell_matches) as spy:
+            weather = flatten_weather(doc)
+            got = time_space_join(traffic, weather, SpaceTimeParams())
+        assert spy.call_count == 0
+        matched = sum(v is not None for v in got.column("wx_W").cells)
+        assert 0 < matched and weather.row_count > 0
+
 
 # Anchors for generated instants: windows that cross midnight and a month
 # end, and both ends of the datetime range.
@@ -292,11 +316,36 @@ def _join_cases(draw):
     return traffic, weather, p
 
 
+def _repeated_coordinates_case(t_points, w_points, lat_kind):
+    """Every traffic point against every weather point, all at one instant."""
+    when = datetime(2018, 2, 2, 12, 0)
+    traffic = table_from_rows(
+        ["Lat", "Lon", "When"],
+        [lat_kind, lat_kind, CType.TIMESTAMP],
+        [[lat, lon, when] for lat, lon in t_points],
+    )
+    weather = _weather(
+        [[lat, lon, when.date(), when.time(), j] for j, (lat, lon) in enumerate(w_points)]
+    )
+    return traffic, weather, SpaceTimeParams(traffic_timestamp="When")
+
+
 class TestTimeWindow:
     """The bisected time window against the nested loop it replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(_join_cases())
+    # Coordinates equal as keys but not as objects share one distance.
+    @example(_repeated_coordinates_case(
+        [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (0.01, 0.0)],
+        [(-0.0, 0.0), (0.0, -0.0), (0.005, -0.0)],
+        CType.REAL,
+    ))
+    @example(_repeated_coordinates_case(
+        [(53, -2), (53, -2), (54, -2)],
+        [(53.0, -2.0), (53.004, -2.0), (53.0, -2.0)],
+        CType.INT,
+    ))
     def test_matches_nested_loop(self, case):
         traffic, weather, p = case
         assert time_space_join(traffic, weather, p) == (
@@ -334,7 +383,9 @@ class TestTimeWindow:
 
     def test_work_is_bounded_by_pairs_inside_the_time_buffer(self, monkeypatch):
         # A scan of every weather row per traffic row would take 4M time
-        # differences here, against ~40k pairs inside the buffer.
+        # differences here, against ~40k pairs inside the buffer. Those pairs
+        # repeat 3 traffic points x 4 weather points: each distinct coordinate
+        # quadruple among them is measured exactly once.
         subtractions = 0
 
         class CountedInstant(datetime):
@@ -350,15 +401,19 @@ class TestTimeWindow:
 
         rng = random.Random("st:workbound")
         four_days_cs = 4 * 86400 * 100
-        t_cs = [rng.randrange(four_days_cs) for _ in range(2000)]
-        w_cs = [rng.randrange(four_days_cs) for _ in range(2000)]
+        t_points = [(53.0, -2.0), (53.01, -2.0), (53.0, -2.02)]
+        w_points = [(53.0, -2.0), (53.005, -2.01), (52.99, -1.99), (53.02, -2.03)]
+        t_rows = [(rng.choice(t_points), rng.randrange(four_days_cs)) for _ in range(2000)]
+        w_rows = [(rng.choice(w_points), rng.randrange(four_days_cs)) for _ in range(2000)]
         traffic = table_from_rows(
             ["Lat", "Lon", "When"],
             [CType.REAL, CType.REAL, CType.TIMESTAMP],
-            [[53.0, -2.0, CountedInstant(2018, 2, 1) + c * _CENTI] for c in t_cs],
+            [[*pt, CountedInstant(2018, 2, 1) + c * _CENTI] for pt, c in t_rows],
         )
-        w_instants = [datetime(2018, 2, 1) + c * _CENTI for c in w_cs]
-        weather = _weather([[53.0, -2.0, w.date(), w.time(), 0] for w in w_instants])
+        w_instants = [datetime(2018, 2, 1) + c * _CENTI for _, c in w_rows]
+        weather = _weather(
+            [[*pt, w.date(), w.time(), 0] for (pt, _), w in zip(w_rows, w_instants)]
+        )
 
         calls = 0
         real = spacetime.haversine_m
@@ -371,9 +426,64 @@ class TestTimeWindow:
         monkeypatch.setattr(spacetime, "haversine_m", counting)
         time_space_join(traffic, weather, SpaceTimeParams(traffic_timestamp="When"))
         buf_cs = 1800 * 100
-        in_buffer = sum(1 for a in t_cs for b in w_cs if -buf_cs <= a - b <= buf_cs)
-        assert 0 < calls == in_buffer
-        assert subtractions <= in_buffer
+        in_buffer = [(a, b) for a, ca in t_rows for b, cb in w_rows if -buf_cs <= ca - cb <= buf_cs]
+        assert 0 < calls == len(set(in_buffer)) == len(t_points) * len(w_points)
+        assert subtractions <= len(in_buffer)
+
+    def test_kept_distances_are_bounded(self, monkeypatch):
+        # Coordinates that never repeat: keeping the distance of each of these
+        # ~13k in-buffer pairs would peak near 1.9 MB; the bounded memo at 0.6.
+        rng = random.Random("st:memo-bound")
+        day = date(2018, 2, 1)
+        traffic = table_from_rows(
+            ["Lat", "Lon", "When"],
+            [CType.REAL, CType.REAL, CType.TIMESTAMP],
+            [
+                [53 + rng.random() / 50, -2 + rng.random() / 50,
+                 datetime.combine(day, time()) + timedelta(seconds=rng.randrange(86400))]
+                for _ in range(800)
+            ],
+        )
+        weather = _weather(
+            [
+                [53 + rng.random() / 50, -2 + rng.random() / 50, day,
+                 time(rng.randrange(24), rng.randrange(60)), j]
+                for j in range(400)
+            ]
+        )
+        p = SpaceTimeParams(traffic_timestamp="When")
+        tracemalloc.start()
+        try:
+            got = time_space_join(traffic, weather, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # A memo that starts over often still gives the nested loop's answer.
+        monkeypatch.setattr(spacetime, "_MAX_KEPT_DISTANCES", 2)
+        assert time_space_join(traffic, weather, p) == got
+        head = traffic.take(range(100))
+        assert time_space_join(head, weather, p) == (
+            slowpaths.nested_loop_time_space_join(head, weather, p)
+        )
+
+    def test_bad_coordinate_raises_once_inside_the_window(self):
+        # The bad weather point lies outside the first traffic row's window
+        # and inside the second's, after a good pair has been measured.
+        day = date(2018, 2, 2)
+        traffic = _traffic(
+            [[53.0, -2.0, day, time(8, 0), 30.0], [53.0, -2.0, day, time(12, 0), 30.0]]
+        )
+        weather = _weather(
+            [[53.0, -2.0, day, time(8, 0), 1], [91.0, -2.0, day, time(12, 0), 2]]
+        )
+        p = SpaceTimeParams()
+        with pytest.raises(RangeError):
+            time_space_join(traffic, weather, p)
+        with pytest.raises(RangeError):
+            slowpaths.nested_loop_time_space_join(traffic, weather, p)
+        # Only the first row, whose window excludes the bad point: no error.
+        assert time_space_join(traffic.take([0]), weather, p).column("wx_W").cells == (1,)
 
     def test_float_rounding_of_huge_gaps_still_decides(self):
         # 2**35 s plus 1 us rounds to exactly 2**35 in total_seconds(), so the

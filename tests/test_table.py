@@ -7,9 +7,11 @@ fully independent of the hand-rolled parser.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import random
 from datetime import date, datetime, time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,11 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 import slowpaths
 from conftest import assert_tables_equal, random_typed_table
 from opharness import row, rows_of
-from wrangle.errors import EmptyInput, MalformedCsv
+from wrangle.errors import EmptyInput, MalformedCsv, TypeMismatch
 from wrangle.table import (
     Column,
     CType,
     Table,
+    cell_matches,
     infer_column_types,
     parse_csv,
     table_from_rows,
@@ -282,3 +285,98 @@ class TestTake:
     def test_matches_hand_rolled_copy(self, case):
         t, indices = case
         assert t.take(indices) == slowpaths.hand_rolled_take(t, indices)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Name(str):
+    pass
+
+
+class _Day(date):
+    pass
+
+
+class _Instant(datetime):
+    pass
+
+
+# Cells of every Python type a column may meet: each kind's own, subclasses
+# that ``isinstance`` accepts, and the cross-kind traps (a bool is an int, a
+# datetime is a date).
+_ANY_CELL = st.one_of(
+    st.none(),
+    *_CELLS.values(),
+    st.sampled_from(list(_Level)),
+    st.text(max_size=3).map(_Name),
+    st.dates().map(lambda d: _Day.fromordinal(d.toordinal())),
+    st.datetimes().map(lambda d: _Instant.combine(d.date(), d.time())),
+)
+
+
+@st.composite
+def _check_cases(draw):
+    kind = draw(st.sampled_from(list(CType)))
+    own = st.none() | _CELLS[kind]
+    # Half the columns hold only the kind's own cells; the rest mix in others.
+    cell = own | _ANY_CELL if draw(st.booleans()) else own
+    return kind, tuple(draw(st.lists(cell, max_size=8)))
+
+
+def _check_outcome(check, kind, cells):
+    """None if ``check`` accepts the cells, else its TypeMismatch message."""
+    try:
+        check("c", kind, cells)
+    except TypeMismatch as exc:
+        return str(exc)
+    return None
+
+
+# One exact-typed, null-free column of 50k cells per kind.
+_EXACT_CELLS = {
+    CType.TEXT: "x",
+    CType.INT: 7,
+    CType.REAL: 7.5,
+    CType.DATE: date(2018, 2, 2),
+    CType.TIME: time(12, 30),
+    CType.TIMESTAMP: datetime(2018, 2, 2, 12, 30),
+    CType.BOOL: True,
+}
+
+
+class TestColumnCheck:
+    """The type-set check against the per-cell loop it short-cuts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_check_cases())
+    @example((CType.INT, ()))
+    @example((CType.DATE, ()))
+    @example((CType.INT, (None, 1, True, 2)))
+    @example((CType.INT, (_Level.LOW, 2, None)))
+    @example((CType.BOOL, (True, _Level.HIGH)))
+    @example((CType.DATE, (date(2020, 1, 1), datetime(2020, 1, 1, 5))))
+    @example((CType.DATE, (_Day(2020, 1, 1), None)))
+    @example((CType.DATE, (_Instant(2020, 1, 1), date(2020, 1, 1))))
+    @example((CType.TIMESTAMP, (_Instant(2020, 1, 1), datetime(2020, 1, 1), _Day(2020, 1, 1))))
+    @example((CType.TEXT, (_Name("x"), "y", None, 1)))
+    @example((CType.REAL, (1.0, 1)))
+    def test_matches_per_cell_check(self, case):
+        kind, cells = case
+        want = _check_outcome(slowpaths.per_cell_column_check, kind, cells)
+        assert _check_outcome(Column, kind, cells) == want
+
+    @pytest.mark.parametrize("kind", list(CType), ids=lambda k: k.value)
+    def test_exact_typed_column_skips_the_per_cell_loop(self, kind):
+        cells = (_EXACT_CELLS[kind],) * 50_000
+        with mock.patch("wrangle.table.cell_matches", wraps=cell_matches) as spy:
+            Column("c", kind, cells)
+            Column("c", kind, cells[:-1] + (None,))
+        assert spy.call_count == 0
+
+    def test_a_subclass_takes_the_per_cell_loop(self):
+        with mock.patch("wrangle.table.cell_matches", wraps=cell_matches) as spy:
+            Column("c", CType.INT, (1, _Level.LOW, 3))
+        assert spy.call_count == 3

@@ -6,9 +6,10 @@ import random
 from datetime import date, datetime, time, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
+import slowpaths
 from conftest import assert_cells_close
 from wrangle.errors import EmptyInput, NonPositiveSpeed, TypeMismatch
 from wrangle.table import Column, CType, Table, table_from_rows
@@ -63,6 +64,25 @@ class TestCleanSiteId:
         t = table_from_rows(["Site ID"], [CType.INT], [[1083]])
         with pytest.raises(TypeMismatch):
             clean_site_id(t, "Site ID")
+
+    @pytest.mark.parametrize("n_ids", [20, 2400, 5000])
+    def test_few_or_many_distinct_ids_with_nulls_match_per_cell_cleaning(self, n_ids):
+        # From a few ids over many rows to every row distinct.
+        rng = random.Random(f"site_id:distinct:{n_ids}")
+        ids = ["'" * rng.randrange(3) + "0" * rng.randrange(8) + str(k) for k in range(n_ids)]
+        raw = [None if rng.random() < 0.1 else rng.choice(ids) for _ in range(5000)]
+        t = table_from_rows(["Site ID", "n"], [CType.TEXT, CType.INT], [[r, i] for i, r in enumerate(raw)])
+        once = clean_site_id(t, "Site ID")
+        assert once == slowpaths.per_cell_clean_site_id(t, "Site ID")
+        assert clean_site_id(once, "Site ID") == once
+
+    @settings(deadline=None)
+    @given(st.lists(st.none() | st.text(alphabet="'0123456789ab", max_size=8), max_size=40))
+    def test_matches_per_cell_cleaning(self, raw):
+        t = text_col_table(raw)
+        once = clean_site_id(t, "Site ID")
+        assert once == slowpaths.per_cell_clean_site_id(t, "Site ID")
+        assert clean_site_id(once, "Site ID") == once
 
 
 class TestSeparateDatetime:
@@ -143,6 +163,38 @@ class TestFilterWeekdays:
             ["d"], [CType.TIMESTAMP], [[datetime(2018, 2, 2, 17, 30)]]
         )
         assert filter_weekdays(t, "d", {"Friday"}).row_count == 1
+
+    def test_timestamp_column_with_nulls_matches_per_cell_filter(self):
+        rng = random.Random("weekdays:timestamps")
+        stamps = [
+            None if rng.random() < 0.2
+            else datetime(2018, 2, 1) + timedelta(minutes=rng.randrange(40 * 1440))
+            for _ in range(500)
+        ]
+        t = table_from_rows(["d", "n"], [CType.TIMESTAMP, CType.INT], [[s, i] for i, s in enumerate(stamps)])
+        for days in ({"Friday"}, {"Monday", "Sunday"}, set(WEEKDAY_NAMES)):
+            got = filter_weekdays(t, "d", days)
+            assert got == slowpaths.per_cell_filter_weekdays(t, "d", days)
+        assert None not in filter_weekdays(t, "d", set(WEEKDAY_NAMES)).column("d").cells
+
+    @given(
+        st.lists(st.none() | st.dates(), max_size=30),
+        st.sets(st.sampled_from(WEEKDAY_NAMES), min_size=1),
+    )
+    def test_date_column_matches_per_cell_filter(self, days_in, wanted):
+        t = self.date_table(days_in)
+        assert filter_weekdays(t, "d", wanted) == slowpaths.per_cell_filter_weekdays(t, "d", wanted)
+
+    def test_datetime_subclass_matches_per_cell_filter(self):
+        class Instant(datetime):
+            pass
+
+        stamps = [Instant(2018, 2, d, 9, 30) for d in range(1, 15)]
+        for cells in (stamps, stamps + [None]):
+            t = table_from_rows(["d"], [CType.TIMESTAMP], [[s] for s in cells])
+            got = filter_weekdays(t, "d", {"Friday", "Saturday"})
+            assert got == slowpaths.per_cell_filter_weekdays(t, "d", {"Friday", "Saturday"})
+            assert got.column("d").cells == (stamps[1], stamps[2], stamps[8], stamps[9])
 
     def test_bad_day_names_rejected(self):
         with pytest.raises(ValueError):
