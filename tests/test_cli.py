@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+import oracles
 from wrangle import cli
 from wrangle.cli import main
 from wrangle.gen import GenConfig, generate
@@ -53,6 +56,25 @@ class TestRun:
         assert "tbl-000000000001" in captured.out
         t = infer_column_types(parse_csv((out / "journey_time_s.csv").read_bytes()))
         assert t.column("journey_time_s").cells[0] > 0
+
+    def test_bundled_workflows_answer_as_the_oracles_do(self, dataset, tmp_path, capsys):
+        d = dataset
+        run_ok(["run", "dwr1.json", "--input", f"ds1_1={d}/site_1.csv",
+                "--input", f"ds1_2={d}/site_2.csv", "--input", f"ds1_3={d}/sites.csv",
+                "--out", str(tmp_path / "o1")], capsys)
+        run_ok(["run", "dwr2.json", "--input", f"ds2_1={d}/site_1.csv",
+                "--input", f"ds2_2={d}/sites.csv", "--input", f"ds2_3={d}/weather.json",
+                "--out", str(tmp_path / "o2")], capsys)
+        with open(tmp_path / "o1" / "journey_time_s.csv", newline="") as fh:
+            (seconds,) = [float(row["journey_time_s"]) for row in csv.DictReader(fh)]
+        with open(tmp_path / "o2" / "avg_speed_by_condition.csv", newline="") as fh:
+            means = {row["weatherCond"]: float(row["avg_speed"]) for row in csv.DictReader(fh)}
+        want_seconds = oracles.dwr1_journey_time([d / "site_1.csv", d / "site_2.csv"], d / "sites.csv")
+        want_means = oracles.dwr2_condition_means(d / "site_1.csv", d / "sites.csv", d / "weather.json")
+        assert math.isclose(seconds, want_seconds, rel_tol=1e-9)
+        assert means.keys() == want_means.keys() == {"wet", "dry"}
+        for label, mean in means.items():
+            assert math.isclose(mean, want_means[label], rel_tol=1e-9), label
 
     def test_dwr1_bom_prefixed_inputs_write_same_bytes(self, dataset, tmp_path, capsys):
         outputs = []
