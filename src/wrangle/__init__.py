@@ -1,7 +1,7 @@
 """Component-based traffic data wrangling.
 
 A small engine in two layers: reusable operators (tables, relational ops,
-weather flattening, space-time joining, traffic calculations, charting)
+weather flattening, space-time joining, traffic-export cleaning, charting)
 and a declarative workflow runner that wires them into DAGs over a
 session-keyed registry.
 """
@@ -23,6 +23,7 @@ from .relops import (
     group_summarise,
     join,
     mutate_column,
+    require,
     select_columns,
     union,
 )
@@ -34,15 +35,7 @@ from .spacetime import (
     haversine_m,
     time_space_join,
 )
-from .traffic import (
-    LinkMeasure,
-    average_speed_by_condition,
-    clean_site_id,
-    extract_speed_and_length,
-    filter_weekdays,
-    journey_time_s,
-    separate_datetime,
-)
+from .traffic import clean_site_id, filter_weekdays, separate_datetime
 from .chart import ChartSpec, render_bar_chart
 from .gen import GenConfig, generate
 from .workflow import (

@@ -83,8 +83,8 @@ class NegativeValue(DataError):
     """A value that must be non-negative is negative."""
 
 
-class NonPositiveSpeed(DataError):
-    """A speed used for journey-time arithmetic is missing, zero, or negative."""
+class RequirementFailed(DataError):
+    """A row does not meet a predicate that every row must meet."""
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .spacetime import (
     add_weather_condition,
     time_space_join,
 )
-from .table import Column, CType, Table, infer_column_types
+from .table import Table, infer_column_types
 from .weather import WeatherDoc, flatten_weather
 
 TABLE = "table"
@@ -231,6 +231,14 @@ _register(
 )
 
 _register(
+    "relops.require",
+    (("in", TABLE),),
+    TABLE,
+    (Param("predicate", STR, convert=parse_predicate),),
+    lambda inputs, p: relops.require(inputs["in"], p["predicate"]),
+)
+
+_register(
     "relops.mutate",
     (("in", TABLE),),
     TABLE,
@@ -317,35 +325,6 @@ _register(
     TABLE,
     (Param("days", STR_LIST, convert=_weekdays), Param("col", STR)),
     lambda inputs, p: traffic.filter_weekdays(inputs["in"], p["col"], p["days"]),
-)
-
-
-def _run_journey(inputs: Mapping[str, Any], p: dict) -> Table:
-    measures = traffic.extract_speed_and_length(
-        inputs["in"], p["site_col"], p["length_col"], p["speed_col"]
-    )
-    seconds = traffic.journey_time_s(measures)
-    return Table((Column("journey_time_s", CType.REAL, (seconds,)),))
-
-
-_register(
-    "traffic.journey_time",
-    (("in", TABLE),),
-    TABLE,
-    (
-        Param("site_col", STR, "Site.ID"),
-        Param("length_col", STR, "LinkLength"),
-        Param("speed_col", STR, "mean_speed"),
-    ),
-    _run_journey,
-)
-
-_register(
-    "traffic.average_speed_by_condition",
-    (("in", TABLE),),
-    TABLE,
-    (Param("speed_col", STR),),
-    lambda inputs, p: traffic.average_speed_by_condition(inputs["in"], p["speed_col"]),
 )
 
 

@@ -7,7 +7,10 @@ first-seen order), and null cells never match a comparison.
 
 from __future__ import annotations
 
-from .errors import SchemaMismatch, TypeMismatch, UnknownColumn
+from itertools import compress
+from typing import Iterator
+
+from .errors import RequirementFailed, SchemaMismatch, TypeMismatch, UnknownColumn
 from .expr import (
     AggSpec,
     MutateExpr,
@@ -16,6 +19,7 @@ from .expr import (
     check_predicate,
     eval_mutate,
     eval_predicate,
+    format_predicate,
     mutate_columns,
     parse_agg,
     parse_predicate,
@@ -27,6 +31,7 @@ __all__ = [
     "union",
     "select_columns",
     "filter_rows",
+    "require",
     "mutate_column",
     "join",
     "group_summarise",
@@ -88,16 +93,34 @@ def select_columns(t: Table, names: list[str], mode: str = "keep") -> Table:
     return Table(tuple(c for c in t.columns if c.name not in dropped))
 
 
-def filter_rows(t: Table, p: PredicateExpr) -> Table:
-    """Keep rows where ``p`` is true; order preserved."""
+def _truths(t: Table, p: PredicateExpr) -> Iterator[bool]:
+    """``p`` of each row in order; the columns are checked before any row."""
     check_predicate(p, _kinds(t))
     cols = {name: t.column(name).cells for name in predicate_columns(p)}
-    keep = [
-        i
+    return (
+        eval_predicate(p, {name: cells[i] for name, cells in cols.items()})
         for i in range(t.row_count)
-        if eval_predicate(p, {name: cells[i] for name, cells in cols.items()})
-    ]
-    return t.take(keep)
+    )
+
+
+def filter_rows(t: Table, p: PredicateExpr) -> Table:
+    """Keep rows where ``p`` is true; order preserved."""
+    return t.take(list(compress(range(t.row_count), _truths(t, p))))
+
+
+def require(t: Table, p: PredicateExpr) -> Table:
+    """Return ``t`` itself if every row meets ``p``.
+
+    Raises :class:`RequirementFailed` at the first row that does not.
+    Comparisons with a null cell are false, as in :func:`filter_rows`, so a
+    null cell fails a requirement such as ``x > 0``. The columns ``p`` reads
+    are checked before any row, so an empty table meets every predicate that
+    fits its columns.
+    """
+    for i, ok in enumerate(_truths(t, p)):
+        if not ok:
+            raise RequirementFailed(f"row {i} does not meet {format_predicate(p)}")
+    return t
 
 
 def mutate_column(t: Table, name: str, e: MutateExpr) -> Table:

@@ -1,22 +1,13 @@
-"""Traffic-domain operators: identifier cleaning, date/time splitting,
-weekday filtering, and journey-time arithmetic.
-
-Speeds are miles per hour, link lengths meters, journey times seconds;
-the single conversion constant 1 mph = 0.44704 m/s lives here.
-"""
+"""Traffic-domain operators: identifier cleaning, date/time splitting and
+weekday filtering of loop-detector exports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from itertools import compress
 
-from .errors import EmptyInput, NonPositiveSpeed, SchemaMismatch, TypeMismatch
-from .relops import group_summarise
-from .table import Cell, Column, CType, Table, format_cell
-from .expr import AggSpec
-
-MPH_TO_MPS = 0.44704
+from .errors import SchemaMismatch, TypeMismatch
+from .table import Column, CType, Table
 
 WEEKDAY_NAMES = (
     "Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday",
@@ -86,66 +77,3 @@ def filter_weekdays(t: Table, date_col: str, days: set[str]) -> Table:
     else:
         keep = list(compress(range(len(cells)), map(wanted.__contains__, map(date.weekday, cells))))
     return t.take(keep)
-
-
-@dataclass(frozen=True)
-class LinkMeasure:
-    site_id: str
-    mean_speed: float   # mph
-    link_length: float  # meters
-
-
-def extract_speed_and_length(
-    t: Table,
-    site_col: str = "Site.ID",
-    length_col: str = "LinkLength",
-    speed_col: str = "mean_speed",
-) -> list[LinkMeasure]:
-    """One measure per row of a per-site summary table."""
-    sites = t.column(site_col)
-    lengths = t.column(length_col)
-    speeds = t.column(speed_col)
-    if lengths.ctype not in (CType.INT, CType.REAL):
-        raise TypeMismatch(f"column '{length_col}' is {lengths.ctype.value}, need numeric")
-    if speeds.ctype not in (CType.INT, CType.REAL):
-        raise TypeMismatch(f"column '{speed_col}' is {speeds.ctype.value}, need numeric")
-    measures = []
-    for i in range(t.row_count):
-        speed = speeds.cells[i]
-        if speed is None or speed <= 0:  # type: ignore[operator]
-            raise NonPositiveSpeed(f"row {i}: mean speed {speed!r} must be > 0")
-        length = lengths.cells[i]
-        if length is None or length < 0:  # type: ignore[operator]
-            raise TypeMismatch(f"row {i}: link length {length!r} must be >= 0")
-        measures.append(
-            LinkMeasure(
-                site_id=format_cell(sites.cells[i]),
-                mean_speed=float(speed),  # type: ignore[arg-type]
-                link_length=float(length),  # type: ignore[arg-type]
-            )
-        )
-    return measures
-
-
-def journey_time_s(measures: list[LinkMeasure]) -> float:
-    """Total traversal time: sum of link_length / mean_speed across links."""
-    if not measures:
-        raise EmptyInput("no link measures")
-    total = 0.0
-    for m in measures:
-        if m.mean_speed <= 0:
-            raise NonPositiveSpeed(f"site {m.site_id}: speed {m.mean_speed} must be > 0")
-        total += m.link_length / (m.mean_speed * MPH_TO_MPS)
-    return total
-
-
-def average_speed_by_condition(t: Table, speed_col: str) -> Table:
-    """Mean speed per weather condition; rows with a null condition are excluded."""
-    cond = t.column("weatherCond")
-    speeds = t.column(speed_col)
-    if speeds.ctype not in (CType.INT, CType.REAL):
-        raise TypeMismatch(f"column '{speed_col}' is {speeds.ctype.value}, need numeric")
-    keep = [i for i, v in enumerate(cond.cells) if v is not None]
-    return group_summarise(
-        t.take(keep), ["weatherCond"], [AggSpec("avg_speed", "mean", speed_col)]
-    )

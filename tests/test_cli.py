@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -18,6 +19,7 @@ from wrangle.cli import main
 from wrangle.gen import GenConfig, generate
 from wrangle.ops import REGISTRY
 from wrangle.table import infer_column_types, parse_csv
+from wrangle.workflow import parse_workflow
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,24 @@ def dataset(tmp_path_factory):
 
 def _refuse_replace(src, dst):
     raise OSError("disk full")
+
+
+def _edited_copy(dataset, dst, name, edit):
+    """The dataset's dwr1 inputs in ``dst``, with field ``name`` of every data row
+    of each file that has it replaced by ``edit(old value, row number)``."""
+    dst.mkdir()
+    for file in ("site_1.csv", "site_2.csv", "sites.csv"):
+        lines = (dataset / file).read_text().split("\n")
+        header = [h.strip('"') for h in lines[0].split(",")]
+        if name in header:
+            at = header.index(name)
+            for r in range(1, len(lines)):
+                if lines[r]:
+                    fields = lines[r].split(",")
+                    fields[at] = edit(fields[at], r)
+                    lines[r] = ",".join(fields)
+        (dst / file).write_text("\n".join(lines))
+    return dst
 
 
 def run_ok(args, capsys):
@@ -69,8 +89,12 @@ class TestRun:
             (seconds,) = [float(row["journey_time_s"]) for row in csv.DictReader(fh)]
         with open(tmp_path / "o2" / "avg_speed_by_condition.csv", newline="") as fh:
             means = {row["weatherCond"]: float(row["avg_speed"]) for row in csv.DictReader(fh)}
-        want_seconds = oracles.dwr1_journey_time([d / "site_1.csv", d / "site_2.csv"], d / "sites.csv")
-        want_means = oracles.dwr2_condition_means(d / "site_1.csv", d / "sites.csv", d / "weather.json")
+        want_seconds = oracles.dwr1_journey_time(
+            [d / "site_1.csv", d / "site_2.csv"], d / "sites.csv"
+        )
+        want_means = oracles.dwr2_condition_means(
+            d / "site_1.csv", d / "sites.csv", d / "weather.json"
+        )
         assert math.isclose(seconds, want_seconds, rel_tol=1e-9)
         assert means.keys() == want_means.keys() == {"wet", "dry"}
         for label, mean in means.items():
@@ -239,8 +263,33 @@ class TestRun:
             capsys,
         )
         spilled = sorted(p.name for p in workspace.iterdir())
-        assert len(spilled) == 10
+        dwr1 = resources.files("wrangle.workflows").joinpath("dwr1.json").read_bytes()
+        assert len(spilled) == len(parse_workflow(dwr1).nodes)
         assert spilled[0] == "tbl-000000000001.csv"
+
+    @pytest.mark.parametrize(
+        "name, edit, node",
+        [
+            ("Speed", lambda v, r: "0", "check_links"),
+            # Row 2 of sites.csv is site 1084, the one site in the window.
+            ("LinkLength", lambda v, r: "" if r == 2 else v, "check_links"),
+            ("LinkLength", lambda v, r: "-" + v, "check_links"),
+            ("Direction Name", lambda v, r: v.replace("South", "North"), "check_total"),
+        ],
+        ids=["zero speeds", "null length", "negative length", "empty window"],
+    )
+    def test_dwr1_refuses_bad_links_and_an_empty_window(
+        self, name, edit, node, dataset, tmp_path, capsys
+    ):
+        src = _edited_copy(dataset, tmp_path / "in", name, edit)
+        out = tmp_path / "o"
+        code = main(["run", "dwr1.json", "--input", f"ds1_1={src}/site_1.csv",
+                     "--input", f"ds1_2={src}/site_2.csv", "--input", f"ds1_3={src}/sites.csv",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"workflow error: node '{node}' failed: row "), err
+        assert not (out / "journey_time_s.csv").exists()
 
     def test_unknown_workflow_file(self, tmp_path, capsys):
         assert main(["run", "nope.json", "--out", str(tmp_path)]) == 1

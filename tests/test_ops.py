@@ -160,17 +160,20 @@ CASES: dict[str, dict[str, list]] = {
              "param 'days' must be non-empty weekday names; bad: ['Funday']"),
         ],
     },
-    "traffic.journey_time": {
+    # Three accepted and three shape cases keep the other ops' positional ids.
+    "relops.require": {
         "accepted": [
-            ({}, {"site_col": "Site.ID", "length_col": "LinkLength", "speed_col": "mean_speed"}),
-            ({"speed_col": "s"}, {"site_col": "Site.ID", "length_col": "LinkLength", "speed_col": "s"}),
+            ({"predicate": "k >= 1"}, {"predicate": parse_predicate("k >= 1")}),
+            ({"predicate": "s > 0 and n >= 0"}, {"predicate": parse_predicate("s > 0 and n >= 0")}),
+            ({"predicate": "c in ('a', 'b')"}, {"predicate": parse_predicate("c in ('a', 'b')")}),
         ],
-        "shape": [({"site_col": 1}, _str("site_col")), ({"length_col": ""}, _str("length_col"))],
-    },
-    "traffic.average_speed_by_condition": {
-        "accepted": [({"speed_col": "Speed"}, {"speed_col": "Speed"})],
-        "missing": [({}, "missing param 'speed_col'")],
-        "shape": [({"speed_col": None}, _str("speed_col"))],
+        "missing": [({}, "missing param 'predicate'")],
+        "shape": [
+            ({"predicate": ""}, _str("predicate")),
+            ({"predicate": None}, _str("predicate")),
+            ({"predicate": 5}, _str("predicate")),
+        ],
+        "specific": [({"predicate": "k >"}, _parse_error(parse_predicate, "k >"))],
     },
     "chart.bar": {
         "accepted": [

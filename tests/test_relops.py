@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import opharness
 from conftest import assert_cells_close
-from wrangle.errors import SchemaMismatch, TypeMismatch, UnknownColumn
+from wrangle.errors import RequirementFailed, SchemaMismatch, TypeMismatch, UnknownColumn
 from wrangle import relops
 from wrangle.expr import AggSpec, parse_mutate, parse_predicate
 from wrangle.table import Column, CType, Table, table_from_rows
@@ -130,6 +130,50 @@ class TestFilter:
 
     def test_against_oracle(self):
         opharness.run_batch("filter", 40, "relops:filter")
+
+
+class TestRequire:
+    def test_empty_table_passes(self):
+        t = int_table(["a"], [])
+        assert relops.require(t, parse_predicate("a > 0")) is t
+
+    def test_returns_the_input_table(self):
+        t = int_table(["a", "b"], [[1, 2], [3, 4]])
+        assert relops.require(t, parse_predicate("a > 0 and b > 1")) is t
+
+    def test_null_cell_fails(self):
+        t = table_from_rows(["a"], [CType.REAL], [[1.5], [None]])
+        with pytest.raises(RequirementFailed, match="^row 1 "):
+            relops.require(t, parse_predicate("a > 0"))
+
+    def test_message_names_first_failing_row_and_canonical_predicate(self):
+        t = int_table(["a", "b"], [[1, 9], [2, 9], [0, 0], [-1, 0]])
+        with pytest.raises(RequirementFailed) as err:
+            relops.require(t, parse_predicate("(`a`>=1)and b<5 or b==9"))
+        assert str(err.value) == "row 2 does not meet a >= 1 and b < 5 or b == 9"
+
+    @pytest.mark.parametrize(
+        "text, error", [("c > 0", UnknownColumn), ("a == 'x'", TypeMismatch)]
+    )
+    def test_bad_predicate_is_refused_before_any_row(self, text, error):
+        with pytest.raises(error):
+            relops.require(int_table(["a"], []), parse_predicate(text))
+        with pytest.raises(error):
+            relops.require(int_table(["a"], [[None]]), parse_predicate(text))
+
+    def test_fails_at_the_first_row_filter_drops(self):
+        rng = random.Random("require:filter")
+        p = parse_predicate("a >= 0")
+        for _ in range(50):
+            rows = [[rng.choice([None, -1, 0, 5])] for _ in range(rng.randrange(6))]
+            t = table_from_rows(["a"], [CType.INT], rows)
+            dropped = [i for i, (v,) in enumerate(rows) if v is None or v < 0]
+            if not dropped:
+                assert relops.require(t, p) is t
+                assert relops.filter_rows(t, p).row_count == t.row_count
+                continue
+            with pytest.raises(RequirementFailed, match=f"^row {dropped[0]} "):
+                relops.require(t, p)
 
 
 class TestMutate:

@@ -1,9 +1,11 @@
-"""Site-id cleaning, datetime splitting, weekday filtering, journey time."""
+"""Site-id cleaning, datetime splitting, weekday filtering, and the generic
+nodes that end the bundled workflows: journey time and wet/dry means."""
 
 from __future__ import annotations
 
 import random
 from datetime import date, datetime, time, timedelta
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,20 +13,16 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import slowpaths
 from conftest import assert_cells_close
-from wrangle.errors import EmptyInput, NonPositiveSpeed, TypeMismatch
+from wrangle.errors import RequirementFailed, TypeMismatch
 from wrangle.table import Column, CType, Table, table_from_rows
 from wrangle.traffic import (
-    MPH_TO_MPS,
-    LinkMeasure,
     WEEKDAY_NAMES,
-    average_speed_by_condition,
     clean_site_id,
-    extract_speed_and_length,
     filter_weekdays,
-    journey_time_s,
     separate_datetime,
     weekday_name,
 )
+from wrangle.workflow import parse_workflow
 
 
 def text_col_table(cells):
@@ -209,65 +207,73 @@ class TestFilterWeekdays:
             d += timedelta(days=17)
 
 
-def summary_table(rows):
-    return table_from_rows(
-        ["Site.ID", "LinkLength", "mean_speed"],
+def run_nodes(workflow: str, first: str, last: str, t: Table) -> Table:
+    """Run a bundled workflow's nodes ``first`` to ``last``, a chain of ``in`` ports."""
+    spec = parse_workflow(resources.files("wrangle.workflows").joinpath(workflow).read_bytes())
+    ids = [n.id for n in spec.nodes]
+    for node in spec.nodes[ids.index(first) : ids.index(last) + 1]:
+        t = node.op_def.run({"in": t}, node.bound_params)
+    return t
+
+
+def journey_time_s(links) -> float:
+    """dwr1's tail over (link length m, mean speed mph) pairs."""
+    t = table_from_rows(
+        ["Site ID", "LinkLength", "mean_speed"],
         [CType.INT, CType.REAL, CType.REAL],
-        rows,
+        [[i, length, speed] for i, (length, speed) in enumerate(links)],
     )
+    (seconds,) = run_nodes("dwr1.json", "check_links", "check_total", t).column(
+        "journey_time_s"
+    ).cells
+    return seconds
 
 
 class TestJourneyTime:
-    def test_extract_maps_fields(self):
-        measures = extract_speed_and_length(
-            summary_table([[1083, 500.0, 30.0], [1084, 800.0, 25.0]])
-        )
-        assert measures == [
-            LinkMeasure("1083", 30.0, 500.0),
-            LinkMeasure("1084", 25.0, 800.0),
-        ]
-
-    def test_empty_table_gives_empty_list(self):
-        assert extract_speed_and_length(summary_table([])) == []
-
     def test_null_speed_rejected(self):
-        with pytest.raises(NonPositiveSpeed):
-            extract_speed_and_length(summary_table([[1, 100.0, None]]))
+        with pytest.raises(RequirementFailed, match="^row 1 does not meet mean_speed > 0 and "):
+            journey_time_s([(100.0, 30.0), (100.0, None)])
 
     def test_zero_speed_rejected(self):
-        with pytest.raises(NonPositiveSpeed):
-            extract_speed_and_length(summary_table([[1, 100.0, 0.0]]))
+        with pytest.raises(RequirementFailed, match="^row 0 does not meet mean_speed > 0 and "):
+            journey_time_s([(100.0, 0.0)])
+
+    def test_negative_speed_rejected(self):
+        with pytest.raises(RequirementFailed, match="^row 0 does not meet mean_speed > 0 and "):
+            journey_time_s([(100.0, -30.0)])
 
     def test_single_link_hand_value(self):
         # 500 m at 30 mph: 500 / (30 * 0.44704) s, worked out independently
-        got = journey_time_s([LinkMeasure("1083", 30.0, 500.0)])
-        assert_cells_close(got, 500.0 / (30.0 * MPH_TO_MPS))
+        got = journey_time_s([(500.0, 30.0)])
+        assert_cells_close(got, 500.0 / (30.0 * oracles.MPH_TO_MPS))
         assert got == pytest.approx(37.2822715, abs=5e-7)
 
     def test_zero_length_is_zero_seconds(self):
-        assert journey_time_s([LinkMeasure("1", 30.0, 0.0)]) == 0.0
+        assert journey_time_s([(0.0, 30.0)]) == 0.0
 
     def test_two_equal_links_double_one(self):
-        one = journey_time_s([LinkMeasure("1", 28.0, 440.0)])
-        two = journey_time_s([LinkMeasure("1", 28.0, 440.0)] * 2)
+        one = journey_time_s([(440.0, 28.0)])
+        two = journey_time_s([(440.0, 28.0)] * 2)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_empty_list_rejected(self):
-        with pytest.raises(EmptyInput):
+        # No links sum to null, which the total's requirement refuses.
+        with pytest.raises(RequirementFailed) as err:
             journey_time_s([])
+        assert str(err.value) == "row 0 does not meet journey_time_s >= 0"
 
     def test_monotone_in_speed_and_length(self):
         rng = random.Random("journey:monotone")
         for _ in range(20):
             speed = rng.uniform(5, 60)
             length = rng.uniform(100, 900)
-            base = journey_time_s([LinkMeasure("1", speed, length)])
-            faster = journey_time_s([LinkMeasure("1", speed + 1, length)])
-            longer = journey_time_s([LinkMeasure("1", speed, length + 10)])
+            base = journey_time_s([(length, speed)])
+            faster = journey_time_s([(length, speed + 1)])
+            longer = journey_time_s([(length + 10, speed)])
             assert faster < base < longer
 
     def test_positive_when_any_length_positive(self):
-        assert journey_time_s([LinkMeasure("1", 10.0, 0.0), LinkMeasure("2", 9.0, 3.0)]) > 0
+        assert journey_time_s([(0.0, 10.0), (3.0, 9.0)]) > 0
 
 
 class TestAverageSpeedByCondition:
@@ -278,20 +284,22 @@ class TestAverageSpeedByCondition:
             [[s, c] for s, c in pairs],
         )
 
+    def condition_means(self, pairs):
+        return run_nodes("dwr2.json", "wet_or_dry", "avg_speed", self.cond_table(pairs))
+
     def test_two_condition_means(self):
-        got = average_speed_by_condition(
-            self.cond_table([(20.0, "wet"), (30.0, "wet"), (40.0, "dry")]), "Speed"
-        )
+        got = self.condition_means([(20.0, "wet"), (30.0, "wet"), (40.0, "dry")])
+        assert got.column_names == ("weatherCond", "avg_speed")
         assert got.column("weatherCond").cells == ("wet", "dry")
         assert got.column("avg_speed").cells == (25.0, 40.0)
 
     def test_null_condition_rows_excluded(self):
-        got = average_speed_by_condition(
-            self.cond_table([(20.0, None), (30.0, None)]), "Speed"
-        )
+        got = self.condition_means([(20.0, None), (30.0, None)])
         assert got.row_count == 0
+        got = self.condition_means([(20.0, None), (30.0, "dry")])
+        assert got.column("avg_speed").cells == (30.0,)
 
     def test_single_condition(self):
-        got = average_speed_by_condition(self.cond_table([(22.0, "dry")]), "Speed")
+        got = self.condition_means([(22.0, "dry")])
         assert got.row_count == 1
         assert got.column("avg_speed").cells == (22.0,)

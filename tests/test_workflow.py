@@ -57,9 +57,9 @@ def filter_node(node_id, source, predicate="k >= 0"):
 
 
 class TestParseWorkflow:
-    def test_bundled_dwr1_validates_with_ten_nodes(self):
+    def test_bundled_dwr1_validates_with_thirteen_nodes(self):
         spec = parse_workflow(bundled("dwr1.json"))
-        assert len(spec.nodes) == 10
+        assert len(spec.nodes) == 13
         assert spec.outputs[0].name == "journey_time_s"
 
     def test_bundled_dwr2_validates(self):
