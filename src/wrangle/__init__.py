@@ -2,8 +2,8 @@
 
 A small engine in two layers: reusable operators (tables, relational ops,
 weather flattening, space-time joining, traffic-export cleaning, charting)
-and a declarative workflow runner that wires them into DAGs over a
-session-keyed registry.
+and a declarative workflow runner that wires them into DAGs and keeps each
+node's result under a session key.
 """
 
 from .errors import WrangleError, DataError, WorkflowError
@@ -39,7 +39,6 @@ from .traffic import clean_site_id, filter_weekdays, separate_datetime
 from .chart import ChartSpec, render_bar_chart
 from .gen import GenConfig, generate
 from .workflow import (
-    Registry,
     RunReport,
     WorkflowSpec,
     execute,

@@ -120,7 +120,7 @@ class InvalidNode(WorkflowError):
 
 
 class RegistryError(WorkflowError):
-    """Session-key registry misuse: duplicate put or unknown get."""
+    """A key issuer gave two nodes of one run the same session key."""
 
 
 class NodeFailed(WorkflowError):

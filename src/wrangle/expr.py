@@ -28,21 +28,34 @@ Identifiers are bare words or backtick-quoted to allow dots and spaces
 single-quoted strings, ``#HH:MM[:SS]#`` times and ``#YYYY-MM-DD#`` dates.
 
 Each AST has a canonical formatter and ``parse(format(e)) == e`` holds for
-any tree the parser can produce.
+any tree the parser can produce; a number literal that is not finite is a
+:class:`ParseError`, since it would format as ``inf``.
+
+Predicates and arithmetic are compiled, then evaluated. One walk of the AST
+against a table looks up every column the expression reads and raises
+:class:`UnknownColumn` or :class:`TypeMismatch` before any row is read. It
+returns a function that evaluates whole columns, node by node:
+:func:`compile_predicate` gives each row's truth, and ``and``/``or`` read
+their right side only on the rows the left side leaves open;
+:func:`compile_mutate` gives each row's value.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date, time
-from typing import Mapping, Union
+from functools import reduce
+from typing import Callable, Sequence, Union
 
 from .errors import ParseError, TypeMismatch, UnknownColumn
 from .table import (
     Cell,
     CType,
     NUMERIC_KINDS,
+    Table,
     format_time,
     kind_of_value,
     kinds_comparable,
@@ -200,6 +213,8 @@ def _tokenize(text: str) -> list[_Token]:
         if m and (ch.isdigit() or ch == "."):
             body = m.group(0)
             num: int | float = float(body) if set(body) & set(".eE") else int(body)
+            if num == math.inf:  # would format as 'inf', which does not parse
+                raise ParseError(f"number literal {body} is not finite", i)
             tokens.append(_Token("number", num, i))
             i = m.end()
             continue
@@ -497,26 +512,8 @@ def format_agg(spec: AggSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Static checks and evaluation
+# Compilation: checks first, then whole-column evaluation
 # ---------------------------------------------------------------------------
-
-def predicate_columns(e: PredicateExpr) -> set[str]:
-    if isinstance(e, (Compare, InList, Between)):
-        return {e.column}
-    if isinstance(e, Not):
-        return predicate_columns(e.operand)
-    return predicate_columns(e.left) | predicate_columns(e.right)
-
-
-def mutate_columns(e: MutateExpr) -> set[str]:
-    if isinstance(e, ColRef):
-        return {e.name}
-    if isinstance(e, NumLit):
-        return set()
-    if isinstance(e, Neg):
-        return mutate_columns(e.operand)
-    return mutate_columns(e.left) | mutate_columns(e.right)
-
 
 def _check_compatible(column: str, kind: CType, value: LitValue) -> None:
     if not kinds_comparable(kind, kind_of_value(value)):
@@ -526,96 +523,104 @@ def _check_compatible(column: str, kind: CType, value: LitValue) -> None:
         )
 
 
-def check_predicate(e: PredicateExpr, kinds: Mapping[str, CType]) -> None:
-    """Raise UnknownColumn/TypeMismatch unless e can evaluate against kinds."""
-    if isinstance(e, (Compare, InList, Between)):
-        if e.column not in kinds:
-            raise UnknownColumn(f"no column '{e.column}'")
-        kind = kinds[e.column]
-        if isinstance(e, Compare):
-            _check_compatible(e.column, kind, e.value)
-        elif isinstance(e, InList):
-            for v in e.values:
-                _check_compatible(e.column, kind, v)
-        else:
-            _check_compatible(e.column, kind, e.lo)
-            _check_compatible(e.column, kind, e.hi)
-        return
-    if isinstance(e, Not):
-        check_predicate(e.operand, kinds)
-        return
-    check_predicate(e.left, kinds)
-    check_predicate(e.right, kinds)
-
-
 _CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
-
-def eval_predicate(e: PredicateExpr, row: Mapping[str, Cell]) -> bool:
-    """Evaluate against one row; comparisons with a null cell are false."""
-    if isinstance(e, Compare):
-        cell = row[e.column]
-        if cell is None:
-            return False
-        return _CMP[e.op](cell, e.value)
-    if isinstance(e, InList):
-        cell = row[e.column]
-        if cell is None:
-            return False
-        return any(cell == v for v in e.values)
-    if isinstance(e, Between):
-        cell = row[e.column]
-        if cell is None:
-            return False
-        return e.lo <= cell <= e.hi
-    if isinstance(e, Not):
-        return not eval_predicate(e.operand, row)
-    if isinstance(e, And):
-        return eval_predicate(e.left, row) and eval_predicate(e.right, row)
-    if isinstance(e, Or):
-        return eval_predicate(e.left, row) or eval_predicate(e.right, row)
-    raise TypeError(f"not a predicate node: {e!r}")
+Truths = Callable[[Sequence[int]], list[bool]]
 
 
-def check_mutate(e: MutateExpr, kinds: Mapping[str, CType]) -> None:
-    for name in sorted(mutate_columns(e)):
-        if name not in kinds:
+def compile_predicate(e: PredicateExpr, t: Table) -> Truths:
+    """Check ``e`` against ``t`` and compile it to a function of row indices.
+
+    Raises UnknownColumn/TypeMismatch in tree order before any row is read.
+    The function gives the truth of ``e`` at each row it is given;
+    comparisons with a null cell are false.
+    """
+    columns = {c.name: c for c in t.columns}
+
+    def walk(e: PredicateExpr) -> Truths:
+        # x in (a, b) compares as x == a or x == b, and lo <= x <= hi as
+        # x >= lo and x <= hi: the same cells, literals and order.
+        if isinstance(e, InList):
+            return walk(reduce(Or, (Compare(e.column, "==", v) for v in e.values)))
+        if isinstance(e, Between):
+            return walk(And(Compare(e.column, ">=", e.lo), Compare(e.column, "<=", e.hi)))
+        if isinstance(e, Compare):
+            if e.column not in columns:
+                raise UnknownColumn(f"no column '{e.column}'")
+            col = columns[e.column]
+            _check_compatible(e.column, col.ctype, e.value)
+            cells, op, lit = col.cells, _CMP[e.op], e.value
+            return lambda rows: [
+                v is not None and op(v, lit) for v in map(cells.__getitem__, rows)
+            ]
+        if isinstance(e, Not):
+            inner = walk(e.operand)
+            return lambda rows: [not ok for ok in inner(rows)]
+        if isinstance(e, (And, Or)):
+            left, right = walk(e.left), walk(e.right)
+            open_when = isinstance(e, And)  # the left truth that leaves a row open
+
+            def combine(rows: Sequence[int]) -> list[bool]:
+                truths = left(rows)
+                rest = iter(right([i for i, ok in zip(rows, truths) if ok == open_when]))
+                return [next(rest) if ok == open_when else ok for ok in truths]
+
+            return combine
+        raise TypeError(f"not a predicate node: {e!r}")
+
+    return walk(e)
+
+
+def _divide(a: int | float, b: int | float) -> float | None:
+    return None if b == 0 else a / b
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+Values = Callable[[], Sequence[Cell]]
+
+
+def compile_mutate(e: MutateExpr, t: Table) -> Values:
+    """Check ``e`` against ``t`` and compile it to the values of every row.
+
+    Each column ``e`` reads is checked in sorted name order before any row
+    is read (UnknownColumn, then TypeMismatch unless int or real). A null
+    operand or a division by zero makes that row's value null.
+    """
+    columns = {c.name: c for c in t.columns}
+    n = t.row_count
+    names: set[str] = set()
+
+    def walk(e: MutateExpr) -> Values:
+        if isinstance(e, NumLit):
+            value = e.value
+            return lambda: [value] * n
+        if isinstance(e, ColRef):
+            names.add(e.name)
+            return lambda: columns[e.name].cells
+        if isinstance(e, Neg):
+            inner = walk(e.operand)
+            return lambda: [None if v is None else -v for v in inner()]
+        if isinstance(e, BinOp):
+            left, right, op = walk(e.left), walk(e.right), _ARITH[e.op]
+            return lambda: [
+                None if a is None or b is None else op(a, b) for a, b in zip(left(), right())
+            ]
+        raise TypeError(f"not a mutate node: {e!r}")
+
+    values = walk(e)
+    for name in sorted(names):
+        if name not in columns:
             raise UnknownColumn(f"no column '{name}'")
-        if kinds[name] not in NUMERIC_KINDS:
+        if columns[name].ctype not in NUMERIC_KINDS:
             raise TypeMismatch(
-                f"column '{name}' is {kinds[name].value}, arithmetic needs int or real"
+                f"column '{name}' is {columns[name].ctype.value}, arithmetic needs int or real"
             )
-
-
-def eval_mutate(e: MutateExpr, row: Mapping[str, Cell]) -> float | None:
-    """Row-wise arithmetic; null operands and division by zero yield null."""
-    if isinstance(e, NumLit):
-        return e.value
-    if isinstance(e, ColRef):
-        v = row[e.name]
-        return v  # type: ignore[return-value]
-    if isinstance(e, Neg):
-        v = eval_mutate(e.operand, row)
-        return None if v is None else -v
-    if isinstance(e, BinOp):
-        left = eval_mutate(e.left, row)
-        right = eval_mutate(e.right, row)
-        if left is None or right is None:
-            return None
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0:
-            return None
-        return left / right
-    raise TypeError(f"not a mutate node: {e!r}")
+    return values

@@ -8,22 +8,17 @@ first-seen order), and null cells never match a comparison.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterator
 
 from .errors import RequirementFailed, SchemaMismatch, TypeMismatch, UnknownColumn
 from .expr import (
     AggSpec,
     MutateExpr,
     PredicateExpr,
-    check_mutate,
-    check_predicate,
-    eval_mutate,
-    eval_predicate,
+    compile_mutate,
+    compile_predicate,
     format_predicate,
-    mutate_columns,
     parse_agg,
     parse_predicate,
-    predicate_columns,
 )
 from .table import Cell, Column, CType, NUMERIC_KINDS, ORDERED_KINDS, Table
 
@@ -41,10 +36,6 @@ __all__ = [
     "PredicateExpr",
     "MutateExpr",
 ]
-
-
-def _kinds(t: Table) -> dict[str, CType]:
-    return {c.name: c.ctype for c in t.columns}
 
 
 def union(a: Table, b: Table) -> Table:
@@ -93,19 +84,10 @@ def select_columns(t: Table, names: list[str], mode: str = "keep") -> Table:
     return Table(tuple(c for c in t.columns if c.name not in dropped))
 
 
-def _truths(t: Table, p: PredicateExpr) -> Iterator[bool]:
-    """``p`` of each row in order; the columns are checked before any row."""
-    check_predicate(p, _kinds(t))
-    cols = {name: t.column(name).cells for name in predicate_columns(p)}
-    return (
-        eval_predicate(p, {name: cells[i] for name, cells in cols.items()})
-        for i in range(t.row_count)
-    )
-
-
 def filter_rows(t: Table, p: PredicateExpr) -> Table:
     """Keep rows where ``p`` is true; order preserved."""
-    return t.take(list(compress(range(t.row_count), _truths(t, p))))
+    rows = range(t.row_count)
+    return t.take(list(compress(rows, compile_predicate(p, t)(rows))))
 
 
 def require(t: Table, p: PredicateExpr) -> Table:
@@ -117,21 +99,17 @@ def require(t: Table, p: PredicateExpr) -> Table:
     are checked before any row, so an empty table meets every predicate that
     fits its columns.
     """
-    for i, ok in enumerate(_truths(t, p)):
-        if not ok:
-            raise RequirementFailed(f"row {i} does not meet {format_predicate(p)}")
+    truths = compile_predicate(p, t)(range(t.row_count))
+    if False in truths:
+        raise RequirementFailed(f"row {truths.index(False)} does not meet {format_predicate(p)}")
     return t
 
 
 def mutate_column(t: Table, name: str, e: MutateExpr) -> Table:
     """Append (or replace in place) column ``name`` computed row-wise as real."""
-    check_mutate(e, _kinds(t))
-    cols = {n: t.column(n).cells for n in mutate_columns(e)}
-    cells = []
-    for i in range(t.row_count):
-        v = eval_mutate(e, {n: c[i] for n, c in cols.items()})
-        cells.append(None if v is None else float(v))
-    new_col = Column._unchecked(name, CType.REAL, tuple(cells))
+    values = compile_mutate(e, t)()
+    cells = tuple(None if v is None else float(v) for v in values)
+    new_col = Column._unchecked(name, CType.REAL, cells)
     if t.has_column(name):
         return Table(tuple(new_col if c.name == name else c for c in t.columns))
     return Table(t.columns + (new_col,))

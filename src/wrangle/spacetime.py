@@ -205,8 +205,8 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
         name = f"wx_{col.name}"
         if name in taken:
             raise SchemaMismatch(f"traffic table already has a column '{name}'")
-        cells = col.cells + (None,)
-        out.append(Column(name, col.ctype, tuple(map(cells.__getitem__, picks))))
+        cells = col.cells + (None,)  # already checked; the extra null is for unmatched rows
+        out.append(Column._unchecked(name, col.ctype, tuple(map(cells.__getitem__, picks))))
     return Table(tuple(out))
 
 

@@ -86,39 +86,11 @@ ORDERED_KINDS = frozenset(
 )
 
 
-def cell_matches(value: Cell, ctype: CType) -> bool:
-    """True if ``value`` is null or belongs to ``ctype``.
+def _kind_or_none(value: object) -> CType | None:
+    """The kind ``value`` belongs to, or None for null and unsupported types.
 
     bool is a subclass of int and datetime of date, so dispatch order matters.
     """
-    if value is None:
-        return True
-    if ctype is CType.BOOL:
-        return isinstance(value, bool)
-    if ctype is CType.INT:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if ctype is CType.REAL:
-        return isinstance(value, float)
-    if ctype is CType.TEXT:
-        return isinstance(value, str)
-    if ctype is CType.TIMESTAMP:
-        return isinstance(value, datetime)
-    if ctype is CType.DATE:
-        return isinstance(value, date) and not isinstance(value, datetime)
-    if ctype is CType.TIME:
-        return isinstance(value, time)
-    raise AssertionError(ctype)
-
-
-def kinds_comparable(a: CType, b: CType) -> bool:
-    """Whether two kinds may meet in a comparison (ints and reals mix)."""
-    if a == b:
-        return True
-    return a in NUMERIC_KINDS and b in NUMERIC_KINDS
-
-
-def kind_of_value(value: Cell) -> CType:
-    """The kind a single non-null Python value belongs to."""
     if isinstance(value, bool):
         return CType.BOOL
     if isinstance(value, int):
@@ -133,7 +105,27 @@ def kind_of_value(value: Cell) -> CType:
         return CType.DATE
     if isinstance(value, time):
         return CType.TIME
-    raise TypeMismatch(f"unsupported cell value {value!r}")
+    return None
+
+
+def cell_matches(value: Cell, ctype: CType) -> bool:
+    """True if ``value`` is null or belongs to ``ctype``."""
+    return value is None or _kind_or_none(value) is ctype
+
+
+def kinds_comparable(a: CType, b: CType) -> bool:
+    """Whether two kinds may meet in a comparison (ints and reals mix)."""
+    if a == b:
+        return True
+    return a in NUMERIC_KINDS and b in NUMERIC_KINDS
+
+
+def kind_of_value(value: Cell) -> CType:
+    """The kind a single non-null Python value belongs to."""
+    kind = _kind_or_none(value)
+    if kind is None:
+        raise TypeMismatch(f"unsupported cell value {value!r}")
+    return kind
 
 
 #: Each kind's exact cell types, null included: the check's fast path (see Column).

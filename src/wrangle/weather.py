@@ -94,16 +94,21 @@ def _opt_float(obj: dict, key: str) -> float | None:
     v = obj.get(key)
     if v is None:
         return None
+    if isinstance(v, bool):
+        raise MalformedJson(f"field '{key}' is not numeric: {v!r}")
     try:
         return float(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedJson(f"field '{key}' is not numeric: {v!r}") from None
 
 
 def _opt_int(obj: dict, key: str) -> int | None:
+    """A JSON integer or integer text; a bool or a fractional number is refused."""
     v = obj.get(key)
     if v is None:
         return None
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        raise MalformedJson(f"field '{key}' is not an integer: {v!r}")
     try:
         return int(v)
     except (TypeError, ValueError):

@@ -6,8 +6,8 @@ node's single output port), and exposes named outputs. All static checks
 happen in :func:`parse_workflow`; a spec that validates cannot fail at run
 time with an unknown op, a dangling reference, or a cycle.
 
-Execution materializes every node result in a :class:`Registry` under a
-fresh session key. Nodes run one at a time, stage by stage in
+Execution materializes every node result in a dict under a fresh session
+key. Nodes run one at a time, stage by stage in
 :func:`topo_schedule` order: operators are pure Python, so threads would
 only take turns on the interpreter lock.
 """
@@ -47,7 +47,7 @@ _KIND_OF_INPUT = {"table-csv": "table", "weather-json": "weatherdoc"}
 
 
 # ---------------------------------------------------------------------------
-# Session keys and the registry
+# Session keys
 # ---------------------------------------------------------------------------
 
 def random_keys() -> Callable[[], str]:
@@ -65,34 +65,6 @@ def sequential_keys() -> Callable[[], str]:
         return f"tbl-{next(counter):012d}"
 
     return issue
-
-
-class Registry:
-    """Session-key -> materialized value store for one run.
-
-    put never overwrites and get never defaults; both raise
-    :class:`RegistryError` on misuse. Nodes run one at a time, so it takes
-    no lock.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[str, object] = {}
-
-    def put(self, key: str, value: object) -> None:
-        if key in self._data:
-            raise RegistryError(f"key '{key}' already present")
-        self._data[key] = value
-
-    def get(self, key: str) -> object:
-        if key not in self._data:
-            raise RegistryError(f"unknown key '{key}'")
-        return self._data[key]
-
-    def keys(self) -> list[str]:
-        return list(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +375,18 @@ def execute(
             raise ValueError(f"input '{x.name}' must be {want}, got {got}")
 
     issue = key_issuer or random_keys()
-    registry = Registry()
     keys = {n.id: issue() for n in w.nodes}  # assigned in declaration order
     if len(set(keys.values())) != len(keys):
         raise RegistryError("key issuer produced a duplicate key")
+    # Each key is stored once, and topo_schedule runs every node after the
+    # nodes it reads, so a lookup always finds its result.
+    results: dict[str, object] = {}
     timings: dict[str, float] = {}
 
     def resolve(ref: Reference) -> object:
         if ref.input_name is not None:
             return inputs[ref.input_name]
-        return registry.get(keys[ref.node_id])  # type: ignore[index]
+        return results[keys[ref.node_id]]  # type: ignore[index]
 
     def run_node(node_id: str) -> None:
         node = w.node(node_id)
@@ -423,7 +397,7 @@ def execute(
         except Exception as exc:
             raise NodeFailed(node_id, exc) from exc
         timings[node_id] = (_time.perf_counter() - started) * 1000.0
-        registry.put(keys[node_id], result)
+        results[keys[node_id]] = result
         if spill_dir is not None:
             write_result(spill_dir, keys[node_id], result)
 
@@ -434,7 +408,7 @@ def execute(
 
     reports = []
     for n in w.nodes:
-        result = registry.get(keys[n.id])
+        result = results[keys[n.id]]
         rows = result.row_count if hasattr(result, "row_count") else None
         reports.append(NodeReport(n.id, n.op, keys[n.id], rows, timings[n.id]))
     total_ms = (_time.perf_counter() - run_started) * 1000.0

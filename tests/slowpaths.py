@@ -20,19 +20,50 @@ bit-identical, not merely close.
   ``cell_matches`` run on every cell in order.
 - :func:`per_cell_clean_site_id` and :func:`per_cell_filter_weekdays`:
   the ``traffic`` ops as one Python step per cell.
+- :func:`row_wise_filter_rows`, :func:`row_wise_require` and
+  :func:`row_wise_mutate_column`: the ``relops`` operators as a dict built
+  for every row and an AST walk per row. The columns an expression reads
+  are found, checked and evaluated by three separate walks, as
+  ``wrangle.expr`` did before it compiled expressions.
 """
 
 from __future__ import annotations
 
 from datetime import datetime
+from itertools import compress
+from typing import Iterator, Mapping
 
 from wrangle import spacetime, traffic
-from wrangle.errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch
+from wrangle.errors import (
+    EmptyInput,
+    MalformedCsv,
+    RequirementFailed,
+    SchemaMismatch,
+    TypeMismatch,
+    UnknownColumn,
+)
+from wrangle.expr import (
+    And,
+    Between,
+    BinOp,
+    ColRef,
+    Compare,
+    InList,
+    MutateExpr,
+    Neg,
+    Not,
+    NumLit,
+    Or,
+    PredicateExpr,
+    _check_compatible,
+    format_predicate,
+)
 from wrangle.spacetime import SpaceTimeParams
 from wrangle.table import (
     Cell,
     Column,
     CType,
+    NUMERIC_KINDS,
     Table,
     cell_matches,
     format_cell,
@@ -338,3 +369,157 @@ def per_cell_filter_weekdays(t: Table, date_col: str, days: set[str]) -> Table:
         if traffic.weekday_name(d) in days:
             keep.append(i)
     return hand_rolled_take(t, keep)
+
+
+def _predicate_columns(e: PredicateExpr) -> set[str]:
+    if isinstance(e, (Compare, InList, Between)):
+        return {e.column}
+    if isinstance(e, Not):
+        return _predicate_columns(e.operand)
+    return _predicate_columns(e.left) | _predicate_columns(e.right)
+
+
+def _mutate_columns(e: MutateExpr) -> set[str]:
+    if isinstance(e, ColRef):
+        return {e.name}
+    if isinstance(e, NumLit):
+        return set()
+    if isinstance(e, Neg):
+        return _mutate_columns(e.operand)
+    return _mutate_columns(e.left) | _mutate_columns(e.right)
+
+
+def _check_predicate(e: PredicateExpr, kinds: Mapping[str, CType]) -> None:
+    """Raise UnknownColumn/TypeMismatch unless e can evaluate against kinds."""
+    if isinstance(e, (Compare, InList, Between)):
+        if e.column not in kinds:
+            raise UnknownColumn(f"no column '{e.column}'")
+        kind = kinds[e.column]
+        if isinstance(e, Compare):
+            _check_compatible(e.column, kind, e.value)
+        elif isinstance(e, InList):
+            for v in e.values:
+                _check_compatible(e.column, kind, v)
+        else:
+            _check_compatible(e.column, kind, e.lo)
+            _check_compatible(e.column, kind, e.hi)
+        return
+    if isinstance(e, Not):
+        _check_predicate(e.operand, kinds)
+        return
+    _check_predicate(e.left, kinds)
+    _check_predicate(e.right, kinds)
+
+
+_CMP = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def _eval_predicate(e: PredicateExpr, row: Mapping[str, Cell]) -> bool:
+    """Evaluate against one row; comparisons with a null cell are false."""
+    if isinstance(e, Compare):
+        cell = row[e.column]
+        if cell is None:
+            return False
+        return _CMP[e.op](cell, e.value)
+    if isinstance(e, InList):
+        cell = row[e.column]
+        if cell is None:
+            return False
+        return any(cell == v for v in e.values)
+    if isinstance(e, Between):
+        cell = row[e.column]
+        if cell is None:
+            return False
+        return e.lo <= cell <= e.hi
+    if isinstance(e, Not):
+        return not _eval_predicate(e.operand, row)
+    if isinstance(e, And):
+        return _eval_predicate(e.left, row) and _eval_predicate(e.right, row)
+    if isinstance(e, Or):
+        return _eval_predicate(e.left, row) or _eval_predicate(e.right, row)
+    raise TypeError(f"not a predicate node: {e!r}")
+
+
+def _check_mutate(e: MutateExpr, kinds: Mapping[str, CType]) -> None:
+    for name in sorted(_mutate_columns(e)):
+        if name not in kinds:
+            raise UnknownColumn(f"no column '{name}'")
+        if kinds[name] not in NUMERIC_KINDS:
+            raise TypeMismatch(
+                f"column '{name}' is {kinds[name].value}, arithmetic needs int or real"
+            )
+
+
+def _eval_mutate(e: MutateExpr, row: Mapping[str, Cell]) -> float | None:
+    """Row-wise arithmetic; null operands and division by zero yield null."""
+    if isinstance(e, NumLit):
+        return e.value
+    if isinstance(e, ColRef):
+        v = row[e.name]
+        return v  # type: ignore[return-value]
+    if isinstance(e, Neg):
+        v = _eval_mutate(e.operand, row)
+        return None if v is None else -v
+    if isinstance(e, BinOp):
+        left = _eval_mutate(e.left, row)
+        right = _eval_mutate(e.right, row)
+        if left is None or right is None:
+            return None
+        if e.op == "+":
+            return left + right
+        if e.op == "-":
+            return left - right
+        if e.op == "*":
+            return left * right
+        if right == 0:
+            return None
+        return left / right
+    raise TypeError(f"not a mutate node: {e!r}")
+
+
+def _kinds(t: Table) -> dict[str, CType]:
+    return {c.name: c.ctype for c in t.columns}
+
+
+def _truths(t: Table, p: PredicateExpr) -> Iterator[bool]:
+    """``p`` of each row in order; the columns are checked before any row."""
+    _check_predicate(p, _kinds(t))
+    cols = {name: t.column(name).cells for name in _predicate_columns(p)}
+    return (
+        _eval_predicate(p, {name: cells[i] for name, cells in cols.items()})
+        for i in range(t.row_count)
+    )
+
+
+def row_wise_filter_rows(t: Table, p: PredicateExpr) -> Table:
+    """``relops.filter_rows`` as ``p`` walked once per row."""
+    return t.take(list(compress(range(t.row_count), _truths(t, p))))
+
+
+def row_wise_require(t: Table, p: PredicateExpr) -> Table:
+    """``relops.require`` as ``p`` walked once per row, up to the first false one."""
+    for i, ok in enumerate(_truths(t, p)):
+        if not ok:
+            raise RequirementFailed(f"row {i} does not meet {format_predicate(p)}")
+    return t
+
+
+def row_wise_mutate_column(t: Table, name: str, e: MutateExpr) -> Table:
+    """``relops.mutate_column`` as ``e`` walked once per row."""
+    _check_mutate(e, _kinds(t))
+    cols = {n: t.column(n).cells for n in _mutate_columns(e)}
+    cells = []
+    for i in range(t.row_count):
+        v = _eval_mutate(e, {n: c[i] for n, c in cols.items()})
+        cells.append(None if v is None else float(v))
+    new_col = Column._unchecked(name, CType.REAL, tuple(cells))
+    if t.has_column(name):
+        return Table(tuple(new_col if c.name == name else c for c in t.columns))
+    return Table(t.columns + (new_col,))

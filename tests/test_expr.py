@@ -93,6 +93,8 @@ class TestPredicateParsing:
             "x between 1",
             "#25:99# == x",
             "x == 'unterminated",
+            "x > 1e999",
+            "x in (1, 1e400)",
         ],
     )
     def test_parse_errors(self, text):
@@ -122,6 +124,11 @@ class TestMutateParsing:
         assert parse_mutate("Speed * 0.44704") == BinOp(
             "*", ColRef("Speed"), NumLit(0.44704)
         )
+
+    @pytest.mark.parametrize("text", ["x * 1e999", "-.5e309"])
+    def test_number_literal_that_is_not_finite(self, text):
+        with pytest.raises(ParseError, match="not finite"):
+            parse_mutate(text)
 
 
 class TestAggParsing:

@@ -2,16 +2,34 @@
 
 from __future__ import annotations
 
+import math
 import random
+from datetime import date, time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import opharness
+import slowpaths
 from conftest import assert_cells_close
 from wrangle.errors import RequirementFailed, SchemaMismatch, TypeMismatch, UnknownColumn
 from wrangle import relops
-from wrangle.expr import AggSpec, parse_mutate, parse_predicate
+from wrangle.expr import (
+    COMPARE_OPS,
+    AggSpec,
+    And,
+    Between,
+    BinOp,
+    ColRef,
+    Compare,
+    InList,
+    Neg,
+    Not,
+    NumLit,
+    Or,
+    parse_mutate,
+    parse_predicate,
+)
 from wrangle.table import Column, CType, Table, table_from_rows
 
 
@@ -343,3 +361,207 @@ def test_operators_are_deterministic(seed):
     assert opharness.rows_of(relops.filter_rows(t1, p)) == opharness.rows_of(
         relops.filter_rows(t2, p)
     )
+
+
+# ---------------------------------------------------------------------------
+# Compiled expressions against the row-wise interpreter
+# ---------------------------------------------------------------------------
+
+_NAMES = ("i", "j", "r", "s", "d", "t")
+_KINDS = (CType.INT, CType.INT, CType.REAL, CType.TEXT, CType.DATE, CType.TIME)
+_INTS = st.integers(-3, 3) | st.sampled_from([2**62, -(2**63)])
+_REALS = st.floats() | st.sampled_from([0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan])
+_VALUES = {
+    CType.INT: _INTS,
+    CType.REAL: _REALS,
+    CType.TEXT: st.sampled_from(["", "a", "b", "wet", "dry"]),
+    CType.DATE: st.sampled_from([date(2018, 2, 1), date(2018, 2, 2), date(2018, 2, 3)]),
+    CType.TIME: st.sampled_from([time(0), time(17), time(17, 30), time(18)]),
+}
+# A literal fits its column's kind; ints and reals mix both ways.
+_FITTING = {
+    **_VALUES,
+    CType.INT: _INTS | _REALS,
+    CType.REAL: _REALS | _INTS,
+}
+
+
+def _expr_table(rows) -> Table:
+    return table_from_rows(_NAMES, _KINDS, rows)
+
+
+_tables = st.lists(
+    st.tuples(*(st.none() | _VALUES[k] for k in _KINDS)), max_size=8
+).map(_expr_table)
+
+
+def _atoms(name, literal):
+    return st.one_of(
+        st.builds(Compare, name, st.sampled_from(COMPARE_OPS), literal),
+        st.builds(InList, name, st.lists(literal, min_size=1, max_size=3).map(tuple)),
+        st.builds(Between, name, literal, literal),
+    )
+
+
+_predicates = st.recursive(
+    st.one_of(
+        *(_atoms(st.just(n), _FITTING[k]) for n, k in zip(_NAMES, _KINDS)),
+        # an unknown column or a literal of the wrong kind
+        _atoms(st.sampled_from(_NAMES + ("zz",)), st.one_of(*_VALUES.values())),
+    ),
+    lambda children: st.one_of(
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Not, children),
+    ),
+    max_leaves=6,
+)
+
+_arithmetic = st.recursive(
+    st.one_of(
+        st.builds(ColRef, st.sampled_from(["i", "j", "r"])),
+        st.builds(ColRef, st.sampled_from(_NAMES + ("zz",))),
+        st.builds(NumLit, st.integers(0, 3) | st.sampled_from([0.0, -0.0, 0.5, math.inf])),
+    ),
+    lambda children: st.one_of(
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(Neg, children),
+    ),
+    max_leaves=6,
+)
+
+
+def _outcome(op, *args):
+    """The table ``op`` returns, cell by cell, or its error class and message.
+
+    Cells compare by type and ``repr``, so NaN meets NaN and -0.0 differs
+    from 0.0.
+    """
+    try:
+        got = op(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(c.name, c.ctype, [(type(v), repr(v)) for v in c.cells]) for c in got.columns]
+
+
+_NULLS = (None,) * 6
+_ROW = (1, 0, 2.5, "a", date(2018, 2, 2), time(17, 30))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tables, _predicates, _arithmetic)
+# null cells under not, and, or, in and between
+@example(
+    _expr_table([_NULLS, _ROW, _NULLS]),
+    Or(
+        And(Not(Compare("i", "==", 1)), InList("s", ("a", "b"))),
+        Between("t", time(17), time(18)),
+    ),
+    BinOp("+", ColRef("i"), ColRef("r")),
+)
+@example(
+    _expr_table([_ROW, _NULLS]),
+    And(Not(Between("d", date(2018, 2, 1), date(2018, 2, 3))), Not(InList("s", ("a",)))),
+    Neg(ColRef("j")),
+)
+# NaN, +-inf and -0.0
+@example(
+    _expr_table([(0, 0, v, "a", None, None) for v in (math.nan, math.inf, -math.inf, -0.0, 0.0)]),
+    Or(InList("r", (math.nan, -0.0)), Between("r", -math.inf, 0.0)),
+    BinOp("*", ColRef("r"), NumLit(-0.0)),
+)
+@example(
+    _expr_table([(0, 0, v, "a", None, None) for v in (math.nan, math.inf, -math.inf, -0.0)]),
+    Compare("r", ">=", math.nan),
+    BinOp("/", ColRef("r"), ColRef("r")),
+)
+# an int 0 divisor and a -0.0 divisor
+@example(
+    _expr_table([(1, 0, -0.0, "a", None, None), (2, 3, 1.5, "b", None, None)]),
+    Compare("j", "==", 0),
+    BinOp("+", BinOp("/", ColRef("i"), ColRef("j")), BinOp("/", ColRef("i"), ColRef("r"))),
+)
+@example(
+    _expr_table([_ROW]),
+    Compare("r", "!=", -0.0),
+    BinOp("/", ColRef("r"), BinOp("-", NumLit(0), NumLit(0.0))),
+)
+# int/real mixing
+@example(
+    _expr_table([_ROW, (2, 3, 2.0, "b", None, None)]),
+    Or(Compare("i", "<", 1.5), Compare("r", "==", 2)),
+    BinOp("/", ColRef("i"), ColRef("j")),
+)
+# an empty table refuses an unknown column or a literal of the wrong kind
+@example(_expr_table([]), Compare("zz", "==", 1), NumLit(1))
+@example(_expr_table([]), And(Compare("i", ">", 0), Compare("d", "==", 5)), NumLit(1))
+# two bad columns: the first in sorted order is named, not the first in the tree
+@example(_expr_table([_ROW]), Compare("i", ">", 0), BinOp("+", ColRef("zz"), ColRef("s")))
+@example(_expr_table([_ROW]), Compare("i", ">", 0), BinOp("*", ColRef("s"), Neg(ColRef("d"))))
+def test_compiled_expressions_equal_the_row_wise_oracles(t, p, e):
+    assert _outcome(relops.filter_rows, t, p) == _outcome(slowpaths.row_wise_filter_rows, t, p)
+    assert _outcome(relops.require, t, p) == _outcome(slowpaths.row_wise_require, t, p)
+    assert _outcome(relops.mutate_column, t, "m", e) == _outcome(
+        slowpaths.row_wise_mutate_column, t, "m", e
+    )
+
+
+_COMPARED: list = []
+
+
+class _LoggedInt(int):
+    """An int cell that logs each comparison it takes part in, by its row."""
+
+    def __new__(cls, value, row):
+        cell = super().__new__(cls, value)
+        cell.row = row
+        return cell
+
+    def _log(self, op, other):
+        _COMPARED.append((self.row, op, other))
+        return getattr(int, op)(self, other)
+
+    def __eq__(self, other):
+        return self._log("__eq__", other)
+
+    def __ne__(self, other):
+        return self._log("__ne__", other)
+
+    def __lt__(self, other):
+        return self._log("__lt__", other)
+
+    def __le__(self, other):
+        return self._log("__le__", other)
+
+    def __gt__(self, other):
+        return self._log("__gt__", other)
+
+    def __ge__(self, other):
+        return self._log("__ge__", other)
+
+    __hash__ = int.__hash__
+
+
+_int_predicates = st.recursive(
+    _atoms(st.just("i"), st.integers(-2, 2)),
+    lambda children: st.one_of(
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Not, children),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.none() | st.integers(-2, 2), max_size=8), _int_predicates)
+def test_compiled_predicates_compare_the_cells_the_row_wise_oracle_compares(cells, p):
+    t = Table((Column("i", CType.INT, tuple(
+        None if v is None else _LoggedInt(v, row) for row, v in enumerate(cells)
+    )),))
+    _COMPARED.clear()
+    want = slowpaths.row_wise_filter_rows(t, p)
+    compared = sorted(_COMPARED)
+    _COMPARED.clear()
+    assert relops.filter_rows(t, p) == want
+    assert sorted(_COMPARED) == compared

@@ -4,11 +4,13 @@ The package has no runtime dependencies: every absolute import in
 ``src/wrangle`` names a standard-library module. The independent oracles in
 ``tests/oracles.py`` import nothing from the package they check. The
 package works on whole columns: no module in it iterates a table by rows.
+Every slow path kept in ``tests/slowpaths.py`` is used by some test.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wrangle"
 ORACLES = ROOT / "tests" / "oracles.py"
+SLOWPATHS = ROOT / "tests" / "slowpaths.py"
 
 
 def imported_modules(path: Path) -> list[tuple[int, str]]:
@@ -58,3 +61,17 @@ def test_package_does_not_iterate_rows(path):
         and node.func.attr in ("row", "rows")
     ]
     assert calls == []
+
+
+def test_every_public_slow_path_is_named_in_a_test():
+    tree = ast.parse(SLOWPATHS.read_text(encoding="utf-8"), str(SLOWPATHS))
+    public = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(public) > 10
+    tests = " ".join(
+        path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("tests/test_*.py"))
+    )
+    assert [name for name in public if not re.search(rf"\b{name}\b", tests)] == []

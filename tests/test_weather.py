@@ -24,6 +24,12 @@ from wrangle.weather import (
 FIXTURE = Path(__file__).parent / "data" / "baltasound.json"
 
 
+def _one_rep_doc(rep: dict, **location: object) -> bytes:
+    loc = {"i": "1", "lat": "50", "lon": "0", **location}
+    loc["Period"] = {"value": "2016-06-20Z", "Rep": rep}
+    return json.dumps({"DV": {"dataDate": "2016-06-21T16:00:00Z", "Location": loc}}).encode()
+
+
 @pytest.fixture()
 def baltasound() -> WeatherDoc:
     return parse_weather_json(FIXTURE.read_bytes())
@@ -119,6 +125,28 @@ class TestParse:
                     }
                 ).encode()
             )
+
+    @pytest.mark.parametrize(
+        "loc, rep",
+        [
+            ({}, {"$": "60", "W": 12.7}),
+            ({}, {"$": 90.5}),
+            ({}, {"$": "60", "W": True}),
+            ({}, {"$": True}),
+            ({}, {"$": "60", "T": True}),
+            ({}, {"$": "60", "T": 10**400}),
+            ({"lat": True}, {"$": "60"}),
+        ],
+    )
+    def test_bool_fraction_or_overflow_in_a_numeric_field_is_malformed(self, loc, rep):
+        with pytest.raises(MalformedJson):
+            parse_weather_json(_one_rep_doc(rep, **loc))
+
+    def test_whole_json_numbers_are_accepted(self):
+        doc = parse_weather_json(_one_rep_doc({"$": 90, "W": 12.0, "T": 5}, lat=50.5))
+        rep = doc.locations[0].periods[0].reps[0]
+        assert (rep.minutes_after_midnight, rep.weather_code, rep.temperature) == (90, 12, 5.0)
+        assert type(rep.weather_code) is int and doc.locations[0].lat == 50.5
 
     def test_minutes_out_of_range(self):
         with pytest.raises(RangeError):

@@ -22,7 +22,6 @@ from wrangle.errors import (
 )
 from wrangle.table import write_csv
 from wrangle.workflow import (
-    Registry,
     execute,
     parse_workflow,
     random_keys,
@@ -194,16 +193,6 @@ class TestToposchedule:
 
 
 class TestRegistry:
-    def test_put_never_overwrites(self):
-        r = Registry()
-        r.put("tbl-1", 1)
-        with pytest.raises(RegistryError):
-            r.put("tbl-1", 2)
-
-    def test_get_unknown_is_an_error(self):
-        with pytest.raises(RegistryError):
-            Registry().get("tbl-404")
-
     def test_sequential_keys_format(self):
         issue = sequential_keys()
         assert issue() == "tbl-000000000001"
@@ -214,6 +203,13 @@ class TestRegistry:
         keys = {issue() for _ in range(100)}
         assert len(keys) == 100
         assert all(k.startswith("tbl-") and len(k) == 16 for k in keys)
+
+    def test_duplicate_issued_key_is_refused_before_any_node_runs(self, tmp_path):
+        spec = parse_workflow(wf([filter_node("a", "$inputs.x"), filter_node("b", "a.out")]))
+        table = dagharness.canonical_table(random.Random("exec:dupkey"))
+        with pytest.raises(RegistryError, match="duplicate key"):
+            execute(spec, {"x": table}, key_issuer=lambda: "tbl-1", spill_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExecute:
