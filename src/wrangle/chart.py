@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from .errors import EmptyTable, NegativeValue, TypeMismatch
 from .table import CType, Table, format_cell
 
+_WIDTH = 640
+_HEIGHT = 480
 _MARGIN_LEFT = 50.0
 _MARGIN_RIGHT = 20.0
 _MARGIN_TOP = 40.0
@@ -25,8 +27,6 @@ class ChartSpec:
     category_col: str
     value_col: str
     title: str = ""
-    width: int = 640
-    height: int = 480
 
 
 def _esc(text: str) -> str:
@@ -53,8 +53,8 @@ def render_bar_chart(t: Table, spec: ChartSpec) -> bytes:
             raise NegativeValue(f"row {i}: value {v} is negative")
         vals.append(float(v))
 
-    plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     baseline = _MARGIN_TOP + plot_h
     max_val = max(vals)
     scale = (0.9 * plot_h / max_val) if max_val > 0 else 0.0
@@ -63,13 +63,13 @@ def render_bar_chart(t: Table, spec: ChartSpec) -> bytes:
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if spec.title:
         parts.append(
-            f'<text x="{spec.width / 2:.2f}" y="24" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{_esc(spec.title)}</text>'
         )
     parts.append(

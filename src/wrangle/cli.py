@@ -101,7 +101,7 @@ def _run_workflow(args: argparse.Namespace) -> int:
     spec = parse_workflow(_workflow_bytes(args.workflow))
 
     declared = {x.name: x.kind for x in spec.inputs}
-    inputs: dict[str, object] = {}
+    paths: dict[str, str] = {}
     for pair in args.input or []:
         name, sep, path = pair.partition("=")
         if not sep or not name or not path:
@@ -110,13 +110,16 @@ def _run_workflow(args: argparse.Namespace) -> int:
             return _fail(
                 1, f"workflow has no input '{name}' (declared: {sorted(declared)})"
             )
-        if declared[name] == "table-csv":
-            inputs[name] = _load_table(path)
-        else:
-            inputs[name] = _load_weather(path)
-    missing = sorted(set(declared) - set(inputs))
+        if name in paths:
+            return _fail(1, f"--input '{name}' given more than once")
+        paths[name] = path
+    missing = sorted(set(declared) - set(paths))
     if missing:
         return _fail(1, f"missing --input for: {', '.join(missing)}")
+    inputs = {
+        name: _load_table(path) if declared[name] == "table-csv" else _load_weather(path)
+        for name, path in paths.items()
+    }
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -70,7 +70,6 @@ AGG_FUNCS = ("mean", "sum", "count", "min", "max")
 
 _KEYWORDS = {"and", "or", "not", "in", "between"}
 _BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -166,78 +165,71 @@ class _Token:
     pos: int
 
 
-_PUNCT = ("==", "!=", "<=", ">=", "<", ">", "=", "(", ")", ",", "+", "-", "*", "/")
+# One alternative per token, tried in order at each position: the "Writing a
+# Tokenizer" idiom of the ``re`` docs. ``other`` takes any character the rest
+# do not, so the matches cover the text. Compiles on first use.
+_TOKEN = "|".join(
+    (
+        r"(?P<space>[ \t\r\n]+)",
+        r"`(?P<backtick>[^`]*)`",
+        r"'(?P<string>[^']*)'",
+        r"#(?P<hash>[^#]*)#",
+        r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)",
+        r"(?P<word>\w+)",
+        r"(?P<punct>[=!<>]=|[<>=(),+\-*/])",
+        r"(?P<other>.)",
+    )
+)
+
+_UNTERMINATED = {
+    "`": "unterminated backtick identifier",
+    "'": "unterminated string literal",
+    "#": "unterminated #...# literal",
+}
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+    for m in re.finditer(_TOKEN, text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch == "`":
-            end = text.find("`", i + 1)
-            if end < 0:
-                raise ParseError("unterminated backtick identifier", i)
-            name = text[i + 1 : end]
-            if not name:
-                raise ParseError("empty backtick identifier", i)
-            tokens.append(_Token("ident", name, i))
-            i = end + 1
-            continue
-        if ch == "'":
-            end = text.find("'", i + 1)
-            if end < 0:
-                raise ParseError("unterminated string literal", i)
-            tokens.append(_Token("string", text[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch == "#":
-            end = text.find("#", i + 1)
-            if end < 0:
-                raise ParseError("unterminated #...# literal", i)
-            body = text[i + 1 : end]
-            value: LitValue | None = parse_date_text(body)
-            if value is None:
-                value = parse_time_text(body)
+        body, pos = m[kind], m.start()
+        value: object = body
+        if kind == "backtick":
+            if not body:
+                raise ParseError("empty backtick identifier", pos)
+            kind = "ident"
+        elif kind == "hash":
+            value = parse_date_text(body) or parse_time_text(body)
             if value is None:
                 raise ParseError(
-                    f"bad #...# literal '{body}'", i, {"#HH:MM[:SS]#", "#YYYY-MM-DD#"}
+                    f"bad #...# literal '{body}'", pos, {"#HH:MM[:SS]#", "#YYYY-MM-DD#"}
                 )
-            tokens.append(_Token("hash", value, i))
-            i = end + 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (ch.isdigit() or ch == "."):
-            body = m.group(0)
-            num: int | float = float(body) if set(body) & set(".eE") else int(body)
-            if num == math.inf:  # would format as 'inf', which does not parse
-                raise ParseError(f"number literal {body} is not finite", i)
-            tokens.append(_Token("number", num, i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                tokens.append(_Token(word, word, i))
-            else:
-                tokens.append(_Token("ident", word, i))
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token(punct, punct, i))
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
+        elif kind == "number":
+            value = _number(body, pos)
+        elif kind == "word":
+            # \w also takes numeric characters that are not letters, such as '²'.
+            if not (body[0].isalpha() or body[0] == "_"):
+                raise ParseError(f"unexpected character {body[0]!r}", pos)
+            kind = body if body in _KEYWORDS else "ident"
+        elif kind == "punct":
+            kind = body
+        elif kind == "other":
+            raise ParseError(_UNTERMINATED.get(body, f"unexpected character {body!r}"), pos)
+        tokens.append(_Token(kind, value, pos))  # type: ignore[arg-type]
+    tokens.append(_Token("end", None, len(text)))
     return tokens
+
+
+def _number(body: str, pos: int) -> int | float:
+    try:
+        num: int | float = float(body) if set(body) & set(".eE") else int(body)
+    except ValueError:  # more digits than int() converts (4,300 by default)
+        raise ParseError(f"int literal of {len(body)} digits is too long", pos) from None
+    if num == math.inf:  # would format as 'inf', which does not parse
+        raise ParseError(f"number literal {body} is not finite", pos)
+    return num
 
 
 class _Parser:

@@ -17,25 +17,8 @@ from .expr import (
     compile_mutate,
     compile_predicate,
     format_predicate,
-    parse_agg,
-    parse_predicate,
 )
 from .table import Cell, Column, CType, NUMERIC_KINDS, ORDERED_KINDS, Table
-
-__all__ = [
-    "union",
-    "select_columns",
-    "filter_rows",
-    "require",
-    "mutate_column",
-    "join",
-    "group_summarise",
-    "parse_predicate",
-    "parse_agg",
-    "AggSpec",
-    "PredicateExpr",
-    "MutateExpr",
-]
 
 
 def union(a: Table, b: Table) -> Table:

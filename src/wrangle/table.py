@@ -30,8 +30,9 @@ UTF-8 byte order mark, as some spreadsheet exports write, is dropped.
 The reader splits, checks and types whole columns at once. Quote counts,
 character sets and anchored regex matches over a column's newline-joined
 text prove its quoting and its kind, and a proved column is converted in
-bulk. What that cannot decide falls back to a char-by-char splitter and to
-per-cell parsers (see :func:`parse_csv` and :func:`infer_column_types`).
+bulk. What that cannot decide falls back to a field tokenizer, one regex
+match per field, and to per-cell parsers (see :func:`parse_csv` and
+:func:`infer_column_types`).
 The writer formats a block of rows at a time, each column's slice whole by
 its kind, and writes the same bytes as formatting cell by cell (see
 :func:`write_csv`).
@@ -351,101 +352,59 @@ def parse_bool_text(text: str) -> bool | None:
 # CSV codec
 # ---------------------------------------------------------------------------
 
-# Raw fields distinguish bare-empty (null) from quoted-empty (empty text).
-_NULL_FIELD = object()
+# One field and what ends it: a comma, CRLF, LF, a lone CR or the end of the
+# text. A quoted field closes at a quote that no other quote follows; a bare
+# field holds no quote. These patterns compile on first use, like the column
+# searches below; ``_CLOSED_QUOTE`` only on the error path.
+_QUOTED_BODY = r'[^"]*(?:""[^"]*)*'
+_FIELD = rf'(?:"({_QUOTED_BODY})"|([^",\r\n]*))(,|\r\n?|\n|\Z)'
+_CLOSED_QUOTE = rf'"{_QUOTED_BODY}"(?!")'
 
 
-def _split_records(text: str) -> list[tuple[int, list[object]]]:
-    """Char-by-char record splitter.
+def _split_records(text: str) -> list[tuple[int, list[str | None]]]:
+    """Field tokenizer: (line_number, fields) per record.
 
-    Returns (line_number, fields) pairs where a field is either a str or the
-    _NULL_FIELD marker (a bare empty field). Tolerates CRLF and lone CR as
-    terminators; newlines inside quotes are content.
+    A bare empty field is None and a quoted one a str, ``""`` unescaped.
+    Tolerates CRLF and lone CR as terminators; newlines inside quotes are
+    content.
     """
-    records: list[tuple[int, list[object]]] = []
-    fields: list[object] = []
-    buf: list[str] = []
-    quoted = False      # current field was opened with a quote
-    in_quotes = False   # currently inside the quoted section
-    field_open = False  # some char consumed for the current field
-    line = 1
-    record_line = line
-    i, n = 0, len(text)
-
-    def end_field() -> None:
-        nonlocal buf, quoted, field_open
-        if not field_open:
-            fields.append(_NULL_FIELD)
-        elif quoted or buf:
-            fields.append("".join(buf))
+    match = re.compile(_FIELD).match
+    records: list[tuple[int, list[str | None]]] = []
+    fields: list[str | None] = []
+    line = record_line = 1
+    pos, n = 0, len(text)
+    while pos < n or fields:
+        m = match(text, pos)
+        if m is None:
+            raise _bad_field(text, pos, line, record_line)
+        quoted, bare, end = m.groups()
+        if quoted is None:
+            fields.append(bare or None)
         else:
-            fields.append(_NULL_FIELD)
-        buf = []
-        quoted = False
-        field_open = False
-
-    def end_record() -> None:
-        nonlocal fields, record_line
-        end_field()
-        records.append((record_line, fields))
-        fields = []
-
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == '"':
-                if i + 1 < n and text[i + 1] == '"':
-                    buf.append('"')
-                    i += 2
-                    continue
-                in_quotes = False
-                i += 1
-                continue
-            if ch == "\n":
-                line += 1
-            buf.append(ch)
-            i += 1
-            continue
-        if ch == '"':
-            if field_open and (buf or quoted):
-                raise MalformedCsv("quote opened mid-field", line)
-            quoted = True
-            in_quotes = True
-            field_open = True
-            i += 1
-            continue
-        if ch == ",":
-            end_field()
-            i += 1
-            continue
-        if ch == "\r":
-            end_record()
+            fields.append(quoted.replace('""', '"'))
+            line += quoted.count("\n")
+        pos = m.end()
+        if end != ",":
+            records.append((record_line, fields))
+            fields = []
             line += 1
-            i += 2 if i + 1 < n and text[i + 1] == "\n" else 1
             record_line = line
-            continue
-        if ch == "\n":
-            end_record()
-            line += 1
-            i += 1
-            record_line = line
-            continue
-        if quoted:
-            raise MalformedCsv("content after closing quote", line)
-        buf.append(ch)
-        field_open = True
-        i += 1
-
-    if in_quotes:
-        raise MalformedCsv("unclosed quote", record_line)
-    if field_open or fields:
-        end_record()
     return records
 
 
-def _strip_trailing_nulls(fields: list[object]) -> list[object]:
+def _bad_field(text: str, pos: int, line: int, record_line: int) -> MalformedCsv:
+    """The error of the field at ``pos``, which does not split, on line ``line``."""
+    if text[pos] != '"':
+        return MalformedCsv("quote opened mid-field", line)
+    closed = re.compile(_CLOSED_QUOTE).match(text, pos)
+    if closed is None:
+        return MalformedCsv("unclosed quote", record_line)
+    return MalformedCsv("content after closing quote", line + closed.group().count("\n"))
+
+
+def _strip_trailing_nulls(fields: list[str | None]) -> list[str | None]:
     end = len(fields)
-    while end > 0 and fields[end - 1] is _NULL_FIELD:
+    while end > 0 and fields[end - 1] is None:
         end -= 1
     return fields[:end]
 
@@ -463,7 +422,7 @@ def parse_csv(data: bytes) -> Table:
     row ends in a bare empty field) takes the column path,
     :func:`_parse_columns`. Anything else (a lone CR, a quoted comma or
     newline, a stray quote, ragged rows, a bad header) goes through the
-    char-by-char :func:`_split_records`, the only source of
+    field tokenizer :func:`_split_records`, the only source of
     :class:`MalformedCsv` messages and line numbers.
     """
     try:
@@ -487,7 +446,7 @@ _BAD_QUOTING = r'^(?!"[^"\n]*(?:""[^"\n]*)*"$|[^"\n]*$)'
 def _parse_columns(text: str) -> Table | None:
     """The column path of :func:`parse_csv`; None where it cannot decide.
 
-    Splitting each line on every comma gives the char splitter's fields
+    Splitting each line on every comma gives the field tokenizer's fields
     exactly when each piece is either free of quotes or one whole quoted
     field, which :func:`_unquote_column` checks a column at a time.
     """
@@ -502,11 +461,7 @@ def _parse_columns(text: str) -> Table | None:
     except MalformedCsv:
         return None
     names = _strip_trailing_nulls(header[0][1]) if header else []
-    if (
-        not names
-        or any(f is _NULL_FIELD or f == "" for f in names)
-        or len(set(names)) != len(names)
-    ):
+    if not names or not all(names) or len(set(names)) != len(names):
         return None
 
     cols: list[list[Cell]] = [[] for _ in names]
@@ -601,18 +556,15 @@ def _lone_quote(joined: str) -> bool:
 
 
 def _parse_records(text: str) -> Table:
-    """The char-by-char path of :func:`parse_csv`, for any text."""
+    """The field-tokenizer path of :func:`parse_csv`, for any text."""
     records = _split_records(text)
     if not records:
         raise EmptyInput("no header row")
 
     header_line, raw_header = records[0]
-    raw_header = _strip_trailing_nulls(raw_header)
-    names: list[str] = []
-    for f in raw_header:
-        if f is _NULL_FIELD or f == "":
-            raise MalformedCsv("empty header name", header_line)
-        names.append(f)  # type: ignore[arg-type]
+    names = _strip_trailing_nulls(raw_header)
+    if not all(names):
+        raise MalformedCsv("empty header name", header_line)
     if not names:
         raise EmptyInput("header row has no names")
     if len(set(names)) != len(names):
@@ -621,21 +573,14 @@ def _parse_records(text: str) -> Table:
     width = len(names)
     cols: list[list[Cell]] = [[] for _ in range(width)]
     for line, fields in records[1:]:
-        if len(fields) > width:
-            extra = fields[width:]
-            if any(f is not _NULL_FIELD for f in extra):
-                raise MalformedCsv(
-                    f"row has {len(fields)} fields, header has {width}", line
-                )
-            fields = fields[:width]
-        for i in range(width):
-            if i >= len(fields) or fields[i] is _NULL_FIELD:
-                cols[i].append(None)
-            else:
-                cols[i].append(fields[i])  # type: ignore[arg-type]
+        if any(f is not None for f in fields[width:]):
+            raise MalformedCsv(f"row has {len(fields)} fields, header has {width}", line)
+        fields += [None] * (width - len(fields))
+        for cells, f in zip(cols, fields):
+            cells.append(f)
     return Table(
         tuple(
-            Column._unchecked(name, CType.TEXT, tuple(cells))
+            Column._unchecked(name, CType.TEXT, tuple(cells))  # type: ignore[arg-type]
             for name, cells in zip(names, cols)
         )
     )

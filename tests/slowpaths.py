@@ -25,10 +25,14 @@ bit-identical, not merely close.
   for every row and an AST walk per row. The columns an expression reads
   are found, checked and evaluated by three separate walks, as
   ``wrangle.expr`` did before it compiled expressions.
+- :func:`char_loop_tokenize`: ``expr._tokenize`` as a loop that reads the
+  text a character (or a delimited literal) at a time.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from datetime import datetime
 from itertools import compress
 from typing import Iterator, Mapping
@@ -37,6 +41,7 @@ from wrangle import spacetime, traffic
 from wrangle.errors import (
     EmptyInput,
     MalformedCsv,
+    ParseError,
     RequirementFailed,
     SchemaMismatch,
     TypeMismatch,
@@ -49,12 +54,15 @@ from wrangle.expr import (
     ColRef,
     Compare,
     InList,
+    LitValue,
     MutateExpr,
     Neg,
     Not,
     NumLit,
     Or,
     PredicateExpr,
+    _KEYWORDS,
+    _Token,
     _check_compatible,
     format_predicate,
 )
@@ -523,3 +531,79 @@ def row_wise_mutate_column(t: Table, name: str, e: MutateExpr) -> Table:
     if t.has_column(name):
         return Table(tuple(new_col if c.name == name else c for c in t.columns))
     return Table(t.columns + (new_col,))
+
+
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_PUNCT = ("==", "!=", "<=", ">=", "<", ">", "=", "(", ")", ",", "+", "-", "*", "/")
+
+
+def char_loop_tokenize(text: str) -> list[_Token]:
+    """``expr._tokenize`` as a loop over the text, one character or literal a step."""
+    tokens: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch == "`":
+            end = text.find("`", i + 1)
+            if end < 0:
+                raise ParseError("unterminated backtick identifier", i)
+            name = text[i + 1 : end]
+            if not name:
+                raise ParseError("empty backtick identifier", i)
+            tokens.append(_Token("ident", name, i))
+            i = end + 1
+            continue
+        if ch == "'":
+            end = text.find("'", i + 1)
+            if end < 0:
+                raise ParseError("unterminated string literal", i)
+            tokens.append(_Token("string", text[i + 1 : end], i))
+            i = end + 1
+            continue
+        if ch == "#":
+            end = text.find("#", i + 1)
+            if end < 0:
+                raise ParseError("unterminated #...# literal", i)
+            body = text[i + 1 : end]
+            value: LitValue | None = parse_date_text(body)
+            if value is None:
+                value = parse_time_text(body)
+            if value is None:
+                raise ParseError(
+                    f"bad #...# literal '{body}'", i, {"#HH:MM[:SS]#", "#YYYY-MM-DD#"}
+                )
+            tokens.append(_Token("hash", value, i))
+            i = end + 1
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m and (ch.isdigit() or ch == "."):
+            body = m.group(0)
+            num: int | float = float(body) if set(body) & set(".eE") else int(body)
+            if num == math.inf:  # would format as 'inf', which does not parse
+                raise ParseError(f"number literal {body} is not finite", i)
+            tokens.append(_Token("number", num, i))
+            i = m.end()
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word in _KEYWORDS:
+                tokens.append(_Token(word, word, i))
+            else:
+                tokens.append(_Token("ident", word, i))
+            i = j
+            continue
+        for punct in _PUNCT:
+            if text.startswith(punct, i):
+                tokens.append(_Token(punct, punct, i))
+                i += len(punct)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", None, n))
+    return tokens

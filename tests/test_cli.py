@@ -193,6 +193,24 @@ class TestRun:
         assert code == 1
         assert "missing --input" in capsys.readouterr().err
 
+    def test_repeated_input_is_usage_error_and_loads_no_file(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        loaded = []
+        monkeypatch.setattr(cli, "_load_table", loaded.append)
+        code = main(
+            ["run", "dwr1.json",
+             "--input", f"ds1_1={dataset}/site_1.csv",
+             "--input", f"ds1_2={dataset}/site_2.csv",
+             "--input", f"ds1_1={dataset}/sites.csv",
+             "--input", f"ds1_3={dataset}/sites.csv",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "--input 'ds1_1' given more than once\n"
+        assert loaded == []
+        assert not (tmp_path / "o").exists()
+
     def test_corrupt_csv_is_data_error_citing_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"Site ID,Date\na,b,c,d,EXTRA\n")
@@ -345,6 +363,16 @@ def test_bad_grammar_param_is_exit_3_in_op_and_run(op, params, dataset, tmp_path
     assert run_err.startswith("workflow error: node 'n': ")
     assert op_err.removeprefix("workflow error: ") == run_err.removeprefix(
         "workflow error: node 'n': "
+    )
+
+
+def test_int_literal_past_the_digit_limit_is_exit_3_naming_its_position(dataset, capsys):
+    params = {"predicate": "a > " + "1" * 5000}
+    code = main(["op", "relops.filter", "--table", f"{dataset}/sites.csv",
+                 "--params", json.dumps(params)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "workflow error: int literal of 5000 digits is too long at position 4\n"
     )
 
 

@@ -8,6 +8,7 @@ exception class with the same message and line number.
 from __future__ import annotations
 
 import gc
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -187,6 +188,16 @@ class TestParseDifferential:
     @given(st.text(alphabet='a1,"\n\r', max_size=30))
     def test_equals_char_splitter_on_any_text(self, text):
         assert_same_reading(text.encode("utf-8"))
+
+    def test_every_short_text(self):
+        """Every text of up to six characters over ``a , " CR LF``, through
+        parse_csv and through its field-tokenizer path alone."""
+        for n in range(7):
+            for chars in itertools.product('a,"\r\n', repeat=n):
+                text = "".join(chars)
+                expected = outcome(slowpaths.char_split_parse_csv, text.encode())
+                assert outcome(parse_csv, text.encode()) == expected, text
+                assert outcome(table._parse_records, text) == expected, text
 
     def test_every_block_boundary(self):
         data = TRAFFIC + TRAFFIC.split(b"\n", 1)[1]

@@ -3,11 +3,15 @@ parse(format(e)) == e over random trees."""
 
 from __future__ import annotations
 
+import itertools
+import re
+import sys
 from datetime import date, time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import slowpaths
 from wrangle.errors import ParseError
 from wrangle.expr import (
     AggSpec,
@@ -23,6 +27,7 @@ from wrangle.expr import (
     Or,
     format_agg,
     format_mutate,
+    _tokenize,
     format_predicate,
     parse_agg,
     parse_mutate,
@@ -95,6 +100,7 @@ class TestPredicateParsing:
             "x == 'unterminated",
             "x > 1e999",
             "x in (1, 1e400)",
+            "a > " + "1" * 5000,
         ],
     )
     def test_parse_errors(self, text):
@@ -229,3 +235,55 @@ def test_mutate_format_parse_round_trip(e):
 def test_agg_format_parse_round_trip(name, func, target):
     spec = AggSpec(name, func, None if func == "count" else target)
     assert parse_agg(format_agg(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer against the character loop it replaced (kept in slowpaths)
+# ---------------------------------------------------------------------------
+
+def tokens_or_error(tokenize, text):
+    """(kind, value, pos) of every token, or the ParseError's message and position."""
+    try:
+        return [(t.kind, t.value, t.pos) for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+def assert_same_tokens(text):
+    try:
+        expected = tokens_or_error(slowpaths.char_loop_tokenize, text)
+    except ValueError:
+        # The loop lets int()'s digit limit escape; the tokenizer names the literal.
+        with pytest.raises(ParseError, match="digits is too long") as err:
+            _tokenize(text)
+        assert re.match(rf"\d{{{sys.get_int_max_str_digits() + 1}}}", text[err.value.pos :])
+        return
+    assert tokens_or_error(_tokenize, text) == expected, text
+
+
+def test_tokenizer_equals_the_char_loop_on_every_short_text():
+    """Every text of up to four characters over an alphabet that reaches each
+    token kind and each tokenizer error."""
+    for n in range(5):
+        for chars in itertools.product("a_1.e`'#=!< -²(:", repeat=n):
+            assert_same_tokens("".join(chars))
+
+
+_TOKEN_CHARS = st.sampled_from(list("aZ_19.eE+-*/`'#=!<>(), \t\n:²٣é"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_TOKEN_CHARS | st.characters(), max_size=30))
+@example("x == ``")  # empty backtick identifier
+@example("`Site ID")  # unterminated literals
+@example("x == 'South")
+@example("t < #17:00")
+@example("t < #24:00#")  # a #...# literal that is neither date nor time
+@example("x > 1e999")  # not finite
+@example("x > .")  # a lone dot
+@example("x ! 1")
+@example("²x")  # a digit that is not a letter starts no word
+@example("x² > ١٢.٣")  # Arabic-Indic digits make a number
+@example("a > " + "1" * 4301)  # past int()'s digit limit
+def test_tokenizer_equals_the_char_loop(text):
+    assert_same_tokens(text)
