@@ -30,7 +30,7 @@ from .gen import GenConfig, generate
 from .ops import OpDef, get_op, list_ops
 from .table import Table, infer_column_types, parse_csv, write_csv
 from .weather import flatten_weather, parse_weather_json
-from .workflow import (encode_result, execute, parse_workflow, random_keys,
+from .workflow import (encode_result, execute, parse_workflow, random_keys, read_columns,
                        sequential_keys, write_atomic, write_result)
 
 BUNDLED_WORKFLOWS = ("dwr1.json", "dwr2.json")
@@ -56,9 +56,9 @@ def _read_bytes(path: str) -> bytes:
     return p.read_bytes()
 
 
-def _load_table(path: str) -> Table:
+def _load_table(path: str, columns: frozenset[str] | None = None) -> Table:
     try:
-        return infer_column_types(parse_csv(_read_bytes(path)))
+        return infer_column_types(parse_csv(_read_bytes(path), columns))
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -116,8 +116,10 @@ def _run_workflow(args: argparse.Namespace) -> int:
     missing = sorted(set(declared) - set(paths))
     if missing:
         return _fail(1, f"missing --input for: {', '.join(missing)}")
+    read = read_columns(spec)
     inputs = {
-        name: _load_table(path) if declared[name] == "table-csv" else _load_weather(path)
+        name: _load_table(path, read[name]) if declared[name] == "table-csv"
+        else _load_weather(path)
         for name, path in paths.items()
     }
 

@@ -146,6 +146,17 @@ def _keep_or_drop(mode: str) -> str:
     return mode
 
 
+def _select(p: dict) -> dict:
+    # A repeated kept name would build a table with a duplicate column.
+    if p["mode"] == "keep":
+        seen: set[str] = set()
+        for name in p["names"]:
+            if name in seen:
+                raise InvalidNode(f"param 'names' repeats {name!r}")
+            seen.add(name)
+    return p
+
+
 def _key_pairs(raw: Any) -> list[tuple[str, str]]:
     # Null, like any value that is not a list of pairs, is refused.
     if (
@@ -220,6 +231,7 @@ _register(
     TABLE,
     (Param("mode", STR, "keep", _keep_or_drop), Param("names", STR_LIST)),
     lambda inputs, p: relops.select_columns(inputs["in"], p["names"], p["mode"]),
+    _select,
 )
 
 _register(

@@ -32,7 +32,9 @@ character sets and anchored regex matches over a column's newline-joined
 text prove its quoting and its kind, and a proved column is converted in
 bulk. What that cannot decide falls back to a field tokenizer, one regex
 match per field, and to per-cell parsers (see :func:`parse_csv` and
-:func:`infer_column_types`).
+:func:`infer_column_types`). Given the set of columns a caller reads, the
+reader builds only those, so only those are typed; it still checks every
+line's width and every column's quoting, so a file fails as it would whole.
 The writer formats a block of rows at a time, each column's slice whole by
 its kind, and writes the same bytes as formatting cell by cell (see
 :func:`write_csv`).
@@ -409,13 +411,19 @@ def _strip_trailing_nulls(fields: list[str | None]) -> list[str | None]:
     return fields[:end]
 
 
-def parse_csv(data: bytes) -> Table:
+def parse_csv(data: bytes, columns: frozenset[str] | None = None) -> Table:
     """Parse CSV bytes into a table of text columns (no type inference).
 
     A leading UTF-8 byte order mark is dropped. The first row is the
     header. Data rows shorter than the header are padded with nulls; rows
     longer only by trailing empty fields are truncated; any other
     raggedness raises :class:`MalformedCsv`.
+
+    With ``columns``, the table holds only the header's columns named in
+    it, in header order, when the header has every one of them; else it
+    holds all columns, so that the reader of a missing name reports it
+    against the whole header. The file is checked as a whole either way:
+    a read of some columns raises what a read of all would.
 
     Text with LF or CRLF line ends, no comma or newline inside quotes, and
     rows that all split into the header's width (or one more, when every
@@ -429,8 +437,13 @@ def parse_csv(data: bytes) -> Table:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"not valid UTF-8: {exc}") from None
-    table = _parse_columns(text)
-    return table if table is not None else _parse_records(text)
+    table = _parse_columns(text, columns)
+    return table if table is not None else _parse_records(text, columns)
+
+
+def _kept_names(names: Sequence[str], columns: frozenset[str] | None) -> frozenset[str]:
+    """The header ``names`` a read of ``columns`` keeps: all, unless the header has each."""
+    return frozenset(names) if columns is None or not columns.issubset(names) else columns
 
 
 # The rows are split and transposed per block of about this many characters
@@ -443,12 +456,14 @@ _BLOCK_CHARS = 1 << 18
 _BAD_QUOTING = r'^(?!"[^"\n]*(?:""[^"\n]*)*"$|[^"\n]*$)'
 
 
-def _parse_columns(text: str) -> Table | None:
+def _parse_columns(text: str, columns: frozenset[str] | None = None) -> Table | None:
     """The column path of :func:`parse_csv`; None where it cannot decide.
 
     Splitting each line on every comma gives the field tokenizer's fields
     exactly when each piece is either free of quotes or one whole quoted
-    field, which :func:`_unquote_column` checks a column at a time.
+    field, which :func:`_unquote_column` checks a column at a time. The
+    columns ``columns`` does not keep are checked the same way, and their
+    cells dropped.
     """
     if "\r" in text:
         if text.count("\r") != text.count("\r\n"):
@@ -464,7 +479,9 @@ def _parse_columns(text: str) -> Table | None:
     if not names or not all(names) or len(set(names)) != len(names):
         return None
 
-    cols: list[list[Cell]] = [[] for _ in names]
+    kept = _kept_names(names, columns)
+    # None stands for a dropped column.
+    cols: list[list[Cell] | None] = [[] if name in kept else None for name in names]
     start, end = header_end + 1, header_end
     while 0 <= end < stop:
         end = text.find("\n", start + _BLOCK_CHARS, stop)
@@ -477,15 +494,18 @@ def _parse_columns(text: str) -> Table | None:
         tuple(
             Column._unchecked(name, CType.TEXT, tuple(cells))
             for name, cells in zip(names, cols)
+            if cells is not None
         )
     )
 
 
-def _split_block(block: str, cols: list[list[Cell]]) -> bool:
+def _split_block(block: str, cols: list[list[Cell] | None]) -> bool:
     """Append the cells of the lines in ``block`` to ``cols``.
 
     Every line must split into ``len(cols)`` pieces, or into one more when
     each line's last piece is bare empty; else False, ``cols`` part-filled.
+    A column whose entry is None is checked, and its cells go to a
+    throwaway list.
     """
     lines = block.count("\n") + 1
     # A newline becomes a piece of its own, found every stride pieces.
@@ -500,7 +520,8 @@ def _split_block(block: str, cols: list[list[Cell]]) -> bool:
     elif stride != width + 1:
         return False
     return all(
-        _unquote_column(pieces[i::stride], cells) for i, cells in enumerate(cols)
+        _unquote_column(pieces[i::stride], [] if cells is None else cells)
+        for i, cells in enumerate(cols)
     )
 
 
@@ -555,8 +576,12 @@ def _lone_quote(joined: str) -> bool:
     )
 
 
-def _parse_records(text: str) -> Table:
-    """The field-tokenizer path of :func:`parse_csv`, for any text."""
+def _parse_records(text: str, columns: frozenset[str] | None = None) -> Table:
+    """The field-tokenizer path of :func:`parse_csv`, for any text.
+
+    Every column is read; the columns ``columns`` does not keep are dropped
+    at the end.
+    """
     records = _split_records(text)
     if not records:
         raise EmptyInput("no header row")
@@ -578,10 +603,12 @@ def _parse_records(text: str) -> Table:
         fields += [None] * (width - len(fields))
         for cells, f in zip(cols, fields):
             cells.append(f)
+    kept = _kept_names(names, columns)  # type: ignore[arg-type]
     return Table(
         tuple(
             Column._unchecked(name, CType.TEXT, tuple(cells))  # type: ignore[arg-type]
             for name, cells in zip(names, cols)
+            if name in kept
         )
     )
 

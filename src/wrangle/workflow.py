@@ -6,6 +6,12 @@ node's single output port), and exposes named outputs. All static checks
 happen in :func:`parse_workflow`; a spec that validates cannot fail at run
 time with an unknown op, a dangling reference, or a cycle.
 
+A plan step, :func:`read_columns`, gives each ``table-csv`` input the
+columns it can be read as. Only the provable case is narrowed: every reader
+of the input is a ``relops.select_columns`` node with mode ``keep``, and the
+input is read as the union of their names. Any other reader, a workflow
+output that names the input included, reads all columns.
+
 Execution materializes every node result in a dict under a fresh session
 key. Nodes run one at a time, stage by stage in
 :func:`topo_schedule` order: operators are pure Python, so threads would
@@ -251,6 +257,29 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
     spec = WorkflowSpec(version, name, tuple(inputs), tuple(nodes), tuple(outputs))
     topo_schedule(spec)  # raises CycleDetected
     return spec
+
+
+def read_columns(w: WorkflowSpec) -> dict[str, frozenset[str] | None]:
+    """Per input, the names of the columns it can be read as; None for all.
+
+    A ``table-csv`` input whose readers are all ``relops.select_columns``
+    nodes with mode ``keep`` is read as the union of their names (an input
+    nothing reads, as none). Any other reader, a workflow output naming
+    the input, or the input being a weather document gives None.
+    """
+    kept: dict[str, set[str]] = {x.name: set() for x in w.inputs}
+    whole = {x.name for x in w.inputs if x.kind != "table-csv"}
+    whole.update(o.ref.input_name for o in w.outputs if o.ref.input_name is not None)
+    for n in w.nodes:
+        keeps = n.op == "relops.select_columns" and n.bound_params["mode"] == "keep"
+        for ref in n.inputs.values():
+            if ref.input_name is None:
+                continue
+            if keeps:
+                kept[ref.input_name].update(n.bound_params["names"])
+            else:
+                whole.add(ref.input_name)
+    return {name: None if name in whole else frozenset(names) for name, names in kept.items()}
 
 
 def topo_schedule(w: WorkflowSpec) -> list[list[str]]:

@@ -33,14 +33,14 @@ def _refuse_replace(src, dst):
     raise OSError("disk full")
 
 
-def _edited_copy(dataset, dst, name, edit):
+def _edited_copy(dataset, dst, name, edit, only=None):
     """The dataset's dwr1 inputs in ``dst``, with field ``name`` of every data row
-    of each file that has it replaced by ``edit(old value, row number)``."""
+    of each file that has it (or of file ``only``) replaced by ``edit(old value, row number)``."""
     dst.mkdir()
     for file in ("site_1.csv", "site_2.csv", "sites.csv"):
         lines = (dataset / file).read_text().split("\n")
         header = [h.strip('"') for h in lines[0].split(",")]
-        if name in header:
+        if name in header and only in (None, file):
             at = header.index(name)
             for r in range(1, len(lines)):
                 if lines[r]:
@@ -123,8 +123,9 @@ class TestRun:
         assert outputs[0] == outputs[1]
 
     def test_dwr1_with_a_column_blank_in_one_export(self, tmp_path, capsys):
-        # Headway left empty in every row of one site: that column reads as
-        # text, all null, and the union takes the other site's kind for it.
+        # Headway left empty in every row of one site reads as text, all null.
+        # dwr1 keeps no Headway, so its selects drop the column before the
+        # union (whose rule for a blank column tests/test_relops.py covers).
         src = tmp_path / "in"
         generate(GenConfig(seed=3, sites=2, rows_per_site=2000), src)
         lines = (src / "site_2.csv").read_text().split("\n")
@@ -152,6 +153,81 @@ class TestRun:
         )
         t = infer_column_types(parse_csv((out / "journey_time_s.csv").read_bytes()))
         assert t.row_count > 0
+
+    def test_dwr1_ignores_an_unused_column_of_another_kind_in_one_export(
+        self, dataset, tmp_path, capsys
+    ):
+        # Each export is narrowed before the union, so Headway, text in one
+        # file and real in the other, never meets the union's kind check.
+        src = _edited_copy(dataset, tmp_path / "in", "Headway", lambda v, r: "n/a",
+                           only="site_2.csv")
+        headway = [
+            infer_column_types(parse_csv((d / "site_2.csv").read_bytes())).column("Headway")
+            for d in (dataset, src)
+        ]
+        assert [c.ctype.value for c in headway] == ["real", "text"]
+        answers = []
+        for d in (dataset, src):
+            out = tmp_path / f"o_{d.name}"
+            run_ok(["run", "dwr1.json", "--input", f"ds1_1={d}/site_1.csv",
+                    "--input", f"ds1_2={d}/site_2.csv", "--input", f"ds1_3={d}/sites.csv",
+                    "--out", str(out)], capsys)
+            answers.append((out / "journey_time_s.csv").read_bytes())
+        assert answers[0] == answers[1]
+
+    def test_dwr1_export_without_speed_fails_at_its_select_listing_the_header(
+        self, dataset, tmp_path, capsys
+    ):
+        src = tmp_path / "in"
+        src.mkdir()
+        for name in ("site_2.csv", "sites.csv"):
+            (src / name).write_bytes((dataset / name).read_bytes())
+        lines = (dataset / "site_1.csv").read_text().split("\n")
+        at = lines[0].split(",").index('"Speed"')
+        for r, line in enumerate(lines):
+            if line:
+                fields = line.split(",")
+                del fields[at]
+                lines[r] = ",".join(fields)
+        (src / "site_1.csv").write_text("\n".join(lines))
+        code = main(["run", "dwr1.json", "--input", f"ds1_1={src}/site_1.csv",
+                     "--input", f"ds1_2={src}/site_2.csv", "--input", f"ds1_3={src}/sites.csv",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        header = ", ".join(parse_csv((src / "site_1.csv").read_bytes()).column_names)
+        assert capsys.readouterr().err == (
+            f"workflow error: node 'keep_1' failed: no column 'Speed' (have: {header})\n"
+        )
+
+    def test_run_reads_the_planned_columns_and_op_reads_all(self, dataset, tmp_path,
+                                                            capsys, monkeypatch):
+        reads = []
+
+        def spy(data, columns=None):
+            reads.append(columns)
+            return parse_csv(data, columns)
+
+        monkeypatch.setattr(cli, "parse_csv", spy)
+        run_ok(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
+                "--input", f"ds1_2={dataset}/site_2.csv", "--input", f"ds1_3={dataset}/sites.csv",
+                "--out", str(tmp_path / "o")], capsys)
+        kept = frozenset({"Site ID", "Date", "Direction Name", "Speed"})
+        assert reads == [kept, kept, None]
+        reads.clear()
+        run_ok(["op", "relops.select_columns", "--table", f"{dataset}/site_1.csv",
+                "--params", '{"names": ["Speed"]}', "--out", str(tmp_path / "s.csv")], capsys)
+        assert reads == [None]
+
+    def test_repeated_kept_name_is_exit_3_before_any_input_is_read(self, tmp_path, capsys):
+        flow = _one_node_flow("relops.select_columns", {"names": ["Speed", "Speed"]})
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(flow))
+        code = main(["run", str(path), "--input", f"x={tmp_path}/missing.csv",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "workflow error: node 'n': param 'names' repeats 'Speed'\n"
+        )
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_cyclic_collector_as_it_found_it(

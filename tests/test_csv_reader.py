@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import itertools
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -205,6 +206,53 @@ class TestParseDifferential:
         for block_chars in range(1, len(data) + 2):
             with mock.patch.object(table, "_BLOCK_CHARS", block_chars):
                 assert typed(parse_csv(data)) == typed(expected), block_chars
+
+
+def projected(data: bytes, columns: frozenset[str]):
+    """The full read of ``data`` narrowed to ``columns`` in header order, as
+    parse_csv's ``columns`` promises: all columns when the header lacks a name."""
+    t = parse_csv(data)
+    if not columns <= set(t.column_names):
+        return t
+    return table.Table(tuple(c for c in t.columns if c.name in columns))
+
+
+# Header names csv_bytes writes, a quoted one's content, and one it never writes.
+_READ_NAMES = st.frozensets(st.sampled_from(["c0", "c1", "c2", "c3", "c,1", "zz"]))
+
+
+class TestReadSomeColumns:
+    """A read of some columns equals the full read narrowed to them, typed
+    tables and errors alike."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_bytes(), _READ_NAMES, st.sampled_from([1, 2, 3, 13, table._BLOCK_CHARS]))
+    @example(b'c0,c1\nx"y,2\n', frozenset({"c1"}), table._BLOCK_CHARS)  # stray quote, dropped
+    @example(b'c0,c1\n"1,2",x\n', frozenset({"c1"}), table._BLOCK_CHARS)  # quoted comma, dropped
+    @example(b"c0,c1,c2\n1\n2,3\n", frozenset({"c2"}), table._BLOCK_CHARS)  # short rows
+    @example(b"c0,c1\n1,2,3\n", frozenset({"c0"}), table._BLOCK_CHARS)  # a long row
+    @example(b"c0,c1\r\n1,2\r\n", frozenset({"c1"}), table._BLOCK_CHARS)  # CRLF
+    @example(BOM + b"c0,c1\n1,2\n", frozenset({"c0"}), table._BLOCK_CHARS)  # BOM
+    @example(b"c0,c1\n1,2\n", frozenset({"c0", "zz"}), table._BLOCK_CHARS)  # missing name
+    @example(b"c0,c1\n1,2\n", frozenset(), table._BLOCK_CHARS)  # no columns
+    @example(b"c0,c1\n", frozenset({"c1"}), table._BLOCK_CHARS)  # header only
+    @example(TRAFFIC, frozenset({"Site ID", "Speed"}), 40)
+    def test_equals_the_full_read_narrowed(self, data, columns, block_chars):
+        with mock.patch.object(table, "_BLOCK_CHARS", block_chars):
+            assert read(partial(parse_csv, columns=columns), infer_column_types, data) == read(
+                partial(projected, columns=columns), infer_column_types, data
+            )
+
+    def test_every_column_is_checked_and_only_the_kept_are_built(self, tmp_path):
+        paths = generate(GenConfig(seed=3, sites=2, rows_per_site=300), tmp_path)
+        text = paths[0].read_text("utf-8-sig")
+        width = text.count(",", 0, text.index("\n")) + 1
+        with mock.patch.object(
+            table, "_unquote_column", wraps=table._unquote_column
+        ) as unquote:
+            t = table._parse_columns(text, frozenset({"Speed", "Site ID"}))
+        assert t.column_names == ("Site ID", "Speed")
+        assert unquote.call_count == width
 
 
 class TestColumnPathTaken:

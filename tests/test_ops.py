@@ -219,6 +219,16 @@ def test_rejection_message(op, params, message):
     assert str(err.value) == message
 
 
+def test_a_repeated_name_is_refused_only_where_it_is_kept():
+    # A kept name twice would build a table with a duplicate column.
+    select = get_op("relops.select_columns")
+    with pytest.raises(InvalidNode) as err:
+        select.bind({"names": ["a", "b", "a"]})
+    assert str(err.value) == "param 'names' repeats 'a'"
+    assert select.bind({"names": ["a", "a"], "mode": "drop"}) == {
+        "names": ["a", "a"], "mode": "drop"}
+
+
 def test_unknown_params_are_reported_before_bad_ones():
     with pytest.raises(InvalidNode) as err:
         get_op("relops.filter").bind({"predicate": "k >=", "x": 1})

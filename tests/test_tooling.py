@@ -4,7 +4,8 @@ The package has no runtime dependencies: every absolute import in
 ``src/wrangle`` names a standard-library module. The independent oracles in
 ``tests/oracles.py`` import nothing from the package they check. The
 package works on whole columns: no module in it iterates a table by rows.
-Every slow path kept in ``tests/slowpaths.py`` is used by some test.
+Every slow path kept in ``tests/slowpaths.py`` is used by some test. The
+bundled workflows read only the traffic columns they keep.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from wrangle.workflow import parse_workflow, read_columns
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wrangle"
@@ -75,3 +78,15 @@ def test_every_public_slow_path_is_named_in_a_test():
         path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("tests/test_*.py"))
     )
     assert [name for name in public if not re.search(rf"\b{name}\b", tests)] == []
+
+
+def test_bundled_workflows_read_only_the_traffic_columns_they_keep():
+    # An edit that puts another reader on a traffic input turns the narrowing
+    # off without changing any answer; this pin makes that visible.
+    def plan(name: str) -> dict:
+        return read_columns(parse_workflow((PACKAGE / "workflows" / name).read_bytes()))
+
+    dwr1 = frozenset({"Site ID", "Date", "Direction Name", "Speed"})
+    assert plan("dwr1.json") == {"ds1_1": dwr1, "ds1_2": dwr1, "ds1_3": None}
+    dwr2 = frozenset({"Site ID", "Date", "Speed"})
+    assert plan("dwr2.json") == {"ds2_1": dwr2, "ds2_2": None, "ds2_3": None}

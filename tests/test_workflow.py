@@ -25,6 +25,7 @@ from wrangle.workflow import (
     execute,
     parse_workflow,
     random_keys,
+    read_columns,
     sequential_keys,
     topo_schedule,
 )
@@ -56,9 +57,9 @@ def filter_node(node_id, source, predicate="k >= 0"):
 
 
 class TestParseWorkflow:
-    def test_bundled_dwr1_validates_with_thirteen_nodes(self):
+    def test_bundled_dwr1_validates_with_fourteen_nodes(self):
         spec = parse_workflow(bundled("dwr1.json"))
-        assert len(spec.nodes) == 13
+        assert len(spec.nodes) == 14
         assert spec.outputs[0].name == "journey_time_s"
 
     def test_bundled_dwr2_validates(self):
@@ -154,6 +155,53 @@ class TestParseWorkflow:
     def test_output_reference_checked(self):
         with pytest.raises(DanglingReference):
             parse_workflow(wf([], outputs=[{"name": "y", "from": "nope.out"}]))
+
+
+def select_node(node_id, source, names, mode="keep"):
+    return {
+        "id": node_id,
+        "op": "relops.select_columns",
+        "inputs": {"in": source},
+        "params": {"names": names, "mode": mode},
+    }
+
+
+class TestReadColumns:
+    """The plan narrows a CSV input only when every reader keeps named columns."""
+
+    def test_one_keep_select_gives_its_names(self):
+        spec = parse_workflow(wf([select_node("k", "$inputs.x", ["a", "b"])]))
+        assert read_columns(spec) == {"x": frozenset({"a", "b"})}
+
+    def test_two_keep_selects_give_the_union_of_their_names(self):
+        nodes = [
+            select_node("k1", "$inputs.x", ["a", "b"]),
+            select_node("k2", "$inputs.x", ["b", "c"]),
+        ]
+        assert read_columns(parse_workflow(wf(nodes))) == {"x": frozenset({"a", "b", "c"})}
+
+    def test_a_drop_select_reads_all_columns(self):
+        spec = parse_workflow(wf([select_node("d", "$inputs.x", ["a"], mode="drop")]))
+        assert read_columns(spec) == {"x": None}
+
+    def test_a_keep_select_beside_another_reader_reads_all_columns(self):
+        nodes = [select_node("k", "$inputs.x", ["a"]), filter_node("f", "$inputs.x")]
+        assert read_columns(parse_workflow(wf(nodes))) == {"x": None}
+
+    def test_an_output_naming_the_input_reads_all_columns(self):
+        spec = parse_workflow(
+            wf(
+                [select_node("k", "$inputs.x", ["a"])],
+                outputs=[{"name": "raw", "from": "$inputs.x"}],
+            )
+        )
+        assert read_columns(spec) == {"x": None}
+
+    def test_a_weather_input_is_never_narrowed(self):
+        inputs = [{"name": "x", "kind": "table-csv"}, {"name": "w", "kind": "weather-json"}]
+        node = {"id": "f", "op": "weather.flatten", "inputs": {"in": "$inputs.w"}}
+        spec = parse_workflow(wf([node], inputs=inputs))
+        assert read_columns(spec) == {"x": frozenset(), "w": None}
 
 
 class TestToposchedule:
