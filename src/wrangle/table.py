@@ -37,7 +37,11 @@ reader builds only those, so only those are typed; it still checks every
 line's width and every column's quoting, so a file fails as it would whole.
 The writer formats a block of rows at a time, each column's slice whole by
 its kind, and writes the same bytes as formatting cell by cell (see
-:func:`write_csv`).
+:func:`write_csv`). Times and timestamps are assembled from a table of the
+two-digit strings ``"00"`` to ``"99"``, with each distinct day of a
+timestamp slice formatted once; a date slice with repeats formats each
+distinct date once. A time or timestamp slice holding an aware value goes
+cell by cell.
 A :class:`Column` checks its cells by their set of exact types, and walks
 them one by one only when that set holds a type outside the kind's.
 The slow paths these replaced are kept in ``tests/slowpaths.py`` as
@@ -52,6 +56,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch, UnknownColumn
@@ -252,12 +257,21 @@ def table_from_rows(
 # Cell text forms
 # ---------------------------------------------------------------------------
 
-def format_time(t: time) -> str:
-    """``HH:MM:SS``, plus two fractional digits when sub-second."""
-    base = f"{t.hour:02d}:{t.minute:02d}:{t.second:02d}"
+#: ``"00"`` to ``"99"``: the two-digit fields of the time text.
+_TWO_DIGITS = [f"{i:02d}" for i in range(100)]
+
+
+def format_time(t: time | datetime) -> str:
+    """``HH:MM:SS``, plus two fractional digits when sub-second.
+
+    The fraction is truncated to hundredths: 1 to 9,999 microseconds print
+    ``.00``. Of a datetime, the text of its time. The writer formats times
+    and timestamps with this too.
+    """
+    two = _TWO_DIGITS
     if t.microsecond:
-        return f"{base}.{t.microsecond // 10000:02d}"
-    return base
+        return f"{two[t.hour]}:{two[t.minute]}:{two[t.second]}.{two[t.microsecond // 10000]}"
+    return f"{two[t.hour]}:{two[t.minute]}:{two[t.second]}"
 
 
 def format_cell(value: Cell) -> str:
@@ -637,7 +651,10 @@ def write_csv(t: Table) -> bytes:
 
     Rows go out per block of :data:`_WRITE_BLOCK_ROWS`: each column's slice
     of the block is formatted whole by its kind (:func:`_format_slice`), and
-    the block's lines are joined with ``zip``. The bytes equal those of
+    the block's lines are joined with ``zip``. Times and timestamps are
+    built by :func:`format_time` from :data:`_TWO_DIGITS`, not by
+    ``datetime.__str__``, and dates with repeats are formatted once per
+    distinct date. The bytes equal those of
     :func:`_write_field` applied cell by cell, row by row, which
     ``tests/slowpaths.py`` keeps as the oracle ``row_wise_write_csv``.
     """
@@ -651,7 +668,16 @@ def write_csv(t: Table) -> bytes:
 
 
 def _format_slice(ctype: CType, cells: tuple[Cell, ...]) -> Iterable[str]:
-    """The written fields of a slice of a ``ctype`` column, as :func:`_write_field` gives them."""
+    """The written fields of a slice of a ``ctype`` column, as :func:`_write_field` gives them.
+
+    A text slice with no null, no empty string and nothing to quote is
+    returned as it is. Any other kind's non-null cells go to its entry in
+    :data:`_FORMATTERS`: ``str``, ``repr`` or a lookup for ints, reals and
+    bools; a memo of each distinct date when a date slice repeats; and
+    :func:`format_time` for naive times and timestamps, after one
+    ``"YYYY-MM-DD "`` per distinct day. A time or timestamp slice holding
+    an aware value goes cell by cell through :func:`format_cell`.
+    """
     if ctype is CType.TEXT:
         plain = None not in cells and "" not in cells
         if plain and not re.search(_NEEDS_QUOTES, "".join(cells)):  # type: ignore[arg-type]
@@ -664,18 +690,37 @@ def _format_slice(ctype: CType, cells: tuple[Cell, ...]) -> Iterable[str]:
     return ["" if v is None else step() for v in cells]
 
 
+def _naive(values: Sequence[datetime] | Sequence[time]) -> bool:
+    """Whether no value carries a ``tzinfo``: one pass over the slice, in C."""
+    return {None}.issuperset(map(attrgetter("tzinfo"), values))
+
+
 def _format_timestamps(values: Sequence[datetime]) -> Iterable[str]:
-    # The first 22 chars keep two fractional digits, as format_time does;
-    # an aware value's offset would survive them, so aware slices go per cell.
-    if not all(v.tzinfo is None for v in values):
+    """:func:`format_cell`'s text, each distinct day formatted once.
+
+    A slice holding an aware value goes cell by cell through
+    :func:`format_cell`, which stays the one definition of an aware value's
+    text.
+    """
+    if not _naive(values):
         return map(format_cell, values)
-    return [s[:22] for s in map(datetime.__str__, values)]
+    days = {d: f"{d.isoformat()} " for d in {v.date() for v in values}}
+    return [days[v.date()] + format_time(v) for v in values]
 
 
 def _format_times(values: Sequence[time]) -> Iterable[str]:
-    if not all(v.tzinfo is None for v in values):
+    """:func:`format_time`'s text; a slice holding an aware value goes per cell."""
+    if not _naive(values):
         return map(format_cell, values)
-    return [s[:11] for s in map(time.isoformat, values)]
+    return map(format_time, values)
+
+
+def _format_dates(values: Sequence[date]) -> Iterable[str]:
+    """``date.isoformat`` of each value; with repeats, of each distinct date once."""
+    distinct = set(values)
+    if 2 * len(distinct) <= len(values):
+        return map(dict(zip(distinct, map(date.isoformat, distinct))).__getitem__, values)
+    return map(date.isoformat, values)
 
 
 #: Per non-text kind, the text forms of a slice of non-null cells, each
@@ -684,7 +729,7 @@ _FORMATTERS: dict[CType, Callable[[Sequence], Iterable[str]]] = {
     CType.INT: partial(map, str),
     CType.REAL: partial(map, repr),
     CType.BOOL: partial(map, {True: "true", False: "false"}.__getitem__),
-    CType.DATE: partial(map, date.isoformat),
+    CType.DATE: _format_dates,
     CType.TIMESTAMP: _format_timestamps,
     CType.TIME: _format_times,
 }

@@ -1,5 +1,6 @@
 """The block writer against the row-wise writer it replaced (kept in
-:mod:`slowpaths`): both must give the same bytes for every table."""
+:mod:`slowpaths`): both must give the same bytes for every table, and each
+kind's slice formatter the same fields as the per-cell writer."""
 
 from __future__ import annotations
 
@@ -100,6 +101,67 @@ class TestWriteDifferential:
     def test_plain_text_slice_is_written_as_is(self):
         cells = ("a", "b c", "'0001083")
         assert table._format_slice(CType.TEXT, cells) is cells
+
+
+class _Stamp(datetime):
+    """A datetime subclass: ``Column`` takes it through its per-cell check."""
+
+
+_NON_TEXT = [kind for kind in CType if kind is not CType.TEXT]
+_ONE_DAY = date(2018, 2, 1)
+
+
+@st.composite
+def slices(draw, max_cells: int = 12):
+    """A non-text kind and a slice of its cells with nulls, some with repeats."""
+    ctype = draw(st.sampled_from(_NON_TEXT))
+    values = _CELLS[ctype]
+    if draw(st.booleans()):  # few distinct values, so that most repeat
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+    return ctype, tuple(draw(st.lists(st.none() | values, max_size=max_cells)))
+
+
+def _stamps(*micros):
+    return tuple(datetime(2018, 2, 1, 7, 5, 9, us) for us in micros)
+
+
+class TestFormatSlice:
+    """Each kind's slice formatter on its own, against the per-cell writer."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(slices())
+    @example((CType.TIMESTAMP, (datetime(2018, 11, 4, 1, 30, fold=1), None)))
+    @example((CType.TIME, (time(1, 30, 15, 180_000, fold=1),)))
+    @example((CType.TIMESTAMP, _stamps(1, 9_999, 10_000, 999_999, 0)))
+    @example((CType.TIME, tuple(t.time() for t in _stamps(1, 9_999, 10_000, 999_999, 0))))
+    @example((CType.TIMESTAMP, (datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999_999))))
+    @example((CType.DATE, (date(1, 1, 1), date(9999, 12, 31))))
+    @example((CType.DATE, (_ONE_DAY, None, _ONE_DAY, date(1, 1, 1), date(1, 1, 1))))  # memo
+    @example((CType.DATE, (_ONE_DAY, date(2018, 2, 2), date(2018, 2, 3), None)))  # no repeat
+    @example((CType.TIMESTAMP, (*_stamps(0, 5), datetime(2018, 2, 2), *_stamps(180_000))))
+    @example((CType.TIMESTAMP, (_stamps(5)[0], datetime(2018, 2, 1, tzinfo=timezone.utc))))
+    @example((CType.TIME, (time(7, 5), time(7, 5, 0, 5, timezone.utc), None)))
+    @example((CType.TIMESTAMP, (_Stamp(2018, 2, 1, 7, 5, 9, 180_000), _stamps(0)[0])))
+    @example((CType.INT, (None, None)))
+    @example((CType.TIMESTAMP, ()))
+    def test_equals_the_per_cell_fields(self, ctype_cells):
+        ctype, cells = ctype_cells
+        Column("x", ctype, cells)  # a slice any column could hold
+        got = list(table._format_slice(ctype, cells))
+        assert got == [slowpaths._write_field(v) for v in cells]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_with_micros(st.datetimes()))
+    @example(datetime(1, 1, 1))
+    @example(datetime(9999, 12, 31, 23, 59, 59, 999_999, fold=1))
+    @example(datetime(2018, 2, 1, 0, 0, 1, 1))
+    @example(datetime(2018, 2, 1, 0, 0, 1, 9_999))
+    @example(datetime(2018, 2, 1, 0, 0, 1, 10_000))
+    def test_time_text_is_the_naive_str_cut_to_hundredths(self, v):
+        # The writer shares format_time with the per-cell writer, so the text
+        # is pinned here against ``str``, which the writer once cut.
+        assert table.format_cell(v) == str(v)[:22]
+        assert table.format_cell(v.time()) == str(v.time())[:11]
 
 
 class TestMemory:

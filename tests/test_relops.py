@@ -304,6 +304,15 @@ class TestGroupSummarise:
         got = relops.group_summarise(t, ["g"], [AggSpec("m", "mean", "v")])
         assert got.column("m").cells == (12.5,)
 
+    def test_sum_and_mean_add_left_to_right_on_every_python(self):
+        # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum ends at 0.0;
+        # the compensated sum() of Python 3.12+ would give 1.0.
+        t = table_from_rows(["v"], [CType.REAL], [[1e16], [1.0], [-1e16]])
+        aggs = [AggSpec("s", "sum", "v"), AggSpec("m", "mean", "v")]
+        got = relops.group_summarise(t, [], aggs)
+        assert got.column("s").cells == (0.0,)
+        assert got.column("m").cells == (0.0,)
+
     def test_all_null_target_gives_null(self):
         t = table_from_rows(["g", "v"], [CType.INT, CType.REAL], [[1, None]])
         got = relops.group_summarise(t, ["g"], [AggSpec("m", "mean", "v")])
