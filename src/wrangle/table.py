@@ -39,9 +39,8 @@ The writer formats a block of rows at a time, each column's slice whole by
 its kind, and writes the same bytes as formatting cell by cell (see
 :func:`write_csv`). Times and timestamps are assembled from a table of the
 two-digit strings ``"00"`` to ``"99"``, with each distinct day of a
-timestamp slice formatted once; a date slice with repeats formats each
-distinct date once. A time or timestamp slice holding an aware value goes
-cell by cell.
+timestamp slice formatted once, and a date slice formats each distinct date
+once.
 A :class:`Column` checks its cells by their set of exact types, and walks
 them one by one only when that set holds a type outside the kind's.
 The slow paths these replaced are kept in ``tests/slowpaths.py`` as
@@ -56,7 +55,6 @@ import sys
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch, UnknownColumn
@@ -653,8 +651,8 @@ def write_csv(t: Table) -> bytes:
     of the block is formatted whole by its kind (:func:`_format_slice`), and
     the block's lines are joined with ``zip``. Times and timestamps are
     built by :func:`format_time` from :data:`_TWO_DIGITS`, not by
-    ``datetime.__str__``, and dates with repeats are formatted once per
-    distinct date. The bytes equal those of
+    ``datetime.__str__``, and each distinct date of a slice is formatted
+    once. The bytes equal those of
     :func:`_write_field` applied cell by cell, row by row, which
     ``tests/slowpaths.py`` keeps as the oracle ``row_wise_write_csv``.
     """
@@ -673,10 +671,8 @@ def _format_slice(ctype: CType, cells: tuple[Cell, ...]) -> Iterable[str]:
     A text slice with no null, no empty string and nothing to quote is
     returned as it is. Any other kind's non-null cells go to its entry in
     :data:`_FORMATTERS`: ``str``, ``repr`` or a lookup for ints, reals and
-    bools; a memo of each distinct date when a date slice repeats; and
-    :func:`format_time` for naive times and timestamps, after one
-    ``"YYYY-MM-DD "`` per distinct day. A time or timestamp slice holding
-    an aware value goes cell by cell through :func:`format_cell`.
+    bools; a memo of each distinct date; and :func:`format_time` for times
+    and timestamps, after one ``"YYYY-MM-DD "`` per distinct day.
     """
     if ctype is CType.TEXT:
         plain = None not in cells and "" not in cells
@@ -690,37 +686,15 @@ def _format_slice(ctype: CType, cells: tuple[Cell, ...]) -> Iterable[str]:
     return ["" if v is None else step() for v in cells]
 
 
-def _naive(values: Sequence[datetime] | Sequence[time]) -> bool:
-    """Whether no value carries a ``tzinfo``: one pass over the slice, in C."""
-    return {None}.issuperset(map(attrgetter("tzinfo"), values))
-
-
 def _format_timestamps(values: Sequence[datetime]) -> Iterable[str]:
-    """:func:`format_cell`'s text, each distinct day formatted once.
-
-    A slice holding an aware value goes cell by cell through
-    :func:`format_cell`, which stays the one definition of an aware value's
-    text.
-    """
-    if not _naive(values):
-        return map(format_cell, values)
+    """:func:`format_cell`'s text, each distinct day formatted once."""
     days = {d: f"{d.isoformat()} " for d in {v.date() for v in values}}
     return [days[v.date()] + format_time(v) for v in values]
 
 
-def _format_times(values: Sequence[time]) -> Iterable[str]:
-    """:func:`format_time`'s text; a slice holding an aware value goes per cell."""
-    if not _naive(values):
-        return map(format_cell, values)
-    return map(format_time, values)
-
-
 def _format_dates(values: Sequence[date]) -> Iterable[str]:
-    """``date.isoformat`` of each value; with repeats, of each distinct date once."""
-    distinct = set(values)
-    if 2 * len(distinct) <= len(values):
-        return map(dict(zip(distinct, map(date.isoformat, distinct))).__getitem__, values)
-    return map(date.isoformat, values)
+    """``date.isoformat`` of each value, each distinct date formatted once."""
+    return map({d: d.isoformat() for d in set(values)}.__getitem__, values)
 
 
 #: Per non-text kind, the text forms of a slice of non-null cells, each
@@ -731,7 +705,7 @@ _FORMATTERS: dict[CType, Callable[[Sequence], Iterable[str]]] = {
     CType.BOOL: partial(map, {True: "true", False: "false"}.__getitem__),
     CType.DATE: _format_dates,
     CType.TIMESTAMP: _format_timestamps,
-    CType.TIME: _format_times,
+    CType.TIME: partial(map, format_time),
 }
 
 

@@ -150,6 +150,11 @@ class TestFormatSlice:
         got = list(table._format_slice(ctype, cells))
         assert got == [slowpaths._write_field(v) for v in cells]
 
+    def test_every_kind_but_text_has_a_slice_formatter(self):
+        # A kind added without a formatter fails here by name, not with a
+        # KeyError in whichever write first meets it.
+        assert set(table._FORMATTERS) == set(_NON_TEXT)
+
     @settings(max_examples=300, deadline=None)
     @given(_with_micros(st.datetimes()))
     @example(datetime(1, 1, 1))

@@ -5,8 +5,7 @@ The package has no runtime dependencies: every absolute import in
 ``tests/oracles.py`` import nothing from the package they check. The
 package works on whole columns: no module in it iterates a table by rows.
 Every slow path kept in ``tests/slowpaths.py`` is used by some test. The
-bundled workflows read only the traffic columns they keep. The CSV writer
-has a slice formatter for every kind but text.
+bundled workflows read only the traffic columns they keep.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from wrangle import table
 from wrangle.workflow import parse_workflow, read_columns
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,9 +90,3 @@ def test_bundled_workflows_read_only_the_traffic_columns_they_keep():
     assert plan("dwr1.json") == {"ds1_1": dwr1, "ds1_2": dwr1, "ds1_3": None}
     dwr2 = frozenset({"Site ID", "Date", "Speed"})
     assert plan("dwr2.json") == {"ds2_1": dwr2, "ds2_2": None, "ds2_3": None}
-
-
-def test_every_kind_but_text_has_a_slice_formatter():
-    # Every kind but text is written a slice at a time. A kind added without a
-    # formatter fails here by name, not in whichever write first meets it.
-    assert set(table._FORMATTERS) == set(table.CType) - {table.CType.TEXT}
