@@ -1,23 +1,29 @@
 """Expression grammars used in workflow params and CLI flags.
 
-Three small languages share one tokenizer:
+Row filters (predicates) and column arithmetic (mutate) share one grammar;
+aggregations have their own. One tokenizer serves both.
 
-Predicates (row filters)::
+Expressions::
 
     expr    := and_e ('or' and_e)*            # 'and' binds tighter than 'or'
     and_e   := clause ('and' clause)*
-    clause  := '(' expr ')'
-             | 'not' clause
-             | ident cmp literal
-             | ident 'in' '(' literal (',' literal)* ')'
-             | ident 'between' literal 'and' literal
-    cmp     := '==' | '!=' | '<' | '<=' | '>' | '>='
-
-Column arithmetic (mutate)::
-
+    clause  := 'not' clause
+             | sum [ cmp sum
+                   | 'in' '(' sum (',' sum)* ')'
+                   | 'between' sum 'and' sum ]
     sum     := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | number | ident | '(' sum ')'
+    factor  := '-' factor | literal | ident | '(' expr ')'
+    cmp     := '==' | '!=' | '<' | '<=' | '>' | '>='
+
+Every node is a truth (a comparison, ``in``, ``between``, ``not``, ``and``,
+``or``) or a value (a literal, a column, ``-`` or arithmetic). ``not``,
+``and`` and ``or`` take truths; comparisons and arithmetic take values. So a
+bare value stands as a clause only inside parentheses, as in
+``(a + b) / 2 > c``, and ``a and b > 1`` or ``(a > 1) + 2`` is a
+:class:`ParseError`. :func:`parse_predicate` reads a truth and
+:func:`parse_mutate` a value (a ``sum``). Columns may stand on either side
+of a comparison: ``Gap <= Headway``, ``5 < x``.
 
 Aggregations::
 
@@ -25,19 +31,23 @@ Aggregations::
 
 Identifiers are bare words or backtick-quoted to allow dots and spaces
 (`` `Site.ID` ``, `` `Direction Name` ``). Literals are numbers,
-single-quoted strings, ``#HH:MM[:SS]#`` times and ``#YYYY-MM-DD#`` dates.
+single-quoted strings, ``#HH:MM[:SS]#`` times and ``#YYYY-MM-DD#`` dates; a
+negative number is ``-`` applied to a number.
 
 Each AST has a canonical formatter and ``parse(format(e)) == e`` holds for
 any tree the parser can produce; a number literal that is not finite is a
 :class:`ParseError`, since it would format as ``inf``.
 
-Predicates and arithmetic are compiled, then evaluated. One walk of the AST
-against a table looks up every column the expression reads and raises
-:class:`UnknownColumn` or :class:`TypeMismatch` before any row is read. It
-returns a function that evaluates whole columns, node by node:
-:func:`compile_predicate` gives each row's truth, and ``and``/``or`` read
-their right side only on the rows the left side leaves open;
-:func:`compile_mutate` gives each row's value.
+Expressions are compiled, then evaluated. One walk of an operand against a
+table looks up every column it reads and gives the operand's kind and a
+function from row indices to its values. It raises :class:`UnknownColumn`
+or :class:`TypeMismatch` in tree order before any row is read: arithmetic
+needs int or real operands, and the two sides of a comparison need kinds
+that :func:`~wrangle.table.kinds_comparable` allows. :func:`compile_predicate`
+gives each row's truth, and ``and``/``or`` read their right side only on
+the rows the left side leaves open; :func:`compile_mutate` gives each row's
+value. A comparison with a null is false; arithmetic with a null, or a
+division by zero, gives null.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from typing import Callable, Sequence, Union
 from .errors import ParseError, TypeMismatch, UnknownColumn
 from .table import (
     Cell,
+    Column,
     CType,
     NUMERIC_KINDS,
     Table,
@@ -66,6 +77,10 @@ from .table import (
 LitValue = Union[int, float, str, date, time]
 
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_CLAUSE_OPS = (*COMPARE_OPS, "in", "between")
+# The tokens an operand starts with, and how a ParseError names them.
+_OPERAND_STARTS = ("number", "string", "hash", "ident", "(", "-")
+_OPERAND_EXPECTED = {"number", "string", "#...#", "ident", "(", "-"}
 AGG_FUNCS = ("mean", "sum", "count", "min", "max")
 
 _KEYWORDS = {"and", "or", "not", "in", "between"}
@@ -77,23 +92,50 @@ _BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Compare:
-    column: str
-    op: str
+class ColRef:
+    name: str
+
+
+@dataclass(frozen=True)
+class Lit:
     value: LitValue
 
 
 @dataclass(frozen=True)
+class BinOp:
+    op: str  # + - * /
+    left: "Operand"
+    right: "Operand"
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: "Operand"
+
+
+#: A value: what ``mutate`` computes and what a comparison compares.
+Operand = Union[ColRef, Lit, BinOp, Neg]
+MutateExpr = Operand
+
+
+@dataclass(frozen=True)
+class Compare:
+    left: Operand
+    op: str
+    right: Operand
+
+
+@dataclass(frozen=True)
 class InList:
-    column: str
-    values: tuple[LitValue, ...]
+    operand: Operand
+    values: tuple[Operand, ...]
 
 
 @dataclass(frozen=True)
 class Between:
-    column: str
-    lo: LitValue
-    hi: LitValue
+    operand: Operand
+    lo: Operand
+    hi: Operand
 
 
 @dataclass(frozen=True)
@@ -113,32 +155,9 @@ class Not:
     operand: "PredicateExpr"
 
 
+#: A truth: what a row filter tests.
 PredicateExpr = Union[Compare, InList, Between, And, Or, Not]
-
-
-@dataclass(frozen=True)
-class ColRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class NumLit:
-    value: int | float
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: "MutateExpr"
-    right: "MutateExpr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "MutateExpr"
-
-
-MutateExpr = Union[ColRef, NumLit, BinOp, Neg]
+Expr = Union[PredicateExpr, Operand]
 
 
 @dataclass(frozen=True)
@@ -232,6 +251,12 @@ def _number(body: str, pos: int) -> int | float:
     return num
 
 
+def _value(node: Expr, op: _Token) -> Operand:
+    if isinstance(node, PredicateExpr):
+        raise ParseError(f"'{op.kind}' takes values, not conditions", op.pos)
+    return node
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -262,97 +287,83 @@ class _Parser:
     def fail(self, expected: set[str]) -> ParseError:
         return ParseError(f"unexpected {self.current.kind}", self.current.pos, expected)
 
-    # -- shared pieces ------------------------------------------------------
-
-    def literal(self) -> LitValue:
-        tok = self.current
-        if tok.kind == "number":
-            self.advance()
-            return tok.value  # type: ignore[return-value]
-        if tok.kind == "-":
-            self.advance()
-            num = self.expect("number")
-            return -num.value  # type: ignore[operator]
-        if tok.kind in ("string", "hash"):
-            self.advance()
-            return tok.value  # type: ignore[return-value]
-        raise self.fail({"number", "string", "#...#"})
-
-    # -- predicate grammar --------------------------------------------------
-
-    def predicate(self) -> PredicateExpr:
-        node = self.and_expr()
-        while self.accept("or"):
-            node = Or(node, self.and_expr())
+    def truth(self, node: Expr) -> PredicateExpr:
+        """``node`` if it is a truth; a value must go on to a comparison."""
+        if not isinstance(node, PredicateExpr):
+            raise self.fail(set(_CLAUSE_OPS))
         return node
 
-    def and_expr(self) -> PredicateExpr:
-        node = self.clause()
-        while self.accept("and"):
-            node = And(node, self.clause())
+    def value(self, op: _Token) -> Operand:
+        """A sum that is a value, as an operand of ``op``."""
+        return _value(self.sum(), op)
+
+    # -- expression grammar -------------------------------------------------
+
+    def expr(self) -> Expr:
+        return self.connect("or", Or, self.and_expr)
+
+    def and_expr(self) -> Expr:
+        return self.connect("and", And, self.clause)
+
+    def connect(self, word, node_type, operand) -> Expr:
+        node = operand()
+        while self.current.kind == word:
+            left = self.truth(node)
+            self.advance()
+            node = node_type(left, self.truth(operand()))
         return node
 
-    def clause(self) -> PredicateExpr:
-        if self.accept("("):
-            node = self.predicate()
-            self.expect(")")
-            return node
+    def clause(self) -> Expr:
         if self.accept("not"):
-            return Not(self.clause())
-        tok = self.current
-        if tok.kind != "ident":
-            raise self.fail({"ident", "(", "not"})
-        self.advance()
-        column: str = tok.value  # type: ignore[assignment]
+            return Not(self.truth(self.clause()))
+        if self.current.kind not in _OPERAND_STARTS:
+            raise self.fail(_OPERAND_EXPECTED | {"not"})
+        node = self.sum()
         op = self.current
-        if op.kind in COMPARE_OPS:
-            self.advance()
-            return Compare(column, op.kind, self.literal())
-        if self.accept("in"):
+        if op.kind not in _CLAUSE_OPS:
+            return node
+        self.advance()
+        left = _value(node, op)
+        if op.kind == "in":
             self.expect("(")
-            values = [self.literal()]
+            values = [self.value(op)]
             while self.accept(","):
-                values.append(self.literal())
+                values.append(self.value(op))
             self.expect(")")
-            return InList(column, tuple(values))
-        if self.accept("between"):
-            lo = self.literal()
+            return InList(left, tuple(values))
+        if op.kind == "between":
+            lo = self.value(op)
             self.expect("and")
-            hi = self.literal()
-            return Between(column, lo, hi)
-        raise self.fail(set(COMPARE_OPS) | {"in", "between"})
+            return Between(left, lo, self.value(op))
+        return Compare(left, op.kind, self.value(op))
 
-    # -- mutate grammar -----------------------------------------------------
+    def sum(self) -> Expr:
+        return self.arithmetic(("+", "-"), self.term)
 
-    def mutate(self) -> MutateExpr:
-        node = self.term()
-        while self.current.kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
+    def term(self) -> Expr:
+        return self.arithmetic(("*", "/"), self.factor)
+
+    def arithmetic(self, ops, operand) -> Expr:
+        node = operand()
+        while self.current.kind in ops:
+            op = self.advance()
+            node = BinOp(op.kind, _value(node, op), _value(operand(), op))
         return node
 
-    def term(self) -> MutateExpr:
-        node = self.factor()
-        while self.current.kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> MutateExpr:
-        if self.accept("-"):
-            return Neg(self.factor())
+    def factor(self) -> Expr:
         tok = self.current
-        if tok.kind == "number":
-            self.advance()
-            return NumLit(tok.value)  # type: ignore[arg-type]
+        if tok.kind not in _OPERAND_STARTS:
+            raise self.fail(_OPERAND_EXPECTED)
+        self.advance()
+        if tok.kind == "-":
+            return Neg(_value(self.factor(), tok))
         if tok.kind == "ident":
-            self.advance()
             return ColRef(tok.value)  # type: ignore[arg-type]
-        if self.accept("("):
-            node = self.mutate()
+        if tok.kind == "(":
+            node = self.expr()
             self.expect(")")
             return node
-        raise self.fail({"number", "ident", "(", "-"})
+        return Lit(tok.value)  # type: ignore[arg-type]
 
     # -- aggregation grammar ------------------------------------------------
 
@@ -379,15 +390,17 @@ class _Parser:
 
 def parse_predicate(text: str) -> PredicateExpr:
     p = _Parser(text)
-    node = p.predicate()
+    node = p.truth(p.expr())
     p.expect("end")
     return node
 
 
 def parse_mutate(text: str) -> MutateExpr:
     p = _Parser(text)
-    node = p.mutate()
+    node = p.sum()
     p.expect("end")
+    if isinstance(node, PredicateExpr):
+        raise ParseError("a mutate expression is a value, not a condition", 0)
     return node
 
 
@@ -428,74 +441,46 @@ def _format_literal(value: LitValue) -> str:
     raise ValueError(f"unsupported literal {value!r}")
 
 
-def format_predicate(e: PredicateExpr) -> str:
-    if isinstance(e, Compare):
-        return f"{_format_ident(e.column)} {e.op} {_format_literal(e.value)}"
-    if isinstance(e, InList):
-        inner = ", ".join(_format_literal(v) for v in e.values)
-        return f"{_format_ident(e.column)} in ({inner})"
-    if isinstance(e, Between):
-        return (
-            f"{_format_ident(e.column)} between "
-            f"{_format_literal(e.lo)} and {_format_literal(e.hi)}"
-        )
-    if isinstance(e, Not):
-        inner = format_predicate(e.operand)
-        if isinstance(e.operand, (And, Or)):
-            inner = f"({inner})"
-        return f"not {inner}"
-    if isinstance(e, And):
-        left = format_predicate(e.left)
-        if isinstance(e.left, Or):
-            left = f"({left})"
-        right = format_predicate(e.right)
-        if isinstance(e.right, (And, Or)):
-            right = f"({right})"
-        return f"{left} and {right}"
-    if isinstance(e, Or):
-        left = format_predicate(e.left)
-        right = format_predicate(e.right)
-        if isinstance(e.right, Or):
-            right = f"({right})"
-        return f"{left} or {right}"
-    raise TypeError(f"not a predicate node: {e!r}")
+# How tightly each node binds: an operand that binds more loosely than its
+# place allows is printed in parentheses.
+_PREC = {Or: 0, And: 1, Not: 2, Compare: 3, InList: 3, Between: 3, Neg: 6, Lit: 7, ColRef: 7}
 
 
-_MUT_PREC = {BinOp: 0, Neg: 2, NumLit: 3, ColRef: 3}
-
-
-def _mut_prec(e: MutateExpr) -> int:
+def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
-        return 1 if e.op in ("+", "-") else 2
-    return _MUT_PREC[type(e)]
+        return 4 if e.op in ("+", "-") else 5
+    return _PREC[type(e)]
 
 
-def format_mutate(e: MutateExpr) -> str:
-    if isinstance(e, NumLit):
-        if isinstance(e.value, float):
-            return repr(e.value)
-        if e.value < 0:
-            raise ValueError("negative literals print as unary minus; use Neg")
-        return str(e.value)
+def _wrap(e: Expr, prec: int) -> str:
+    text = format_expr(e)
+    return f"({text})" if _prec(e) < prec else text
+
+
+def format_expr(e: Expr) -> str:
+    """The canonical text of a predicate or mutate expression."""
+    if isinstance(e, Lit):
+        return _format_literal(e.value)
     if isinstance(e, ColRef):
         return _format_ident(e.name)
     if isinstance(e, Neg):
-        inner = format_mutate(e.operand)
-        if isinstance(e.operand, (BinOp, Neg)):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        prec = _mut_prec(e)
-        left = format_mutate(e.left)
-        if _mut_prec(e.left) < prec:
-            left = f"({left})"
-        right = format_mutate(e.right)
-        if _mut_prec(e.right) < prec or (
-            isinstance(e.right, BinOp) and _mut_prec(e.right) == prec
-        ):
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not a mutate node: {e!r}")
+        return f"-{_wrap(e.operand, 7)}"
+    if isinstance(e, Not):
+        return f"not {_wrap(e.operand, 2)}"
+    if isinstance(e, Compare):
+        return f"{format_expr(e.left)} {e.op} {format_expr(e.right)}"
+    if isinstance(e, InList):
+        return f"{format_expr(e.operand)} in ({', '.join(map(format_expr, e.values))})"
+    if isinstance(e, Between):
+        return f"{format_expr(e.operand)} between {format_expr(e.lo)} and {format_expr(e.hi)}"
+    if isinstance(e, (And, Or, BinOp)):
+        # Left-associative: the right operand binds more tightly or is wrapped.
+        word = e.op if isinstance(e, BinOp) else type(e).__name__.lower()
+        return f"{_wrap(e.left, _prec(e))} {word} {_wrap(e.right, _prec(e) + 1)}"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+format_predicate = format_mutate = format_expr
 
 
 def format_agg(spec: AggSpec) -> str:
@@ -507,14 +492,6 @@ def format_agg(spec: AggSpec) -> str:
 # Compilation: checks first, then whole-column evaluation
 # ---------------------------------------------------------------------------
 
-def _check_compatible(column: str, kind: CType, value: LitValue) -> None:
-    if not kinds_comparable(kind, kind_of_value(value)):
-        raise TypeMismatch(
-            f"column '{column}' is {kind.value}, cannot compare with "
-            f"{kind_of_value(value).value} literal {value!r}"
-        )
-
-
 _CMP = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -524,7 +501,57 @@ _CMP = {
     ">=": operator.ge,
 }
 
+
+def _divide(a: int | float, b: int | float) -> float | None:
+    return None if b == 0 else a / b
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+Values = Callable[[Sequence[int]], list[Cell]]
 Truths = Callable[[Sequence[int]], list[bool]]
+
+
+def _noun(e: Operand) -> str:
+    """How an error message names ``e``."""
+    if isinstance(e, ColRef):
+        return f"column '{e.name}'"
+    if isinstance(e, Neg) and isinstance(e.operand, Lit):  # a negative number
+        return f"literal {-e.operand.value!r}"  # type: ignore[operator]
+    if isinstance(e, Lit):
+        return f"literal {e.value!r}"
+    return f"expression {format_expr(e)}"
+
+
+def _compile_operand(e: Operand, columns: dict[str, Column]) -> tuple[CType, Values]:
+    """The kind of ``e`` and a function giving its value at each row index."""
+    if isinstance(e, Lit):
+        value = e.value
+        return kind_of_value(value), lambda rows: [value] * len(rows)
+    if isinstance(e, ColRef):
+        if e.name not in columns:
+            raise UnknownColumn(f"no column '{e.name}'")
+        col = columns[e.name]
+        return col.ctype, lambda rows: list(map(col.cells.__getitem__, rows))
+    if isinstance(e, Neg):
+        kind, inner = _compile_number(e.operand, columns)
+        return kind, lambda rows: [None if v is None else -v for v in inner(rows)]
+    if isinstance(e, BinOp):
+        left_kind, left = _compile_number(e.left, columns)
+        right_kind, right = _compile_number(e.right, columns)
+        op = _ARITH[e.op]
+        ints = left_kind is right_kind is CType.INT and e.op != "/"
+        return CType.INT if ints else CType.REAL, lambda rows: [
+            None if a is None or b is None else op(a, b) for a, b in zip(left(rows), right(rows))
+        ]
+    raise TypeError(f"not an operand node: {e!r}")
+
+
+def _compile_number(e: Operand, columns: dict[str, Column]) -> tuple[CType, Values]:
+    kind, values = _compile_operand(e, columns)
+    if kind not in NUMERIC_KINDS:
+        raise TypeMismatch(f"{_noun(e)} is {kind.value}, arithmetic needs int or real")
+    return kind, values
 
 
 def compile_predicate(e: PredicateExpr, t: Table) -> Truths:
@@ -532,25 +559,29 @@ def compile_predicate(e: PredicateExpr, t: Table) -> Truths:
 
     Raises UnknownColumn/TypeMismatch in tree order before any row is read.
     The function gives the truth of ``e`` at each row it is given;
-    comparisons with a null cell are false.
+    comparisons with a null are false.
     """
     columns = {c.name: c for c in t.columns}
 
     def walk(e: PredicateExpr) -> Truths:
         # x in (a, b) compares as x == a or x == b, and lo <= x <= hi as
-        # x >= lo and x <= hi: the same cells, literals and order.
+        # x >= lo and x <= hi: the same values, compared in the same order.
         if isinstance(e, InList):
-            return walk(reduce(Or, (Compare(e.column, "==", v) for v in e.values)))
+            return walk(reduce(Or, (Compare(e.operand, "==", v) for v in e.values)))
         if isinstance(e, Between):
-            return walk(And(Compare(e.column, ">=", e.lo), Compare(e.column, "<=", e.hi)))
+            return walk(And(Compare(e.operand, ">=", e.lo), Compare(e.operand, "<=", e.hi)))
         if isinstance(e, Compare):
-            if e.column not in columns:
-                raise UnknownColumn(f"no column '{e.column}'")
-            col = columns[e.column]
-            _check_compatible(e.column, col.ctype, e.value)
-            cells, op, lit = col.cells, _CMP[e.op], e.value
+            left_kind, left = _compile_operand(e.left, columns)
+            right_kind, right = _compile_operand(e.right, columns)
+            if not kinds_comparable(left_kind, right_kind):
+                raise TypeMismatch(
+                    f"{_noun(e.left)} is {left_kind.value}, cannot compare with "
+                    f"{right_kind.value} {_noun(e.right)}"
+                )
+            op = _CMP[e.op]
             return lambda rows: [
-                v is not None and op(v, lit) for v in map(cells.__getitem__, rows)
+                a is not None and b is not None and op(a, b)
+                for a, b in zip(left(rows), right(rows))
             ]
         if isinstance(e, Not):
             inner = walk(e.operand)
@@ -570,49 +601,13 @@ def compile_predicate(e: PredicateExpr, t: Table) -> Truths:
     return walk(e)
 
 
-def _divide(a: int | float, b: int | float) -> float | None:
-    return None if b == 0 else a / b
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
-
-Values = Callable[[], Sequence[Cell]]
-
-
-def compile_mutate(e: MutateExpr, t: Table) -> Values:
+def compile_mutate(e: MutateExpr, t: Table) -> Callable[[], list[Cell]]:
     """Check ``e`` against ``t`` and compile it to the values of every row.
 
-    Each column ``e`` reads is checked in sorted name order before any row
-    is read (UnknownColumn, then TypeMismatch unless int or real). A null
-    operand or a division by zero makes that row's value null.
+    Raises UnknownColumn, or TypeMismatch unless ``e`` and each operand of
+    its arithmetic are int or real, in tree order before any row is read. A
+    null operand or a division by zero makes that row's value null.
     """
-    columns = {c.name: c for c in t.columns}
-    n = t.row_count
-    names: set[str] = set()
-
-    def walk(e: MutateExpr) -> Values:
-        if isinstance(e, NumLit):
-            value = e.value
-            return lambda: [value] * n
-        if isinstance(e, ColRef):
-            names.add(e.name)
-            return lambda: columns[e.name].cells
-        if isinstance(e, Neg):
-            inner = walk(e.operand)
-            return lambda: [None if v is None else -v for v in inner()]
-        if isinstance(e, BinOp):
-            left, right, op = walk(e.left), walk(e.right), _ARITH[e.op]
-            return lambda: [
-                None if a is None or b is None else op(a, b) for a, b in zip(left(), right())
-            ]
-        raise TypeError(f"not a mutate node: {e!r}")
-
-    values = walk(e)
-    for name in sorted(names):
-        if name not in columns:
-            raise UnknownColumn(f"no column '{name}'")
-        if columns[name].ctype not in NUMERIC_KINDS:
-            raise TypeMismatch(
-                f"column '{name}' is {columns[name].ctype.value}, arithmetic needs int or real"
-            )
-    return values
+    _, values = _compile_number(e, {c.name: c for c in t.columns})
+    rows = range(t.row_count)
+    return lambda: values(rows)

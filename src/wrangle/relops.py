@@ -79,6 +79,8 @@ def require(t: Table, p: PredicateExpr) -> Table:
     """Return ``t`` itself if every row meets ``p``.
 
     Raises :class:`RequirementFailed` at the first row that does not.
+    A requirement may relate the fields of a row: ``Gap <= Headway`` fails
+    at the first row whose gap exceeds its headway.
     Comparisons with a null cell are false, as in :func:`filter_rows`, so a
     null cell fails a requirement such as ``x > 0``. The columns ``p`` reads
     are checked before any row, so an empty table meets every predicate that

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import enum
 import re
-import sys
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from functools import partial
@@ -114,9 +113,18 @@ def _kind_or_none(value: object) -> CType | None:
     return None
 
 
+#: Kinds whose values may carry a UTC offset. The CSV dialect writes none,
+#: so a column of these kinds holds naive values only.
+_CLOCK_KINDS = frozenset({CType.TIME, CType.TIMESTAMP})
+
+
 def cell_matches(value: Cell, ctype: CType) -> bool:
-    """True if ``value`` is null or belongs to ``ctype``."""
-    return value is None or _kind_or_none(value) is ctype
+    """True if ``value`` is null or belongs to ``ctype`` (naive, if a time or timestamp)."""
+    if value is None:
+        return True
+    return _kind_or_none(value) is ctype and (
+        ctype not in _CLOCK_KINDS or value.tzinfo is None  # type: ignore[union-attr]
+    )
 
 
 def kinds_comparable(a: CType, b: CType) -> bool:
@@ -156,9 +164,10 @@ class Column:
     Construction checks every cell against ``ctype`` (see
     :func:`cell_matches`) and raises :class:`TypeMismatch` naming the first
     bad cell. A column whose cells' exact types all belong to the kind (or
-    are ``NoneType``) passes in one C-level pass over ``map(type, cells)``;
-    any other type, a subclass such as an ``IntEnum`` or a wrong kind,
-    sends the column cell by cell through :func:`cell_matches`.
+    are ``NoneType``) passes in one C-level pass over ``map(type, cells)``,
+    and for a time or timestamp one more pass that finds no ``tzinfo``;
+    any other type, a subclass such as an ``IntEnum``, a wrong kind or an
+    aware value, sends the column cell by cell through :func:`cell_matches`.
     """
 
     name: str
@@ -166,7 +175,10 @@ class Column:
     cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
-        if _EXACT_TYPES[self.ctype].issuperset(map(type, self.cells)):
+        if _EXACT_TYPES[self.ctype].issuperset(map(type, self.cells)) and (
+            self.ctype not in _CLOCK_KINDS
+            or all(v is None or v.tzinfo is None for v in self.cells)  # type: ignore[union-attr]
+        ):
             return
         for i, v in enumerate(self.cells):
             if not cell_matches(v, self.ctype):
@@ -788,26 +800,17 @@ def _infer_values(values: Sequence[str], joined: str) -> tuple[CType, list[Cell]
     return None
 
 
-# From Python 3.11, ``re`` has possessive repeats and ``fromisoformat``
-# reads a fraction of any length up to six digits.
-_PY311 = sys.version_info >= (3, 11)
-
-
 def _first_bad_line(form: str, joined: str) -> int:
     """Where the first line of ``joined`` that is not ``form`` starts, or -1.
 
-    From 3.11, one anchored match takes the lines in the form, each with
-    its newline, and ends where the first other line starts, unless that is
-    a last line in the form. Its repeat is possessive, so it keeps no state
-    per line (a greedy one holds some 700 bytes a line). Before 3.11, a
-    multiline search tries every character. The patterns compile on first
+    One anchored match takes the lines in the form, each with its newline,
+    and ends where the first other line starts, unless that is a last line
+    in the form. Its repeat is possessive, so it keeps no state per line (a
+    greedy one holds some 700 bytes a line). The patterns compile on first
     use; ``re`` caches them.
     """
-    if _PY311:
-        end = re.match(rf"(?:(?:{form})\n)*+", joined).end()  # type: ignore[union-attr]
-        return -1 if re.compile(form).fullmatch(joined, end) else end
-    m = re.search(rf"^(?!(?:{form})$)", joined, re.M)
-    return -1 if m is None else m.start()
+    end = re.match(rf"(?:(?:{form})\n)*+", joined).end()  # type: ignore[union-attr]
+    return -1 if re.compile(form).fullmatch(joined, end) else end
 
 
 def _line_at(joined: str, start: int) -> str:
@@ -859,20 +862,10 @@ def _to_bools(values: Sequence[str]) -> list[Cell] | None:
 
 
 def _from_iso(
-    fromisoformat: Callable[[str], Cell], whole: int
+    fromisoformat: Callable[[str], Cell]
 ) -> Callable[[Sequence[str]], list[Cell] | None]:
-    """Bulk ``fromisoformat`` of values whose first ``whole`` chars stop at the seconds.
-
-    Before 3.11, ``fromisoformat`` reads a fraction of three or six digits
-    only, so a fraction after them is padded to six.
-    """
-
-    def convert(values: Sequence[str]) -> list[Cell] | None:
-        if not _PY311:
-            values = [v if len(v) <= whole else v.ljust(whole + 7, "0") for v in values]
-        return list(map(fromisoformat, values))
-
-    return convert
+    """Bulk ``fromisoformat``, which reads a fraction of one to six digits."""
+    return lambda values: list(map(fromisoformat, values))
 
 
 _YMD = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
@@ -903,15 +896,15 @@ _KINDS = (
         CType.TIMESTAMP,
         parse_timestamp_text,
         f"{_YMD} {_HMS}",
-        _from_iso(datetime.fromisoformat, 19),
+        _from_iso(datetime.fromisoformat),
         None,
     ),
-    (CType.DATE, parse_date_text, _YMD, _from_iso(date.fromisoformat, 10), None),
+    (CType.DATE, parse_date_text, _YMD, _from_iso(date.fromisoformat), None),
     (
         CType.TIME,
         parse_time_text,
         r"[0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,2})?)?",
-        _from_iso(time.fromisoformat, 8),
+        _from_iso(time.fromisoformat),
         None,
     ),
     (CType.BOOL, parse_bool_text, "true|false", _to_bools, None),

@@ -24,7 +24,9 @@ bit-identical, not merely close.
   :func:`row_wise_mutate_column`: the ``relops`` operators as a dict built
   for every row and an AST walk per row. The columns an expression reads
   are found, checked and evaluated by three separate walks, as
-  ``wrangle.expr`` did before it compiled expressions.
+  ``wrangle.expr`` did before it compiled expressions; the walks take
+  operand trees on both sides of a comparison, and restate the compiler's
+  kind rules and error texts rather than call it.
 - :func:`char_loop_tokenize`: ``expr._tokenize`` as a loop that reads the
   text a character (or a delimited literal) at a time.
 """
@@ -54,16 +56,16 @@ from wrangle.expr import (
     ColRef,
     Compare,
     InList,
+    Lit,
     LitValue,
     MutateExpr,
     Neg,
     Not,
-    NumLit,
+    Operand,
     Or,
     PredicateExpr,
     _KEYWORDS,
     _Token,
-    _check_compatible,
     format_predicate,
 )
 from wrangle.spacetime import SpaceTimeParams
@@ -75,6 +77,8 @@ from wrangle.table import (
     Table,
     cell_matches,
     format_cell,
+    kind_of_value,
+    kinds_comparable,
     parse_bool_text,
     parse_date_text,
     parse_int_text,
@@ -379,44 +383,75 @@ def per_cell_filter_weekdays(t: Table, date_col: str, days: set[str]) -> Table:
     return hand_rolled_take(t, keep)
 
 
-def _predicate_columns(e: PredicateExpr) -> set[str]:
-    if isinstance(e, (Compare, InList, Between)):
-        return {e.column}
-    if isinstance(e, Not):
-        return _predicate_columns(e.operand)
-    return _predicate_columns(e.left) | _predicate_columns(e.right)
+def _parts(e: PredicateExpr | Operand) -> tuple:
+    """The subexpressions of ``e``, in tree order."""
+    if isinstance(e, Compare):
+        return (e.left, e.right)
+    if isinstance(e, InList):
+        return (e.operand, *e.values)
+    if isinstance(e, Between):
+        return (e.operand, e.lo, e.hi)
+    if isinstance(e, (Not, Neg)):
+        return (e.operand,)
+    if isinstance(e, (And, Or, BinOp)):
+        return (e.left, e.right)
+    return ()
 
 
-def _mutate_columns(e: MutateExpr) -> set[str]:
+def _columns(e: PredicateExpr | Operand) -> set[str]:
     if isinstance(e, ColRef):
         return {e.name}
-    if isinstance(e, NumLit):
-        return set()
+    return set().union(*map(_columns, _parts(e)))
+
+
+def _name(e: Operand) -> str:
+    """How an error message names an operand."""
+    if isinstance(e, ColRef):
+        return f"column '{e.name}'"
+    if isinstance(e, Lit):
+        return f"literal {e.value!r}"
+    if isinstance(e, Neg) and isinstance(e.operand, Lit):
+        return f"literal {-e.operand.value!r}"
+    return f"expression {format_predicate(e)}"
+
+
+def _check_operand(e: Operand, kinds: Mapping[str, CType]) -> CType:
+    """The kind of ``e``; raises UnknownColumn/TypeMismatch at its first bad part."""
+    if isinstance(e, Lit):
+        return kind_of_value(e.value)
+    if isinstance(e, ColRef):
+        if e.name not in kinds:
+            raise UnknownColumn(f"no column '{e.name}'")
+        return kinds[e.name]
     if isinstance(e, Neg):
-        return _mutate_columns(e.operand)
-    return _mutate_columns(e.left) | _mutate_columns(e.right)
+        return _check_number(e.operand, kinds)
+    left, right = _check_number(e.left, kinds), _check_number(e.right, kinds)
+    return CType.INT if left == right == CType.INT and e.op != "/" else CType.REAL
+
+
+def _check_number(e: Operand, kinds: Mapping[str, CType]) -> CType:
+    kind = _check_operand(e, kinds)
+    if kind not in NUMERIC_KINDS:
+        raise TypeMismatch(f"{_name(e)} is {kind.value}, arithmetic needs int or real")
+    return kind
 
 
 def _check_predicate(e: PredicateExpr, kinds: Mapping[str, CType]) -> None:
     """Raise UnknownColumn/TypeMismatch unless e can evaluate against kinds."""
     if isinstance(e, (Compare, InList, Between)):
-        if e.column not in kinds:
-            raise UnknownColumn(f"no column '{e.column}'")
-        kind = kinds[e.column]
-        if isinstance(e, Compare):
-            _check_compatible(e.column, kind, e.value)
-        elif isinstance(e, InList):
-            for v in e.values:
-                _check_compatible(e.column, kind, v)
-        else:
-            _check_compatible(e.column, kind, e.lo)
-            _check_compatible(e.column, kind, e.hi)
+        # One comparison per right side: x in (a, b) is x == a, then x == b.
+        left, *rights = _parts(e)
+        for right in rights:
+            left_kind = _check_operand(left, kinds)
+            right_kind = _check_operand(right, kinds)
+            if not kinds_comparable(left_kind, right_kind):
+                raise TypeMismatch(
+                    f"{_name(left)} is {left_kind.value}, cannot compare with "
+                    f"{right_kind.value} {_name(right)}"
+                )
         return
-    if isinstance(e, Not):
-        _check_predicate(e.operand, kinds)
-        return
-    _check_predicate(e.left, kinds)
-    _check_predicate(e.right, kinds)
+    for part in _parts(e):
+        _check_predicate(part, kinds)
 
 
 _CMP = {
@@ -429,23 +464,25 @@ _CMP = {
 }
 
 
+def _compare(op: str, a: Cell, b: Cell) -> bool:
+    """A comparison with a null is false."""
+    if a is None or b is None:
+        return False
+    return _CMP[op](a, b)
+
+
 def _eval_predicate(e: PredicateExpr, row: Mapping[str, Cell]) -> bool:
-    """Evaluate against one row; comparisons with a null cell are false."""
+    """Evaluate against one row."""
     if isinstance(e, Compare):
-        cell = row[e.column]
-        if cell is None:
-            return False
-        return _CMP[e.op](cell, e.value)
+        return _compare(e.op, _eval_operand(e.left, row), _eval_operand(e.right, row))
     if isinstance(e, InList):
-        cell = row[e.column]
-        if cell is None:
-            return False
-        return any(cell == v for v in e.values)
+        v = _eval_operand(e.operand, row)
+        return any(_compare("==", v, _eval_operand(x, row)) for x in e.values)
     if isinstance(e, Between):
-        cell = row[e.column]
-        if cell is None:
-            return False
-        return e.lo <= cell <= e.hi
+        v = _eval_operand(e.operand, row)
+        return _compare(">=", v, _eval_operand(e.lo, row)) and _compare(
+            "<=", v, _eval_operand(e.hi, row)
+        )
     if isinstance(e, Not):
         return not _eval_predicate(e.operand, row)
     if isinstance(e, And):
@@ -455,29 +492,18 @@ def _eval_predicate(e: PredicateExpr, row: Mapping[str, Cell]) -> bool:
     raise TypeError(f"not a predicate node: {e!r}")
 
 
-def _check_mutate(e: MutateExpr, kinds: Mapping[str, CType]) -> None:
-    for name in sorted(_mutate_columns(e)):
-        if name not in kinds:
-            raise UnknownColumn(f"no column '{name}'")
-        if kinds[name] not in NUMERIC_KINDS:
-            raise TypeMismatch(
-                f"column '{name}' is {kinds[name].value}, arithmetic needs int or real"
-            )
-
-
-def _eval_mutate(e: MutateExpr, row: Mapping[str, Cell]) -> float | None:
+def _eval_operand(e: Operand, row: Mapping[str, Cell]) -> Cell:
     """Row-wise arithmetic; null operands and division by zero yield null."""
-    if isinstance(e, NumLit):
+    if isinstance(e, Lit):
         return e.value
     if isinstance(e, ColRef):
-        v = row[e.name]
-        return v  # type: ignore[return-value]
+        return row[e.name]
     if isinstance(e, Neg):
-        v = _eval_mutate(e.operand, row)
+        v = _eval_operand(e.operand, row)
         return None if v is None else -v
     if isinstance(e, BinOp):
-        left = _eval_mutate(e.left, row)
-        right = _eval_mutate(e.right, row)
+        left = _eval_operand(e.left, row)
+        right = _eval_operand(e.right, row)
         if left is None or right is None:
             return None
         if e.op == "+":
@@ -489,21 +515,23 @@ def _eval_mutate(e: MutateExpr, row: Mapping[str, Cell]) -> float | None:
         if right == 0:
             return None
         return left / right
-    raise TypeError(f"not a mutate node: {e!r}")
+    raise TypeError(f"not an operand node: {e!r}")
 
 
 def _kinds(t: Table) -> dict[str, CType]:
     return {c.name: c.ctype for c in t.columns}
 
 
+def _rows(t: Table, e: PredicateExpr | Operand) -> Iterator[dict[str, Cell]]:
+    """Each row as a dict of the columns ``e`` reads."""
+    cols = {name: t.column(name).cells for name in _columns(e)}
+    return ({name: cells[i] for name, cells in cols.items()} for i in range(t.row_count))
+
+
 def _truths(t: Table, p: PredicateExpr) -> Iterator[bool]:
     """``p`` of each row in order; the columns are checked before any row."""
     _check_predicate(p, _kinds(t))
-    cols = {name: t.column(name).cells for name in _predicate_columns(p)}
-    return (
-        _eval_predicate(p, {name: cells[i] for name, cells in cols.items()})
-        for i in range(t.row_count)
-    )
+    return (_eval_predicate(p, row) for row in _rows(t, p))
 
 
 def row_wise_filter_rows(t: Table, p: PredicateExpr) -> Table:
@@ -521,11 +549,10 @@ def row_wise_require(t: Table, p: PredicateExpr) -> Table:
 
 def row_wise_mutate_column(t: Table, name: str, e: MutateExpr) -> Table:
     """``relops.mutate_column`` as ``e`` walked once per row."""
-    _check_mutate(e, _kinds(t))
-    cols = {n: t.column(n).cells for n in _mutate_columns(e)}
+    _check_number(e, _kinds(t))
     cells = []
-    for i in range(t.row_count):
-        v = _eval_mutate(e, {n: c[i] for n, c in cols.items()})
+    for row in _rows(t, e):
+        v = _eval_operand(e, row)
         cells.append(None if v is None else float(v))
     new_col = Column._unchecked(name, CType.REAL, tuple(cells))
     if t.has_column(name):

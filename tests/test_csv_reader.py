@@ -379,17 +379,6 @@ class TestInferDifferential:
             slowpaths.per_cell_infer_column_types, cells
         )
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 12).flatmap(column_cells))
-    @example(["2018-02-01 00:00:01.5", "2018-02-01 7:05:00"])
-    @example(["00:00:01.18", "00:00:01"])
-    def test_equals_per_cell_as_before_python_3_11(self, cells):
-        # A multiline search finds the first bad line; fractions are padded.
-        with mock.patch.object(table, "_PY311", False):
-            assert _infer_outcome(infer_column_types, cells) == _infer_outcome(
-                slowpaths.per_cell_infer_column_types, cells
-            )
-
     def test_a_million_lines_in_one_match(self):
         form = f"{table._YMD} {table._HMS}"  # a timestamp
         lines = ["2018-02-01 00:03:35.23"] * 1_000_000

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import slowpaths
 from wrangle import table
+from wrangle.errors import TypeMismatch
 from wrangle.gen import GenConfig, generate
 from wrangle.table import Column, CType, Table, infer_column_types, parse_csv, write_csv
 
@@ -30,6 +31,12 @@ def _with_micros(values):
     return st.builds(lambda v, us: v.replace(microsecond=us), values, _MICROS)
 
 
+_AWARE = {
+    CType.TIME: _with_micros(st.times(timezones=_ZONES)),
+    CType.TIMESTAMP: _with_micros(st.datetimes(timezones=_ZONES)),
+}
+
+
 _CELLS = {
     CType.TEXT: st.sampled_from(["", "a", "a,b", 'say "hi"', "l1\nl2", "\r", "x\r\ny", "é", "None"])
     | st.text(max_size=5),
@@ -38,8 +45,8 @@ _CELLS = {
     | st.floats(),
     CType.BOOL: st.booleans(),
     CType.DATE: st.dates(),
-    CType.TIME: _with_micros(st.times(timezones=st.none() | _ZONES)),
-    CType.TIMESTAMP: _with_micros(st.datetimes(timezones=st.none() | _ZONES)),
+    CType.TIME: _with_micros(st.times()),
+    CType.TIMESTAMP: _with_micros(st.datetimes()),
 }
 _NAMES = st.sampled_from(["a", "b", "", "c,d", 'q"t', "l\nm", "x y", "é"]) | st.text(max_size=3)
 
@@ -72,10 +79,6 @@ class TestWriteDifferential:
     @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, 0, 0, 1, 5)]), 1)
     @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, 23, 59, 59, 999_999)]), 1)
     @example(_column(CType.TIME, [time(0, 0, 1, 5), time(23, 59, 59, 999_999)]), 1)
-    @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, tzinfo=timezone.utc)]), 1)
-    @example(_column(CType.TIMESTAMP, [datetime(2018, 2, 1, 0, 0, 0, 5, timezone.utc)]), 1)
-    @example(_column(CType.TIME, [time(7, 5, tzinfo=timezone.utc), time(7, 5)]), 2)
-    @example(_column(CType.TIME, [time(7, 5, 0, 180_000, timezone.utc)]), 1)
     @example(_column(CType.REAL, [math.nan, math.inf, -math.inf, -0.0, None]), 5)
     @example(_column(CType.INT, [*_INT64, None]), 2)
     @example(_column(CType.BOOL, [True, None, False]), 3)
@@ -139,8 +142,6 @@ class TestFormatSlice:
     @example((CType.DATE, (_ONE_DAY, None, _ONE_DAY, date(1, 1, 1), date(1, 1, 1))))  # memo
     @example((CType.DATE, (_ONE_DAY, date(2018, 2, 2), date(2018, 2, 3), None)))  # no repeat
     @example((CType.TIMESTAMP, (*_stamps(0, 5), datetime(2018, 2, 2), *_stamps(180_000))))
-    @example((CType.TIMESTAMP, (_stamps(5)[0], datetime(2018, 2, 1, tzinfo=timezone.utc))))
-    @example((CType.TIME, (time(7, 5), time(7, 5, 0, 5, timezone.utc), None)))
     @example((CType.TIMESTAMP, (_Stamp(2018, 2, 1, 7, 5, 9, 180_000), _stamps(0)[0])))
     @example((CType.INT, (None, None)))
     @example((CType.TIMESTAMP, ()))
@@ -167,6 +168,35 @@ class TestFormatSlice:
         # is pinned here against ``str``, which the writer once cut.
         assert table.format_cell(v) == str(v)[:22]
         assert table.format_cell(v.time()) == str(v.time())[:11]
+
+
+class TestAwareValues:
+    """The dialect writes no UTC offset, so a column refuses an aware time
+    or timestamp rather than have it read back naive, at another instant."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([CType.TIME, CType.TIMESTAMP]).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.lists(st.none() | _CELLS[kind], max_size=4),
+                _AWARE[kind],
+                st.lists(st.none() | _CELLS[kind] | _AWARE[kind], max_size=4),
+            )
+        )
+    )
+    @example((CType.TIMESTAMP, [], datetime(2018, 2, 1, tzinfo=timezone.utc), []))
+    @example((CType.TIMESTAMP, [], datetime(2018, 2, 1, 0, 0, 0, 5, timezone.utc), []))
+    @example((CType.TIME, [], time(7, 5, tzinfo=timezone.utc), [time(7, 5)]))
+    @example((CType.TIME, [], time(7, 5, 0, 180_000, timezone.utc), []))
+    @example((CType.TIMESTAMP, [_stamps(5)[0]], datetime(2018, 2, 1, tzinfo=timezone.utc), []))
+    @example((CType.TIME, [time(7, 5), None], time(7, 5, 0, 5, timezone.utc), [None]))
+    def test_column_names_the_first_aware_cell(self, case):
+        kind, naive, aware, rest = case
+        cells = (*naive, aware, *rest)
+        with pytest.raises(TypeMismatch) as err:
+            Column("x", kind, cells)
+        assert str(err.value) == f"column 'x' is {kind.value} but cell {len(naive)} is {aware!r}"
 
 
 class TestMemory:

@@ -25,7 +25,7 @@ from wrangle.expr import (
     InList,
     Neg,
     Not,
-    NumLit,
+    Lit,
     Or,
     parse_mutate,
     parse_predicate,
@@ -136,6 +136,23 @@ class TestFilter:
         with pytest.raises(TypeMismatch):
             relops.filter_rows(t, parse_predicate("h == 5"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("h == 5", "column 'h' is time, cannot compare with int literal 5"),
+            ("h > -1.5", "column 'h' is time, cannot compare with real literal -1.5"),
+            ("h in (#17:00#, 'x')", "column 'h' is time, cannot compare with text literal 'x'"),
+            ("5 < h", "literal 5 is int, cannot compare with time column 'h'"),
+            ("h + 1 > 0", "column 'h' is time, arithmetic needs int or real"),
+            ("n / 2 == h", "expression n / 2 is real, cannot compare with time column 'h'"),
+        ],
+    )
+    def test_kind_mismatch_names_both_sides(self, text, message):
+        t = table_from_rows(["h", "n"], [CType.TIME, CType.INT], [])
+        with pytest.raises(TypeMismatch) as err:
+            relops.filter_rows(t, parse_predicate(text))
+        assert str(err.value) == message
+
     def test_unknown_column(self):
         with pytest.raises(UnknownColumn):
             relops.filter_rows(int_table(["a"], []), parse_predicate("b == 1"))
@@ -178,6 +195,20 @@ class TestRequire:
             relops.require(int_table(["a"], []), parse_predicate(text))
         with pytest.raises(error):
             relops.require(int_table(["a"], [[None]]), parse_predicate(text))
+
+    def test_rule_between_two_columns_fails_at_the_first_row_that_breaks_it(self):
+        t = table_from_rows(
+            ["Gap", "Headway"],
+            [CType.REAL, CType.REAL],
+            [[1.0, 2.0], [2.0, 2.0], [3.0, 2.5], [None, 1.0]],
+        )
+        p = parse_predicate("Gap <= Headway")
+        with pytest.raises(RequirementFailed) as err:
+            relops.require(t, p)
+        assert str(err.value) == "row 2 does not meet Gap <= Headway"
+        assert relops.require(t.take([0, 1]), p).row_count == 2
+        with pytest.raises(RequirementFailed, match="^row 0 "):
+            relops.require(t.take([3]), p)  # a null on one side
 
     def test_fails_at_the_first_row_filter_drops(self):
         rng = random.Random("require:filter")
@@ -249,6 +280,22 @@ class TestMutate:
         t = table_from_rows(["s"], [CType.TEXT], [["hi"]])
         with pytest.raises(TypeMismatch):
             relops.mutate_column(t, "x", parse_mutate("s + 1"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("s + 1", "column 's' is text, arithmetic needs int or real"),
+            ("s", "column 's' is text, arithmetic needs int or real"),
+            ("'s' * 2", "literal 's' is text, arithmetic needs int or real"),
+            ("zz + s", "no column 'zz'"),
+            ("s * -zz", "column 's' is text, arithmetic needs int or real"),
+        ],
+    )
+    def test_first_bad_operand_in_the_tree_is_named(self, text, message):
+        t = table_from_rows(["s"], [CType.TEXT], [["hi"]])
+        with pytest.raises((TypeMismatch, UnknownColumn)) as err:
+            relops.mutate_column(t, "x", parse_mutate(text))
+        assert str(err.value) == message
 
 
 class TestJoin:
@@ -404,11 +451,24 @@ _tables = st.lists(
 ).map(_expr_table)
 
 
+def _cmp(name, op, value):
+    return Compare(ColRef(name), op, Lit(value))
+
+
+def _in(name, values):
+    return InList(ColRef(name), tuple(map(Lit, values)))
+
+
+def _between(name, lo, hi):
+    return Between(ColRef(name), Lit(lo), Lit(hi))
+
+
 def _atoms(name, literal):
+    """A column compared with literals: the only comparisons of the first grammar."""
     return st.one_of(
-        st.builds(Compare, name, st.sampled_from(COMPARE_OPS), literal),
-        st.builds(InList, name, st.lists(literal, min_size=1, max_size=3).map(tuple)),
-        st.builds(Between, name, literal, literal),
+        st.builds(_cmp, name, st.sampled_from(COMPARE_OPS), literal),
+        st.builds(_in, name, st.lists(literal, min_size=1, max_size=3)),
+        st.builds(_between, name, literal, literal),
     )
 
 
@@ -430,7 +490,7 @@ _arithmetic = st.recursive(
     st.one_of(
         st.builds(ColRef, st.sampled_from(["i", "j", "r"])),
         st.builds(ColRef, st.sampled_from(_NAMES + ("zz",))),
-        st.builds(NumLit, st.integers(0, 3) | st.sampled_from([0.0, -0.0, 0.5, math.inf])),
+        st.builds(Lit, st.integers(0, 3) | st.sampled_from([0.0, -0.0, 0.5, math.inf])),
     ),
     lambda children: st.one_of(
         st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), children, children),
@@ -463,51 +523,132 @@ _ROW = (1, 0, 2.5, "a", date(2018, 2, 2), time(17, 30))
 @example(
     _expr_table([_NULLS, _ROW, _NULLS]),
     Or(
-        And(Not(Compare("i", "==", 1)), InList("s", ("a", "b"))),
-        Between("t", time(17), time(18)),
+        And(Not(_cmp("i", "==", 1)), _in("s", ("a", "b"))),
+        _between("t", time(17), time(18)),
     ),
     BinOp("+", ColRef("i"), ColRef("r")),
 )
 @example(
     _expr_table([_ROW, _NULLS]),
-    And(Not(Between("d", date(2018, 2, 1), date(2018, 2, 3))), Not(InList("s", ("a",)))),
+    And(Not(_between("d", date(2018, 2, 1), date(2018, 2, 3))), Not(_in("s", ("a",)))),
     Neg(ColRef("j")),
 )
 # NaN, +-inf and -0.0
 @example(
     _expr_table([(0, 0, v, "a", None, None) for v in (math.nan, math.inf, -math.inf, -0.0, 0.0)]),
-    Or(InList("r", (math.nan, -0.0)), Between("r", -math.inf, 0.0)),
-    BinOp("*", ColRef("r"), NumLit(-0.0)),
+    Or(_in("r", (math.nan, -0.0)), _between("r", -math.inf, 0.0)),
+    BinOp("*", ColRef("r"), Lit(-0.0)),
 )
 @example(
     _expr_table([(0, 0, v, "a", None, None) for v in (math.nan, math.inf, -math.inf, -0.0)]),
-    Compare("r", ">=", math.nan),
+    _cmp("r", ">=", math.nan),
     BinOp("/", ColRef("r"), ColRef("r")),
 )
 # an int 0 divisor and a -0.0 divisor
 @example(
     _expr_table([(1, 0, -0.0, "a", None, None), (2, 3, 1.5, "b", None, None)]),
-    Compare("j", "==", 0),
+    _cmp("j", "==", 0),
     BinOp("+", BinOp("/", ColRef("i"), ColRef("j")), BinOp("/", ColRef("i"), ColRef("r"))),
 )
 @example(
     _expr_table([_ROW]),
-    Compare("r", "!=", -0.0),
-    BinOp("/", ColRef("r"), BinOp("-", NumLit(0), NumLit(0.0))),
+    _cmp("r", "!=", -0.0),
+    BinOp("/", ColRef("r"), BinOp("-", Lit(0), Lit(0.0))),
 )
 # int/real mixing
 @example(
     _expr_table([_ROW, (2, 3, 2.0, "b", None, None)]),
-    Or(Compare("i", "<", 1.5), Compare("r", "==", 2)),
+    Or(_cmp("i", "<", 1.5), _cmp("r", "==", 2)),
     BinOp("/", ColRef("i"), ColRef("j")),
 )
 # an empty table refuses an unknown column or a literal of the wrong kind
-@example(_expr_table([]), Compare("zz", "==", 1), NumLit(1))
-@example(_expr_table([]), And(Compare("i", ">", 0), Compare("d", "==", 5)), NumLit(1))
-# two bad columns: the first in sorted order is named, not the first in the tree
-@example(_expr_table([_ROW]), Compare("i", ">", 0), BinOp("+", ColRef("zz"), ColRef("s")))
-@example(_expr_table([_ROW]), Compare("i", ">", 0), BinOp("*", ColRef("s"), Neg(ColRef("d"))))
+@example(_expr_table([]), _cmp("zz", "==", 1), Lit(1))
+@example(_expr_table([]), And(_cmp("i", ">", 0), _cmp("d", "==", 5)), Lit(1))
+# two bad columns: the first in the tree is named
+@example(_expr_table([_ROW]), _cmp("i", ">", 0), BinOp("+", ColRef("zz"), ColRef("s")))
+@example(_expr_table([_ROW]), _cmp("i", ">", 0), BinOp("*", ColRef("s"), Neg(ColRef("d"))))
 def test_compiled_expressions_equal_the_row_wise_oracles(t, p, e):
+    assert _outcome(relops.filter_rows, t, p) == _outcome(slowpaths.row_wise_filter_rows, t, p)
+    assert _outcome(relops.require, t, p) == _outcome(slowpaths.row_wise_require, t, p)
+    assert _outcome(relops.mutate_column, t, "m", e) == _outcome(
+        slowpaths.row_wise_mutate_column, t, "m", e
+    )
+
+
+
+# Operand trees on both sides: columns, literals and arithmetic in any place.
+_ARITH_OPS = st.sampled_from(["+", "-", "*", "/"])
+
+
+def _arithmetic_over(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(BinOp, _ARITH_OPS, children, children), st.builds(Neg, children)
+        ),
+        max_leaves=4,
+    )
+
+
+# Any leaf, so that some trees name an unknown column or mix kinds wrongly.
+_ANY_OPERANDS = _arithmetic_over(
+    st.sampled_from(_NAMES + ("zz",)).map(ColRef) | st.one_of(*_VALUES.values()).map(Lit)
+)
+# ints and reals mix, with zero divisors among the literals and the cells
+_NUMBERS = _arithmetic_over(st.sampled_from(["i", "j", "r"]).map(ColRef) | _FITTING[CType.INT].map(Lit))
+
+
+def _operands_of(kind):
+    if kind in (CType.INT, CType.REAL):
+        return _NUMBERS
+    return st.just(ColRef(_NAMES[_KINDS.index(kind)])) | _VALUES[kind].map(Lit)
+
+
+@st.composite
+def _comparisons(draw):
+    operand = draw(st.sampled_from([*map(_operands_of, _KINDS), _ANY_OPERANDS]))
+    shape = draw(st.sampled_from([Compare, InList, Between]))
+    if shape is Compare:
+        return Compare(draw(operand), draw(st.sampled_from(COMPARE_OPS)), draw(operand))
+    if shape is InList:
+        return InList(draw(operand), tuple(draw(st.lists(operand, min_size=1, max_size=3))))
+    return Between(draw(operand), draw(operand), draw(operand))
+
+
+_operand_predicates = st.recursive(
+    _comparisons(),
+    lambda children: st.one_of(
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Not, children),
+    ),
+    max_leaves=4,
+)
+
+_RULE_TABLE = table_from_rows(
+    ["Gap", "Headway", "LinkLength"],
+    [CType.REAL, CType.REAL, CType.INT],
+    [[1.5, 2.0, 0], [2.0, None, 500], [None, 1.0, 1], [3.0, 2.5, None], [0.5, 0.5, 2]],
+)
+_XAB_TABLE = table_from_rows(
+    ["x", "a", "b"],
+    [CType.INT, CType.REAL, CType.INT],
+    [[1, 0.5, 2], [-2, -3.0, -2], [2, None, 3], [None, 0.0, 1], [3, 3.5, 0], [-1, 1.0, 1]],
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tables, _operand_predicates, _NUMBERS | _ANY_OPERANDS)
+# a rule between two columns, with a null on either side
+@example(_RULE_TABLE, parse_predicate("Gap <= Headway"), parse_mutate("Headway - Gap"))
+@example(_RULE_TABLE, parse_predicate("LinkLength / 2 > 0"), parse_mutate("LinkLength / 2"))
+@example(_XAB_TABLE, parse_predicate("x between a and b"), parse_mutate("x / (b - 1)"))
+@example(_XAB_TABLE, parse_predicate("-x in (1, -2)"), parse_mutate("-x * a"))
+@example(_XAB_TABLE, parse_predicate("5 < x or a >= b"), parse_mutate("(a + b) / 2"))
+# a literal whose kind no comparison or arithmetic takes
+@example(_XAB_TABLE, parse_predicate("x > -'a'"), parse_mutate("'s' * 2"))
+@example(_XAB_TABLE, parse_predicate("x + a == #17:00#"), parse_mutate("-#2018-02-01#"))
+def test_operand_trees_equal_the_row_wise_oracles(t, p, e):
     assert _outcome(relops.filter_rows, t, p) == _outcome(slowpaths.row_wise_filter_rows, t, p)
     assert _outcome(relops.require, t, p) == _outcome(slowpaths.row_wise_require, t, p)
     assert _outcome(relops.mutate_column, t, "m", e) == _outcome(

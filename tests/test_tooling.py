@@ -5,18 +5,21 @@ The package has no runtime dependencies: every absolute import in
 ``tests/oracles.py`` import nothing from the package they check. The
 package works on whole columns: no module in it iterates a table by rows.
 Every slow path kept in ``tests/slowpaths.py`` is used by some test. The
-bundled workflows read only the traffic columns they keep.
+bundled workflows read only the traffic columns they keep, and their
+predicate and mutate texts survive a format/parse round trip.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from wrangle.expr import format_expr, parse_mutate, parse_predicate
 from wrangle.workflow import parse_workflow, read_columns
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +93,17 @@ def test_bundled_workflows_read_only_the_traffic_columns_they_keep():
     assert plan("dwr1.json") == {"ds1_1": dwr1, "ds1_2": dwr1, "ds1_3": None}
     dwr2 = frozenset({"Site ID", "Date", "Speed"})
     assert plan("dwr2.json") == {"ds2_1": dwr2, "ds2_2": None, "ds2_3": None}
+
+
+@pytest.mark.parametrize("name", ["dwr1.json", "dwr2.json"])
+def test_bundled_expressions_survive_a_round_trip(name):
+    nodes = json.loads((PACKAGE / "workflows" / name).read_bytes())["nodes"]
+    texts = [
+        (parse, node["params"][key])
+        for node in nodes
+        for key, parse in (("predicate", parse_predicate), ("expr", parse_mutate))
+        if key in node.get("params", {})
+    ]
+    assert texts
+    for parse, text in texts:
+        assert parse(format_expr(parse(text))) == parse(text), text
