@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Subcommands: ``run`` executes a workflow file, ``op`` invokes one operator,
-``gen`` emits a seeded synthetic dataset, ``flatten-weather`` and ``chart``
-are shortcuts for the corresponding operators, ``list-ops`` enumerates the
-registry.
+Subcommands: ``run`` executes a workflow file, ``op`` invokes one operator
+(``op weather.flatten`` flattens observation JSON to CSV, ``op chart.bar``
+renders a bar chart), ``gen`` emits a seeded synthetic dataset,
+``list-ops`` enumerates the registry.
 
 Exit codes: 0 success, 1 usage (bad flags, missing files, invalid
 generator config), 2 data error (CSV/JSON parsing, cell types), 3 workflow
@@ -24,12 +24,11 @@ from datetime import date
 from importlib import resources
 from pathlib import Path
 
-from .chart import ChartSpec, render_bar_chart
 from .errors import DataError, RangeError, UnknownOp, WorkflowError
 from .gen import GenConfig, generate
 from .ops import OpDef, get_op, list_ops
-from .table import Table, infer_column_types, parse_csv, write_csv
-from .weather import flatten_weather, parse_weather_json
+from .table import Table, infer_column_types, parse_csv
+from .weather import parse_weather_json
 from .workflow import (encode_result, execute, parse_workflow, random_keys, read_columns,
                        sequential_keys, write_atomic, write_result)
 
@@ -200,24 +199,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_flatten_weather(args: argparse.Namespace) -> int:
-    doc = _load_weather(args.weather_json)
-    payload = write_csv(flatten_weather(doc))
-    if args.out:
-        write_atomic(Path(args.out), payload)
-    else:
-        sys.stdout.buffer.write(payload)
-    return 0
-
-
-def cmd_chart(args: argparse.Namespace) -> int:
-    t = _load_table(args.table)
-    spec = ChartSpec(category_col=args.category, value_col=args.value, title=args.title)
-    write_atomic(Path(args.out), render_bar_chart(t, spec))
-    print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_list_ops(args: argparse.Namespace) -> int:
     for op_def in list_ops():
         ports = ", ".join(f"{name}:{kind}" for name, kind in op_def.ports)
@@ -272,19 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weather-locations", type=int, default=2)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("flatten-weather", help="flatten observation JSON to CSV")
-    p.add_argument("weather_json")
-    p.add_argument("--out", help="output CSV (default: stdout)")
-    p.set_defaults(func=cmd_flatten_weather)
-
-    p = sub.add_parser("chart", help="render a bar chart from a two-column CSV")
-    p.add_argument("table")
-    p.add_argument("--category", required=True, help="category column name")
-    p.add_argument("--value", required=True, help="numeric value column name")
-    p.add_argument("--title", default="")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_chart)
 
     p = sub.add_parser("list-ops", help="list registered operators")
     p.set_defaults(func=cmd_list_ops)

@@ -429,6 +429,8 @@ def _format_literal(value: LitValue) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"real literal {value!r} cannot be written in the grammar")
         return repr(value)
     if isinstance(value, str):
         if "'" in value:

@@ -19,39 +19,42 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time
 
 from .errors import MalformedJson, MissingField, RangeError
-from .table import Column, CType, Table
+from .table import Cell, Column, CType, Table
 
 
-@dataclass(frozen=True)
-class WxRep:
-    wind_dir: str | None = None          # D
-    gust: float | None = None            # G
-    humidity: float | None = None        # H
-    pressure: float | None = None        # P
-    wind_speed: float | None = None      # S
-    temperature: float | None = None     # T
-    visibility: float | None = None      # V
-    weather_code: int | None = None      # W
-    pressure_tendency: str | None = None # Pt
-    dew_point: float | None = None       # Dp
-    minutes_after_midnight: int = 0      # $
+#: A rep's flat columns, in order: (column name, ``Rep`` key, kind). A rep
+#: parses to a tuple of cells in this order, its ``$`` as a time.
+REP_LAYOUT: tuple[tuple[str, str, CType], ...] = (
+    ("ObsTime", "$", CType.TIME),
+    ("D", "D", CType.TEXT),
+    ("G", "G", CType.REAL),
+    ("H", "H", CType.REAL),
+    ("P", "P", CType.REAL),
+    ("S", "S", CType.REAL),
+    ("T", "T", CType.REAL),
+    ("V", "V", CType.REAL),
+    ("W", "W", CType.INT),
+    ("Pt", "Pt", CType.TEXT),
+    ("Dp", "Dp", CType.REAL),
+)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.minutes_after_midnight < 1440:
-            raise RangeError(
-                f"minutes after midnight {self.minutes_after_midnight} not in [0, 1440)"
-            )
-
-    @property
-    def time_of_day(self) -> time:
-        return time(self.minutes_after_midnight // 60, self.minutes_after_midnight % 60)
+#: Flattened column layout: one row per (location, period, rep).
+FLAT_COLUMNS: tuple[tuple[str, CType], ...] = (
+    ("SiteID", CType.TEXT),
+    ("SiteName", CType.TEXT),
+    ("Lat", CType.REAL),
+    ("Lon", CType.REAL),
+    ("Elevation", CType.REAL),
+    ("Country", CType.TEXT),
+    ("ObsDate", CType.DATE),
+) + tuple((name, ctype) for name, _, ctype in REP_LAYOUT)
 
 
 @dataclass(frozen=True)
 class WxPeriod:
     ptype: str
     date: date
-    reps: tuple[WxRep, ...]
+    reps: tuple[tuple[Cell, ...], ...]  # cells in REP_LAYOUT order
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,6 @@ class WeatherDoc:
     doc_type: str
     locations: tuple[WxLocation, ...]
     unknown_rep_fields: int = field(default=0, compare=False)
-
-
-_REP_KEYS = {"D", "G", "H", "P", "S", "T", "V", "W", "Pt", "Dp", "$"}
 
 
 def _as_list(value: object) -> list:
@@ -115,6 +115,14 @@ def _opt_int(obj: dict, key: str) -> int | None:
         raise MalformedJson(f"field '{key}' is not an integer: {v!r}") from None
 
 
+def _minutes(obj: dict, key: str) -> int:
+    """The rep's required minutes after midnight, range-checked by the caller."""
+    v = _opt_int(obj, key)
+    if v is None:
+        raise MissingField(f"no '{key}' in Rep")
+    return v
+
+
 def _opt_str(obj: dict, key: str) -> str | None:
     v = obj.get(key)
     return None if v is None else str(v)
@@ -126,30 +134,26 @@ def _req(obj: dict, key: str, where: str) -> object:
     return obj[key]
 
 
-def _parse_rep(obj: object) -> tuple[WxRep, int]:
+# A rep field's converter, by its kind; the TIME field is the required ``$``.
+_CONVERTERS = {CType.TIME: _minutes, CType.TEXT: _opt_str, CType.REAL: _opt_float,
+               CType.INT: _opt_int}
+_REP_CONVERTERS = tuple((key, _CONVERTERS[ctype]) for _, key, ctype in REP_LAYOUT)
+_REP_KEYS = frozenset(key for _, key, _ in REP_LAYOUT)
+
+
+def _parse_rep(obj: object) -> tuple[Cell, ...]:
+    """The rep's cells in REP_LAYOUT order; faults are found in that order,
+    and a ``$`` out of range after all of them."""
     if not isinstance(obj, dict):
         raise MalformedJson(f"Rep entry is not an object: {obj!r}")
-    minutes = _opt_int(obj, "$")
-    if minutes is None:
-        raise MissingField("no '$' in Rep")
-    rep = WxRep(
-        wind_dir=_opt_str(obj, "D"),
-        gust=_opt_float(obj, "G"),
-        humidity=_opt_float(obj, "H"),
-        pressure=_opt_float(obj, "P"),
-        wind_speed=_opt_float(obj, "S"),
-        temperature=_opt_float(obj, "T"),
-        visibility=_opt_float(obj, "V"),
-        weather_code=_opt_int(obj, "W"),
-        pressure_tendency=_opt_str(obj, "Pt"),
-        dew_point=_opt_float(obj, "Dp"),
-        minutes_after_midnight=minutes,
-    )
-    unknown = sum(1 for k in obj if k not in _REP_KEYS)
-    return rep, unknown
+    minutes, *fields = [convert(obj, key) for key, convert in _REP_CONVERTERS]
+    if not 0 <= minutes < 1440:
+        raise RangeError(f"minutes after midnight {minutes} not in [0, 1440)")
+    return (time(*divmod(minutes, 60)), *fields)
 
 
-def _parse_period(obj: object) -> tuple[WxPeriod, int]:
+def _parse_period(obj: object, rep_objs: list) -> WxPeriod:
+    """The period; its Rep objects are added to ``rep_objs``."""
     if not isinstance(obj, dict):
         raise MalformedJson(f"Period entry is not an object: {obj!r}")
     raw = str(_req(obj, "value", "Period"))
@@ -157,16 +161,13 @@ def _parse_period(obj: object) -> tuple[WxPeriod, int]:
         day = date.fromisoformat(raw.removesuffix("Z"))
     except ValueError:
         raise MalformedJson(f"bad Period date {raw!r}") from None
-    reps = []
-    unknown = 0
-    for entry in _as_list(_req(obj, "Rep", "Period")):
-        rep, n = _parse_rep(entry)
-        reps.append(rep)
-        unknown += n
-    return WxPeriod(str(obj.get("type", "Day")), day, tuple(reps)), unknown
+    entries = _as_list(_req(obj, "Rep", "Period"))
+    reps = tuple(map(_parse_rep, entries))
+    rep_objs += entries
+    return WxPeriod(str(obj.get("type", "Day")), day, reps)
 
 
-def _parse_location(obj: object) -> tuple[WxLocation, int]:
+def _parse_location(obj: object, rep_objs: list) -> WxLocation:
     if not isinstance(obj, dict):
         raise MalformedJson(f"Location entry is not an object: {obj!r}")
     loc_id = obj.get("i", obj.get("id"))
@@ -176,31 +177,23 @@ def _parse_location(obj: object) -> tuple[WxLocation, int]:
     lon = _opt_float(obj, "lon")
     if lat is None or lon is None:
         raise MissingField("Location lacks lat/lon")
-    periods = []
-    unknown = 0
-    for entry in _as_list(obj.get("Period", [])):
-        period, n = _parse_period(entry)
-        periods.append(period)
-        unknown += n
-    return (
-        WxLocation(
-            id=str(loc_id),
-            lat=lat,
-            lon=lon,
-            name=str(obj.get("name", "")),
-            country=str(obj.get("country", "")),
-            continent=str(obj.get("continent", "")),
-            elevation_m=_opt_float(obj, "elevation"),
-            periods=tuple(periods),
-        ),
-        unknown,
+    periods = tuple(_parse_period(entry, rep_objs) for entry in _as_list(obj.get("Period", [])))
+    return WxLocation(
+        id=str(loc_id),
+        lat=lat,
+        lon=lon,
+        name=str(obj.get("name", "")),
+        country=str(obj.get("country", "")),
+        continent=str(obj.get("continent", "")),
+        elevation_m=_opt_float(obj, "elevation"),
+        periods=periods,
     )
 
 
 def parse_weather_json(data: bytes) -> WeatherDoc:
     """Parse observation JSON; accepts a root with or without the SiteRep wrapper."""
     try:
-        root = json.loads(data.decode("utf-8"))
+        root = json.loads(data.decode("utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from None
     if not isinstance(root, dict):
@@ -219,74 +212,34 @@ def parse_weather_json(data: bytes) -> WeatherDoc:
     except ValueError:
         raise MalformedJson(f"bad dataDate {raw_date!r}") from None
 
-    locations = []
-    unknown = 0
-    for entry in _as_list(_req(dv, "Location", "DV")):
-        loc, n = _parse_location(entry)
-        locations.append(loc)
-        unknown += n
+    rep_objs: list[dict] = []
+    locations = tuple(
+        _parse_location(entry, rep_objs) for entry in _as_list(_req(dv, "Location", "DV"))
+    )
     return WeatherDoc(
         data_date=data_date,
         doc_type=str(dv.get("type", "Obs")),
-        locations=tuple(locations),
-        unknown_rep_fields=unknown,
+        locations=locations,
+        unknown_rep_fields=sum(len(obj.keys() - _REP_KEYS) for obj in rep_objs),
     )
 
 
-#: Flattened column layout: one row per (location, period, rep).
-FLAT_COLUMNS: tuple[tuple[str, CType], ...] = (
-    ("SiteID", CType.TEXT),
-    ("SiteName", CType.TEXT),
-    ("Lat", CType.REAL),
-    ("Lon", CType.REAL),
-    ("Elevation", CType.REAL),
-    ("Country", CType.TEXT),
-    ("ObsDate", CType.DATE),
-    ("ObsTime", CType.TIME),
-    ("D", CType.TEXT),
-    ("G", CType.REAL),
-    ("H", CType.REAL),
-    ("P", CType.REAL),
-    ("S", CType.REAL),
-    ("T", CType.REAL),
-    ("V", CType.REAL),
-    ("W", CType.INT),
-    ("Pt", CType.TEXT),
-    ("Dp", CType.REAL),
-)
-
-
 def flatten_weather(doc: WeatherDoc) -> Table:
-    """One row per rep, in document order, with the fixed 18-column layout."""
-    rows = []
-    for loc in doc.locations:
-        for period in loc.periods:
-            for rep in period.reps:
-                rows.append(
-                    (
-                        loc.id,
-                        loc.name,
-                        loc.lat,
-                        loc.lon,
-                        loc.elevation_m,
-                        loc.country,
-                        period.date,
-                        rep.time_of_day,
-                        rep.wind_dir,
-                        rep.gust,
-                        rep.humidity,
-                        rep.pressure,
-                        rep.wind_speed,
-                        rep.temperature,
-                        rep.visibility,
-                        rep.weather_code,
-                        rep.pressure_tendency,
-                        rep.dew_point,
-                    )
-                )
+    """One row per rep, in document order, with the fixed 18-column layout.
+
+    A rep tuple of the wrong length raises ValueError, and a cell of the
+    wrong kind TypeMismatch, as a hand-built WxPeriod may hold either.
+    """
+    rows = [
+        (loc.id, loc.name, loc.lat, loc.lon, loc.elevation_m, loc.country, period.date, *rep)
+        for loc in doc.locations
+        for period in loc.periods
+        for rep in period.reps
+    ]
+    columns = zip(*rows, strict=True) if rows else [()] * len(FLAT_COLUMNS)
     return Table(
         tuple(
-            Column(name, ctype, tuple(row[i] for row in rows))
-            for i, (name, ctype) in enumerate(FLAT_COLUMNS)
+            Column(name, ctype, cells)
+            for (name, ctype), cells in zip(FLAT_COLUMNS, columns, strict=True)
         )
     )

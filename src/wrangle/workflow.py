@@ -153,7 +153,7 @@ def _want(obj: dict, key: str, typ: type, where: str) -> Any:
 def parse_workflow(data: bytes) -> WorkflowSpec:
     """Parse and fully validate a workflow document."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedJson(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

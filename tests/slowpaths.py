@@ -29,13 +29,20 @@ bit-identical, not merely close.
   kind rules and error texts rather than call it.
 - :func:`char_loop_tokenize`: ``expr._tokenize`` as a loop that reads the
   text a character (or a delimited literal) at a time.
+- :func:`wxrep_parse_weather_json` and :func:`wxrep_flatten_weather`:
+  ``weather.parse_weather_json`` and ``weather.flatten_weather`` with every
+  rep parsed into a frozen ``WxRep`` record, its fields named one by one,
+  and unknown rep keys counted by summing ``(value, count)`` pairs up the
+  location and period walk.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
-from datetime import datetime
+from dataclasses import dataclass
+from datetime import date, datetime, time
 from itertools import compress
 from typing import Iterator, Mapping
 
@@ -43,7 +50,10 @@ from wrangle import spacetime, traffic
 from wrangle.errors import (
     EmptyInput,
     MalformedCsv,
+    MalformedJson,
+    MissingField,
     ParseError,
+    RangeError,
     RequirementFailed,
     SchemaMismatch,
     TypeMismatch,
@@ -85,6 +95,16 @@ from wrangle.table import (
     parse_real_text,
     parse_time_text,
     parse_timestamp_text,
+)
+from wrangle.weather import (
+    WeatherDoc,
+    WxLocation,
+    WxPeriod,
+    _as_list,
+    _opt_float,
+    _opt_int,
+    _opt_str,
+    _req,
 )
 
 
@@ -634,3 +654,196 @@ def char_loop_tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", None, n))
     return tokens
+
+
+@dataclass(frozen=True)
+class WxRep:
+    wind_dir: str | None = None          # D
+    gust: float | None = None            # G
+    humidity: float | None = None        # H
+    pressure: float | None = None        # P
+    wind_speed: float | None = None      # S
+    temperature: float | None = None     # T
+    visibility: float | None = None      # V
+    weather_code: int | None = None      # W
+    pressure_tendency: str | None = None # Pt
+    dew_point: float | None = None       # Dp
+    minutes_after_midnight: int = 0      # $
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.minutes_after_midnight < 1440:
+            raise RangeError(
+                f"minutes after midnight {self.minutes_after_midnight} not in [0, 1440)"
+            )
+
+    @property
+    def time_of_day(self) -> time:
+        return time(self.minutes_after_midnight // 60, self.minutes_after_midnight % 60)
+
+
+_WX_REP_KEYS = {"D", "G", "H", "P", "S", "T", "V", "W", "Pt", "Dp", "$"}
+
+
+def _wx_parse_rep(obj: object) -> tuple[WxRep, int]:
+    if not isinstance(obj, dict):
+        raise MalformedJson(f"Rep entry is not an object: {obj!r}")
+    minutes = _opt_int(obj, "$")
+    if minutes is None:
+        raise MissingField("no '$' in Rep")
+    rep = WxRep(
+        wind_dir=_opt_str(obj, "D"),
+        gust=_opt_float(obj, "G"),
+        humidity=_opt_float(obj, "H"),
+        pressure=_opt_float(obj, "P"),
+        wind_speed=_opt_float(obj, "S"),
+        temperature=_opt_float(obj, "T"),
+        visibility=_opt_float(obj, "V"),
+        weather_code=_opt_int(obj, "W"),
+        pressure_tendency=_opt_str(obj, "Pt"),
+        dew_point=_opt_float(obj, "Dp"),
+        minutes_after_midnight=minutes,
+    )
+    unknown = sum(1 for k in obj if k not in _WX_REP_KEYS)
+    return rep, unknown
+
+
+def _wx_parse_period(obj: object) -> tuple[WxPeriod, int]:
+    if not isinstance(obj, dict):
+        raise MalformedJson(f"Period entry is not an object: {obj!r}")
+    raw = str(_req(obj, "value", "Period"))
+    try:
+        day = date.fromisoformat(raw.removesuffix("Z"))
+    except ValueError:
+        raise MalformedJson(f"bad Period date {raw!r}") from None
+    reps = []
+    unknown = 0
+    for entry in _as_list(_req(obj, "Rep", "Period")):
+        rep, n = _wx_parse_rep(entry)
+        reps.append(rep)
+        unknown += n
+    return WxPeriod(str(obj.get("type", "Day")), day, tuple(reps)), unknown
+
+
+def _wx_parse_location(obj: object) -> tuple[WxLocation, int]:
+    if not isinstance(obj, dict):
+        raise MalformedJson(f"Location entry is not an object: {obj!r}")
+    loc_id = obj.get("i", obj.get("id"))
+    if loc_id is None:
+        raise MissingField("no 'i' in Location")
+    lat = _opt_float(obj, "lat")
+    lon = _opt_float(obj, "lon")
+    if lat is None or lon is None:
+        raise MissingField("Location lacks lat/lon")
+    periods = []
+    unknown = 0
+    for entry in _as_list(obj.get("Period", [])):
+        period, n = _wx_parse_period(entry)
+        periods.append(period)
+        unknown += n
+    return (
+        WxLocation(
+            id=str(loc_id),
+            lat=lat,
+            lon=lon,
+            name=str(obj.get("name", "")),
+            country=str(obj.get("country", "")),
+            continent=str(obj.get("continent", "")),
+            elevation_m=_opt_float(obj, "elevation"),
+            periods=tuple(periods),
+        ),
+        unknown,
+    )
+
+
+def wxrep_parse_weather_json(data: bytes) -> WeatherDoc:
+    """Parse observation JSON into a document whose reps are ``WxRep`` records."""
+    try:
+        root = json.loads(data.decode("utf-8-sig"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedJson(f"invalid JSON: {exc}") from None
+    if not isinstance(root, dict):
+        raise MalformedJson("document root is not an object")
+    if "SiteRep" in root:
+        root = root["SiteRep"]
+        if not isinstance(root, dict):
+            raise MalformedJson("'SiteRep' is not an object")
+    dv = _req(root, "DV", "document")
+    if not isinstance(dv, dict):
+        raise MalformedJson("'DV' is not an object")
+
+    raw_date = str(_req(dv, "dataDate", "DV"))
+    try:
+        data_date = datetime.strptime(raw_date, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        raise MalformedJson(f"bad dataDate {raw_date!r}") from None
+
+    locations = []
+    unknown = 0
+    for entry in _as_list(_req(dv, "Location", "DV")):
+        loc, n = _wx_parse_location(entry)
+        locations.append(loc)
+        unknown += n
+    return WeatherDoc(
+        data_date=data_date,
+        doc_type=str(dv.get("type", "Obs")),
+        locations=tuple(locations),
+        unknown_rep_fields=unknown,
+    )
+
+
+_WX_FLAT_COLUMNS: tuple[tuple[str, CType], ...] = (
+    ("SiteID", CType.TEXT),
+    ("SiteName", CType.TEXT),
+    ("Lat", CType.REAL),
+    ("Lon", CType.REAL),
+    ("Elevation", CType.REAL),
+    ("Country", CType.TEXT),
+    ("ObsDate", CType.DATE),
+    ("ObsTime", CType.TIME),
+    ("D", CType.TEXT),
+    ("G", CType.REAL),
+    ("H", CType.REAL),
+    ("P", CType.REAL),
+    ("S", CType.REAL),
+    ("T", CType.REAL),
+    ("V", CType.REAL),
+    ("W", CType.INT),
+    ("Pt", CType.TEXT),
+    ("Dp", CType.REAL),
+)
+
+
+def wxrep_flatten_weather(doc: WeatherDoc) -> Table:
+    """One row per ``WxRep``, in document order, with the fixed 18-column layout."""
+    rows = []
+    for loc in doc.locations:
+        for period in loc.periods:
+            for rep in period.reps:
+                rows.append(
+                    (
+                        loc.id,
+                        loc.name,
+                        loc.lat,
+                        loc.lon,
+                        loc.elevation_m,
+                        loc.country,
+                        period.date,
+                        rep.time_of_day,
+                        rep.wind_dir,
+                        rep.gust,
+                        rep.humidity,
+                        rep.pressure,
+                        rep.wind_speed,
+                        rep.temperature,
+                        rep.visibility,
+                        rep.weather_code,
+                        rep.pressure_tendency,
+                        rep.dew_point,
+                    )
+                )
+    return Table(
+        tuple(
+            Column(name, ctype, tuple(row[i] for row in rows))
+            for i, (name, ctype) in enumerate(_WX_FLAT_COLUMNS)
+        )
+    )

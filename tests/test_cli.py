@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 from wrangle import cli
+from wrangle.chart import ChartSpec, render_bar_chart
 from wrangle.cli import main
 from wrangle.gen import GenConfig, generate
 from wrangle.ops import REGISTRY
@@ -470,6 +471,7 @@ class TestOp:
              "--out", str(out)],
             capsys,
         )
+        assert out.read_bytes().startswith(b"SiteID,")
         t = parse_csv(out.read_bytes())
         assert len(t.column_names) == 18
 
@@ -506,11 +508,12 @@ class TestOp:
         table.write_text("cond,speed\ndry,30.5\nwet,25.0\n")
         out = tmp_path / "c.svg"
         run_ok(["op", "chart.bar", "--table", str(table), "--out", str(out),
-                "--params", '{"category_col": "cond", "value_col": "speed", "title": ""}'],
+                "--params", '{"category_col": "cond", "value_col": "speed", "title": "t"}'],
                capsys)
-        assert main(["chart", str(table), "--category", "cond", "--value", "speed",
-                     "--out", str(tmp_path / "d.svg")]) == 0
-        assert out.read_bytes() == (tmp_path / "d.svg").read_bytes()
+        assert b"<svg" in out.read_bytes()
+        spec = ChartSpec(category_col="cond", value_col="speed", title="t")
+        t = infer_column_types(parse_csv(table.read_bytes()))
+        assert out.read_bytes() == render_bar_chart(t, spec)
 
     def test_stdout_output(self, dataset, capsys):
         code = main(
@@ -543,22 +546,6 @@ class TestGenCommand:
 
 
 class TestOtherCommands:
-    def test_flatten_weather(self, dataset, tmp_path, capsys):
-        out = tmp_path / "wx.csv"
-        run_ok(["flatten-weather", f"{dataset}/weather.json", "--out", str(out)], capsys)
-        assert out.read_bytes().startswith(b"SiteID,")
-
-    def test_chart(self, dataset, tmp_path, capsys):
-        table = tmp_path / "t.csv"
-        table.write_bytes(b"cond,speed\nwet,24.5\ndry,33.1\n")
-        out = tmp_path / "c.svg"
-        run_ok(
-            ["chart", str(table), "--category", "cond", "--value", "speed",
-             "--title", "t", "--out", str(out)],
-            capsys,
-        )
-        assert b"<svg" in out.read_bytes()
-
     def test_list_ops(self, capsys):
         run = run_ok(["list-ops"], capsys)
         assert "spacetime.time_space_join" in run.out
@@ -572,6 +559,12 @@ class TestOtherCommands:
 
     def test_no_command_is_usage(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command", ["chart", "flatten-weather"])
+    def test_removed_shortcuts_are_usage_errors(self, command, dataset, capsys):
+        # charts and flat weather tables come from `op chart.bar` and `op weather.flatten`
+        assert main([command, f"{dataset}/weather.json"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_console_entry_point(self, tmp_path):
         # one subprocess check that `python -m wrangle` works end to end

@@ -90,6 +90,14 @@ class TestPredicateParsing:
         assert e == Compare(ColRef("x"), ">", Neg(Lit(1.5)))
         assert format_predicate(e) == "x > -1.5"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_literal_is_refused_by_the_formatter(self, value):
+        # its text (nan, inf) would parse back as a column name
+        with pytest.raises(ValueError, match="cannot be written in the grammar"):
+            format_predicate(Compare(ColRef("r"), ">=", Lit(value)))
+        with pytest.raises(ValueError, match="cannot be written in the grammar"):
+            format_mutate(BinOp("*", ColRef("r"), Lit(value)))
+
     def test_backticks_allow_dots_and_spaces(self):
         assert parse_predicate("`Site.ID` == 1083") == Compare(ColRef("Site.ID"), "==", Lit(1083))
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, time
 
 import pytest
 
@@ -17,7 +17,10 @@ from wrangle.gen import (
 )
 from wrangle.table import CType, infer_column_types, parse_csv
 from wrangle.traffic import clean_site_id, weekday_name
-from wrangle.weather import parse_weather_json
+from wrangle.weather import REP_LAYOUT, parse_weather_json
+
+# Where a rep tuple holds its time and its W field.
+OBS_TIME, W = ([name for name, _, _ in REP_LAYOUT].index(n) for n in ("ObsTime", "W"))
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +88,7 @@ class TestShapes:
         assert len(doc.locations) == config.weather_locations
         period = doc.locations[0].periods[0]
         assert len(period.reps) == 24
-        minutes = [r.minutes_after_midnight for r in period.reps]
-        assert minutes == [h * 60 for h in range(24)]
+        assert [r[OBS_TIME] for r in period.reps] == [time(h) for h in range(24)]
 
 
 class TestSignal:
@@ -95,7 +97,7 @@ class TestSignal:
         labels = wet_days(config)
         doc = parse_weather_json(paths[3].read_bytes())
         for period in doc.locations[0].periods:
-            codes = {r.weather_code for r in period.reps}
+            codes = {r[W] for r in period.reps}
             if labels[period.date]:
                 assert codes <= set(WET_CODE_CHOICES)
             else:

@@ -62,6 +62,10 @@ class TestParseWorkflow:
         assert len(spec.nodes) == 14
         assert spec.outputs[0].name == "journey_time_s"
 
+    def test_bom_prefixed_workflow_parses_as_without(self):
+        data = bundled("dwr1.json")
+        assert parse_workflow(b"\xef\xbb\xbf" + data) == parse_workflow(data)
+
     def test_bundled_dwr2_validates(self):
         spec = parse_workflow(bundled("dwr2.json"))
         assert {n.op for n in spec.nodes} >= {
