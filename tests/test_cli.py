@@ -471,7 +471,6 @@ class TestOp:
              "--out", str(out)],
             capsys,
         )
-        assert out.read_bytes().startswith(b"SiteID,")
         t = parse_csv(out.read_bytes())
         assert len(t.column_names) == 18
 
@@ -510,7 +509,6 @@ class TestOp:
         run_ok(["op", "chart.bar", "--table", str(table), "--out", str(out),
                 "--params", '{"category_col": "cond", "value_col": "speed", "title": "t"}'],
                capsys)
-        assert b"<svg" in out.read_bytes()
         spec = ChartSpec(category_col="cond", value_col="speed", title="t")
         t = infer_column_types(parse_csv(table.read_bytes()))
         assert out.read_bytes() == render_bar_chart(t, spec)
@@ -546,6 +544,24 @@ class TestGenCommand:
 
 
 class TestOtherCommands:
+    # the former `flatten-weather` and `chart` shortcuts, now spelled through `op`
+    def test_flatten_weather(self, dataset, tmp_path, capsys):
+        out = tmp_path / "wx.csv"
+        run_ok(["op", "weather.flatten", "--weather", f"{dataset}/weather.json",
+                "--out", str(out)], capsys)
+        assert out.read_bytes().startswith(b"SiteID,")
+
+    def test_chart(self, dataset, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_bytes(b"cond,speed\nwet,24.5\ndry,33.1\n")
+        out = tmp_path / "c.svg"
+        run_ok(
+            ["op", "chart.bar", "--table", str(table), "--out", str(out),
+             "--params", '{"category_col": "cond", "value_col": "speed", "title": "t"}'],
+            capsys,
+        )
+        assert b"<svg" in out.read_bytes()
+
     def test_list_ops(self, capsys):
         run = run_ok(["list-ops"], capsys)
         assert "spacetime.time_space_join" in run.out
