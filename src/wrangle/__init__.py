@@ -30,13 +30,12 @@ from .relops import (
 from .weather import WeatherDoc, flatten_weather, parse_weather_json
 from .spacetime import (
     SpaceTimeParams,
-    WetCodeSet,
     add_weather_condition,
     haversine_m,
     time_space_join,
 )
 from .traffic import clean_site_id, filter_weekdays, separate_datetime
-from .chart import ChartSpec, render_bar_chart
+from .chart import render_bar_chart
 from .gen import GenConfig, generate
 from .workflow import (
     RunReport,

@@ -8,8 +8,6 @@ two decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyTable, NegativeValue, TypeMismatch
 from .table import CType, Table, format_cell
 
@@ -22,27 +20,18 @@ _MARGIN_BOTTOM = 40.0
 _BAR_FILL = "#4e79a7"
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    category_col: str
-    value_col: str
-    title: str = ""
-
-
 def _esc(text: str) -> str:
     return (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
 
 
-def render_bar_chart(t: Table, spec: ChartSpec) -> bytes:
+def render_bar_chart(t: Table, category_col: str, value_col: str, title: str = "") -> bytes:
     """Render one bar per row; values must be numeric and non-negative."""
-    categories = t.column(spec.category_col)
-    values = t.column(spec.value_col)
+    categories = t.column(category_col)
+    values = t.column(value_col)
     if values.ctype not in (CType.INT, CType.REAL):
-        raise TypeMismatch(
-            f"column '{spec.value_col}' is {values.ctype.value}, need numeric"
-        )
+        raise TypeMismatch(f"column '{value_col}' is {values.ctype.value}, need numeric")
     if t.row_count == 0:
         raise EmptyTable("cannot chart an empty table")
     vals: list[float] = []
@@ -67,10 +56,10 @@ def render_bar_chart(t: Table, spec: ChartSpec) -> bytes:
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if spec.title:
+    if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_esc(spec.title)}</text>'
+            f'font-family="sans-serif" font-size="16">{_esc(title)}</text>'
         )
     parts.append(
         f'<line x1="{_MARGIN_LEFT:.2f}" y1="{baseline:.2f}" '

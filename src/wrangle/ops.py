@@ -1,12 +1,14 @@
 """The operator registry: every service invocable from workflows or the CLI.
 
 An :class:`OpDef` couples a qualified name (``module.op``) with its input
-ports, its declared params, and its implementation. Each :class:`Param`
-gives a name, a JSON shape, a default (or none: the param is required) and
-an optional conversion to the bound form. :meth:`OpDef.bind`, the one place
-params are checked, runs at workflow-validation time, so bad params
-(including grammar strings that fail to parse) are rejected before anything
-executes.
+ports, its declared params, and its function ``fn`` from that module. Each
+:class:`Param` gives a name, a JSON shape, a default (or none: the param is
+required) and an optional conversion to the bound form. :meth:`OpDef.bind`,
+the one place params are checked, runs at workflow-validation time, so bad
+params (including grammar strings that fail to parse) are rejected before
+anything executes. :meth:`OpDef.run` calls ``fn`` with the port values in
+declared order and the bound params by name, so each argument after the
+ports is named after its param.
 
 Port and result kinds are ``table``, ``weatherdoc`` or ``svg``; the
 workflow validator uses them to check port wiring statically.
@@ -18,13 +20,12 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping
 
 from . import relops, traffic
-from .chart import ChartSpec, render_bar_chart
+from .chart import render_bar_chart
 from .errors import InvalidNode, UnknownOp, WrangleError
 from .expr import AggSpec, parse_agg, parse_mutate, parse_predicate
 from .spacetime import (
     DEFAULT_WET_CODES,
     SpaceTimeParams,
-    WetCodeSet,
     add_weather_condition,
     time_space_join,
 )
@@ -70,7 +71,7 @@ class OpDef:
     ports: tuple[tuple[str, str], ...]  # (port name, kind)
     result: str
     params: tuple[Param, ...]
-    run: Callable[[Mapping[str, Any], dict], object]
+    fn: Callable[..., object]
     make: Callable[[dict], dict] = dict  # converted params -> bound params
 
     @property
@@ -107,6 +108,10 @@ class OpDef:
         except (WrangleError, ValueError, OverflowError) as exc:
             raise InvalidNode(str(exc)) from None
 
+    def run(self, inputs: Mapping[str, Any], bound: dict) -> object:
+        """``fn`` on the port values, in declared order, and the bound params."""
+        return self.fn(*[inputs[name] for name, _ in self.ports], **bound)
+
 
 REGISTRY: dict[str, OpDef] = {}
 
@@ -124,16 +129,10 @@ def list_ops() -> list[OpDef]:
     return [REGISTRY[name] for name in sorted(REGISTRY)]
 
 
-def _register(
-    name: str,
-    ports: tuple[tuple[str, str], ...],
-    result: str,
-    params: tuple[Param, ...],
-    run: Callable[[Mapping[str, Any], dict], object],
-    make: Callable[[dict], dict] = dict,
-) -> None:
-    assert name not in REGISTRY
-    REGISTRY[name] = OpDef(name, ports, result, params, run, make)
+def _register(*args: Any) -> None:
+    op = OpDef(*args)
+    assert op.name not in REGISTRY
+    REGISTRY[op.name] = op
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +178,14 @@ def _aggs(texts: list[str]) -> list[AggSpec]:
     return [parse_agg(a) for a in texts]
 
 
-def _wet_codes(raw: Any) -> WetCodeSet:
+def _wet_codes(raw: Any) -> frozenset[int]:
     if (
         not isinstance(raw, list)
         or not raw
         or not all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
     ):
         raise InvalidNode("param 'wet_codes' must be a non-empty list of integers")
-    return WetCodeSet(frozenset(raw))
+    return frozenset(raw)
 
 
 def _whole_seconds(value: float) -> int:
@@ -214,7 +213,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (),
-    lambda inputs, p: infer_column_types(inputs["in"]),
+    infer_column_types,
 )
 
 _register(
@@ -222,7 +221,7 @@ _register(
     (("a", TABLE), ("b", TABLE)),
     TABLE,
     (),
-    lambda inputs, p: relops.union(inputs["a"], inputs["b"]),
+    relops.union,
 )
 
 _register(
@@ -230,7 +229,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("mode", STR, "keep", _keep_or_drop), Param("names", STR_LIST)),
-    lambda inputs, p: relops.select_columns(inputs["in"], p["names"], p["mode"]),
+    relops.select_columns,
     _select,
 )
 
@@ -239,7 +238,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("predicate", STR, convert=parse_predicate),),
-    lambda inputs, p: relops.filter_rows(inputs["in"], p["predicate"]),
+    relops.filter_rows,
 )
 
 _register(
@@ -247,7 +246,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("predicate", STR, convert=parse_predicate),),
-    lambda inputs, p: relops.require(inputs["in"], p["predicate"]),
+    relops.require,
 )
 
 _register(
@@ -255,7 +254,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("name", STR), Param("expr", STR, convert=parse_mutate)),
-    lambda inputs, p: relops.mutate_column(inputs["in"], p["name"], p["expr"]),
+    relops.mutate_column,
 )
 
 _register(
@@ -263,7 +262,7 @@ _register(
     (("left", TABLE), ("right", TABLE)),
     TABLE,
     (Param("keys", ANY, convert=_key_pairs),),
-    lambda inputs, p: relops.join(inputs["left"], inputs["right"], p["keys"]),
+    relops.join,
 )
 
 _register(
@@ -271,7 +270,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("aggs", STR_LIST, convert=_aggs), Param("by", STR_LIST, [], list)),
-    lambda inputs, p: relops.group_summarise(inputs["in"], p["by"], p["aggs"]),
+    relops.group_summarise,
 )
 
 
@@ -284,7 +283,7 @@ _register(
     (("in", WEATHERDOC),),
     TABLE,
     (),
-    lambda inputs, p: flatten_weather(inputs["in"]),
+    flatten_weather,
 )
 
 _BUFFERS = {"space_buffer_m": float, "time_buffer_s": _whole_seconds}
@@ -297,8 +296,8 @@ _register(
         Param(f.name, NUMBER if f.name in _BUFFERS else STR, f.default, _BUFFERS.get(f.name))
         for f in fields(SpaceTimeParams)
     ),
-    lambda inputs, p: time_space_join(inputs["traffic"], inputs["weather"], p["params"]),
-    lambda p: {"params": SpaceTimeParams(**p)},
+    time_space_join,
+    lambda p: {"params": SpaceTimeParams(**p)},  # the join takes them as one
 )
 
 _register(
@@ -306,8 +305,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("wet_codes", ANY, sorted(DEFAULT_WET_CODES), _wet_codes), Param("col", STR, "wx_W")),
-    lambda inputs, p: add_weather_condition(inputs["in"], p["wet"], p["col"]),
-    lambda p: {"wet": p["wet_codes"], "col": p["col"]},
+    add_weather_condition,
 )
 
 
@@ -320,7 +318,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("col", STR),),
-    lambda inputs, p: traffic.clean_site_id(inputs["in"], p["col"]),
+    traffic.clean_site_id,
 )
 
 _register(
@@ -328,7 +326,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("col", STR),),
-    lambda inputs, p: traffic.separate_datetime(inputs["in"], p["col"]),
+    traffic.separate_datetime,
 )
 
 _register(
@@ -336,7 +334,7 @@ _register(
     (("in", TABLE),),
     TABLE,
     (Param("days", STR_LIST, convert=_weekdays), Param("col", STR)),
-    lambda inputs, p: traffic.filter_weekdays(inputs["in"], p["col"], p["days"]),
+    traffic.filter_weekdays,
 )
 
 
@@ -349,8 +347,7 @@ _register(
     (("in", TABLE),),
     SVG,
     (Param("category_col", STR), Param("value_col", STR), Param("title", STR, "")),
-    lambda inputs, p: render_bar_chart(inputs["in"], p["spec"]),
-    lambda p: {"spec": ChartSpec(**p)},
+    render_bar_chart,
 )
 
 

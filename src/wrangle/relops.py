@@ -59,8 +59,6 @@ def _blank_text(c: Column) -> bool:
 def select_columns(t: Table, names: list[str], mode: str = "keep") -> Table:
     """Project columns. ``keep`` returns them in the requested order,
     ``drop`` preserves the original order minus the named ones."""
-    if mode not in ("keep", "drop"):
-        raise ValueError(f"mode must be 'keep' or 'drop', got {mode!r}")
     for name in names:
         t.column(name)  # raises UnknownColumn
     if mode == "keep":
@@ -69,32 +67,34 @@ def select_columns(t: Table, names: list[str], mode: str = "keep") -> Table:
     return Table(tuple(c for c in t.columns if c.name not in dropped))
 
 
-def filter_rows(t: Table, p: PredicateExpr) -> Table:
-    """Keep rows where ``p`` is true; order preserved."""
+def filter_rows(t: Table, predicate: PredicateExpr) -> Table:
+    """Keep rows where ``predicate`` is true; order preserved."""
     rows = range(t.row_count)
-    return t.take(list(compress(rows, compile_predicate(p, t)(rows))))
+    return t.take(list(compress(rows, compile_predicate(predicate, t)(rows))))
 
 
-def require(t: Table, p: PredicateExpr) -> Table:
-    """Return ``t`` itself if every row meets ``p``.
+def require(t: Table, predicate: PredicateExpr) -> Table:
+    """Return ``t`` itself if every row meets ``predicate``.
 
     Raises :class:`RequirementFailed` at the first row that does not.
     A requirement may relate the fields of a row: ``Gap <= Headway`` fails
     at the first row whose gap exceeds its headway.
     Comparisons with a null cell are false, as in :func:`filter_rows`, so a
-    null cell fails a requirement such as ``x > 0``. The columns ``p`` reads
+    null cell fails a requirement such as ``x > 0``. The columns it reads
     are checked before any row, so an empty table meets every predicate that
     fits its columns.
     """
-    truths = compile_predicate(p, t)(range(t.row_count))
+    truths = compile_predicate(predicate, t)(range(t.row_count))
     if False in truths:
-        raise RequirementFailed(f"row {truths.index(False)} does not meet {format_predicate(p)}")
+        raise RequirementFailed(
+            f"row {truths.index(False)} does not meet {format_predicate(predicate)}"
+        )
     return t
 
 
-def mutate_column(t: Table, name: str, e: MutateExpr) -> Table:
+def mutate_column(t: Table, name: str, expr: MutateExpr) -> Table:
     """Append (or replace in place) column ``name`` computed row-wise as real."""
-    values = compile_mutate(e, t)()
+    values = compile_mutate(expr, t)()
     cells = tuple(None if v is None else float(v) for v in values)
     new_col = Column._unchecked(name, CType.REAL, cells)
     if t.has_column(name):
@@ -110,8 +110,6 @@ def join(left: Table, right: Table, keys: list[tuple[str, str]]) -> Table:
     Row order is left-major with ties in right resolved by right row order.
     Null keys never match.
     """
-    if not keys:
-        raise ValueError("join requires at least one key pair")
     left_keys = [left.column(lk) for lk, _ in keys]
     right_keys = [right.column(rk) for _, rk in keys]
     for lc, rc in zip(left_keys, right_keys):
@@ -164,14 +162,14 @@ def _aggregate(func: str, values: list[Cell]) -> Cell:
     return min(present) if func == "min" else max(present)
 
 
-def group_summarise(t: Table, group_cols: list[str], aggs: list[AggSpec]) -> Table:
+def group_summarise(t: Table, by: list[str], aggs: list[AggSpec]) -> Table:
     """One row per distinct group-key tuple, ordered by first appearance.
 
     mean/sum/min/max ignore nulls; count counts the group's rows; a group
-    whose target cells are all null aggregates to null. Empty ``group_cols``
+    whose target cells are all null aggregates to null. Empty ``by``
     aggregate the whole table into a single row.
     """
-    key_cols = [t.column(name) for name in group_cols]
+    key_cols = [t.column(name) for name in by]
     for spec in aggs:
         if spec.target is None:
             continue
@@ -191,11 +189,11 @@ def group_summarise(t: Table, group_cols: list[str], aggs: list[AggSpec]) -> Tab
     for i in range(t.row_count):
         key = tuple(col.cells[i] for col in key_cols)
         groups.setdefault(key, []).append(i)
-    if not group_cols and not groups:
+    if not by and not groups:
         groups[()] = []
 
     out_cols: list[Column] = []
-    for pos, (col, name) in enumerate(zip(key_cols, group_cols)):
+    for pos, (col, name) in enumerate(zip(key_cols, by)):
         out_cols.append(Column._unchecked(name, col.ctype, tuple(key[pos] for key in groups)))
     for spec in aggs:
         if spec.func == "count":

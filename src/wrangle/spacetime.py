@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 
 from .errors import RangeError, SchemaMismatch, TypeMismatch, UnknownColumn
@@ -97,15 +97,6 @@ class SpaceTimeParams:
             )
 
 
-@dataclass(frozen=True)
-class WetCodeSet:
-    codes: frozenset[int] = field(default=DEFAULT_WET_CODES)
-
-    def __post_init__(self) -> None:
-        if not self.codes:
-            raise ValueError("wet code set must not be empty")
-
-
 def _require(t: Table, name: str, kinds: set[CType], what: str) -> Column:
     col = t.column(name)
     if col.ctype not in kinds:
@@ -137,7 +128,7 @@ def _shifted(instant: datetime, delta: timedelta) -> datetime:
         return datetime.max if delta > timedelta(0) else datetime.min
 
 
-def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table:
+def time_space_join(traffic: Table, weather: Table, params: SpaceTimeParams) -> Table:
     """Append the nearest in-buffer weather observation to each traffic row.
 
     Weather columns arrive with a ``wx_`` prefix; unmatched traffic rows
@@ -147,14 +138,14 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
     Each traffic row looks only at the observations in a bisected
     ``±time_buffer_s`` window of the instant-sorted weather rows.
     """
-    lat_col = _require(traffic, p.traffic_lat, {CType.REAL, CType.INT}, "traffic")
-    lon_col = _require(traffic, p.traffic_lon, {CType.REAL, CType.INT}, "traffic")
-    instants = _traffic_instants(traffic, p)
+    lat_col = _require(traffic, params.traffic_lat, {CType.REAL, CType.INT}, "traffic")
+    lon_col = _require(traffic, params.traffic_lon, {CType.REAL, CType.INT}, "traffic")
+    instants = _traffic_instants(traffic, params)
 
-    wlat = _require(weather, p.weather_lat, {CType.REAL, CType.INT}, "weather")
-    wlon = _require(weather, p.weather_lon, {CType.REAL, CType.INT}, "weather")
-    wdate = _require(weather, p.weather_date, {CType.DATE}, "weather")
-    wtime = _require(weather, p.weather_time, {CType.TIME}, "weather")
+    wlat = _require(weather, params.weather_lat, {CType.REAL, CType.INT}, "weather")
+    wlon = _require(weather, params.weather_lon, {CType.REAL, CType.INT}, "weather")
+    wdate = _require(weather, params.weather_date, {CType.DATE}, "weather")
+    wtime = _require(weather, params.weather_time, {CType.TIME}, "weather")
 
     candidates: list[tuple[datetime, int, float, float]] = []
     for j in range(weather.row_count):
@@ -165,7 +156,7 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
         candidates.append((datetime.combine(d, t), j, float(lat), float(lon)))  # type: ignore[arg-type]
     candidates.sort()  # by (instant, j); j is unique, so coordinates never compare
     wx_instants = [c[0] for c in candidates]
-    buf = timedelta(seconds=min(p.time_buffer_s, _DATETIME_SPAN_S)) + _WINDOW_SLACK
+    buf = timedelta(seconds=min(params.time_buffer_s, _DATETIME_SPAN_S)) + _WINDOW_SLACK
 
     # Few distinct coordinate quadruples recur across many pairs; only a
     # distance that was computed is kept, so a bad coordinate raises each time.
@@ -184,7 +175,7 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
         best: tuple[float, float, int] | None = None
         for wx_instant, j, wx_lat, wx_lon in candidates[lo:hi]:
             dt = abs((instant - wx_instant).total_seconds())
-            if dt > p.time_buffer_s:
+            if dt > params.time_buffer_s:
                 continue
             key = (lat, lon, wx_lat, wx_lon)
             dist = dists.get(key)
@@ -192,7 +183,7 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
                 if len(dists) == _MAX_KEPT_DISTANCES:
                     dists.clear()
                 dist = dists[key] = haversine_m(float(lat), float(lon), wx_lat, wx_lon)
-            if dist > p.space_buffer_m:
+            if dist > params.space_buffer_m:
                 continue
             rank = (dist, dt, j)
             if best is None or rank < best:
@@ -210,13 +201,15 @@ def time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table
     return Table(tuple(out))
 
 
-def add_weather_condition(t: Table, wet: WetCodeSet = WetCodeSet(), col: str = "wx_W") -> Table:
+def add_weather_condition(
+    t: Table, wet_codes: frozenset[int] = DEFAULT_WET_CODES, col: str = "wx_W"
+) -> Table:
     """Append a text ``weatherCond`` column: wet, dry, or null when the code is null."""
     codes = t.column(col)
     if codes.ctype is not CType.INT and any(v is not None for v in codes.cells):
         raise TypeMismatch(f"column '{col}' is {codes.ctype.value}, need int codes")
     cells = tuple(
-        None if v is None else ("wet" if v in wet.codes else "dry")
+        None if v is None else ("wet" if v in wet_codes else "dry")
         for v in codes.cells
     )
     return Table(t.columns + (Column._unchecked("weatherCond", CType.TEXT, cells),))

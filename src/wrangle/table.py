@@ -50,6 +50,7 @@ differential oracles.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, time
@@ -322,9 +323,11 @@ def parse_int_text(text: str) -> int | None:
 
 
 def parse_real_text(text: str) -> float | None:
+    """A finite real; text that overflows to an infinity is not one."""
     if not _REAL_RE.match(text):
         return None
-    return float(text)
+    v = float(text)
+    return None if math.isinf(v) else v
 
 
 def parse_date_text(text: str) -> date | None:
@@ -743,7 +746,7 @@ def infer_column_types(t: Table) -> Table:
     text once. The per-cell parsers decide what that cannot: a cell holding
     a newline, a line outside the ASCII form that they may still accept
     (non-ASCII digits, one-digit hours), and a bulk conversion that fails
-    (``""`` or ``+`` in the int charset, int64 overflow, 2018-02-30).
+    (``""`` or ``+`` in the int charset, int64 or float overflow, 2018-02-30).
     """
     return Table(tuple(map(_infer_column, t.columns)))
 
@@ -854,7 +857,11 @@ def _to_ints(values: Sequence[str]) -> list[Cell] | None:
 
 
 def _to_reals(values: Sequence[str]) -> list[Cell] | None:
-    return list(map(float, values))
+    reals = list(map(float, values))
+    # A text past the float range overflows to an infinity, which would be
+    # written as inf and read back as text. A finite sum proves there is none;
+    # the per-cell parser decides a column of finite reals that sums past it.
+    return reals if math.isfinite(sum(reals)) else None  # type: ignore[return-value]
 
 
 def _to_bools(values: Sequence[str]) -> list[Cell] | None:

@@ -15,6 +15,7 @@ flattened table renders it as a time-of-day column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 
@@ -91,15 +92,17 @@ def _as_list(value: object) -> list:
 
 
 def _opt_float(obj: dict, key: str) -> float | None:
+    """A finite JSON number or number text; a bool, NaN or an infinity is refused."""
     v = obj.get(key)
     if v is None:
         return None
-    if isinstance(v, bool):
-        raise MalformedJson(f"field '{key}' is not numeric: {v!r}")
     try:
-        return float(v)
+        f = float(v)
     except (TypeError, ValueError, OverflowError):
-        raise MalformedJson(f"field '{key}' is not numeric: {v!r}") from None
+        f = math.nan  # refused below, with the same message
+    if isinstance(v, bool) or not math.isfinite(f):
+        raise MalformedJson(f"field '{key}' is not numeric: {v!r}")
+    return f
 
 
 def _opt_int(obj: dict, key: str) -> int | None:
@@ -124,7 +127,10 @@ def _minutes(obj: dict, key: str) -> int:
 
 
 def _opt_str(obj: dict, key: str) -> str | None:
+    """A JSON scalar as text; an array or an object is refused."""
     v = obj.get(key)
+    if isinstance(v, (list, dict)):
+        raise MalformedJson(f"field '{key}' is not text: {v!r}")
     return None if v is None else str(v)
 
 

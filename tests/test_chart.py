@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wrangle.chart import ChartSpec, render_bar_chart
+from wrangle.chart import render_bar_chart
 from wrangle.errors import EmptyTable, NegativeValue, TypeMismatch, UnknownColumn
 from wrangle.table import CType, table_from_rows
 
@@ -21,7 +21,7 @@ def cond_table(rows):
 
 
 def spec(**kw):
-    return ChartSpec(category_col="weatherCond", value_col="avg_speed", **kw)
+    return {"category_col": "weatherCond", "value_col": "avg_speed", **kw}
 
 
 def bars_of(svg: bytes):
@@ -36,7 +36,7 @@ def texts_of(svg: bytes):
 
 class TestRender:
     def test_labels_values_and_relative_heights(self):
-        svg = render_bar_chart(cond_table([["wet", 25.0], ["dry", 40.0]]), spec())
+        svg = render_bar_chart(cond_table([["wet", 25.0], ["dry", 40.0]]), **spec())
         texts = texts_of(svg)
         for expected in ("wet", "25.00", "dry", "40.00"):
             assert expected in texts
@@ -47,7 +47,7 @@ class TestRender:
         assert h_wet / h_dry == pytest.approx(25.0 / 40.0, abs=0.01)
 
     def test_max_bar_at_ninety_percent(self):
-        svg = render_bar_chart(cond_table([["only", 12.0]]), spec())
+        svg = render_bar_chart(cond_table([["only", 12.0]]), **spec())
         (bar,) = bars_of(svg)
         plot_h = 480 - 40 - 40
         assert float(bar.get("height")) == pytest.approx(0.9 * plot_h, abs=0.01)
@@ -57,7 +57,7 @@ class TestRender:
         for _ in range(20):
             v1 = rng.uniform(0.5, 100.0)
             v2 = rng.uniform(0.5, 100.0)
-            svg = render_bar_chart(cond_table([["a", v1], ["b", v2]]), spec())
+            svg = render_bar_chart(cond_table([["a", v1], ["b", v2]]), **spec())
             b1, b2 = (float(b.get("height")) for b in bars_of(svg))
             expected = 0.9 * 400 * v1 / max(v1, v2)
             assert b1 == pytest.approx(expected, abs=0.5)
@@ -65,38 +65,39 @@ class TestRender:
 
     def test_deterministic_bytes(self):
         t = cond_table([["wet", 24.586], ["dry", 33.28]])
-        assert render_bar_chart(t, spec(title="x")) == render_bar_chart(t, spec(title="x"))
+        assert render_bar_chart(t, **spec(title="x")) == render_bar_chart(t, **spec(title="x"))
 
     def test_title_escaped(self):
-        svg = render_bar_chart(cond_table([["a", 1.0]]), spec(title="a < b & c"))
+        svg = render_bar_chart(cond_table([["a", 1.0]]), **spec(title="a < b & c"))
         assert b"a &lt; b &amp; c" in svg
 
     def test_all_zero_values(self):
-        svg = render_bar_chart(cond_table([["a", 0.0], ["b", 0.0]]), spec())
+        svg = render_bar_chart(cond_table([["a", 0.0], ["b", 0.0]]), **spec())
         assert all(float(b.get("height")) == 0.0 for b in bars_of(svg))
 
 
 class TestErrors:
     def test_empty_table(self):
         with pytest.raises(EmptyTable):
-            render_bar_chart(cond_table([]), spec())
+            render_bar_chart(cond_table([]), **spec())
 
     def test_negative_value(self):
         with pytest.raises(NegativeValue):
-            render_bar_chart(cond_table([["a", -1.0]]), spec())
+            render_bar_chart(cond_table([["a", -1.0]]), **spec())
 
     def test_null_value(self):
         with pytest.raises(TypeMismatch):
-            render_bar_chart(cond_table([["a", None]]), spec())
+            render_bar_chart(cond_table([["a", None]]), **spec())
 
     def test_unknown_column(self):
         with pytest.raises(UnknownColumn):
             render_bar_chart(
                 cond_table([["a", 1.0]]),
-                ChartSpec(category_col="nope", value_col="avg_speed"),
+                category_col="nope",
+                value_col="avg_speed",
             )
 
     def test_text_value_column(self):
         t = table_from_rows(["c", "v"], [CType.TEXT, CType.TEXT], [["a", "x"]])
         with pytest.raises(TypeMismatch):
-            render_bar_chart(t, ChartSpec(category_col="c", value_col="v"))
+            render_bar_chart(t, category_col="c", value_col="v")

@@ -20,7 +20,7 @@ import slowpaths
 from wrangle import table
 from wrangle.errors import WrangleError
 from wrangle.gen import GenConfig, generate
-from wrangle.table import CType, infer_column_types, parse_csv, table_from_rows
+from wrangle.table import CType, infer_column_types, parse_csv, table_from_rows, write_csv
 
 BOM = b"\xef\xbb\xbf"
 
@@ -349,7 +349,10 @@ class TestInferDifferential:
     @example(["9223372036854775807", "-9223372036854775808"])  # int64 edges
     @example(["9223372036854775808", "1"])  # overflow: real
     @example(["-9223372036854775809"])
-    @example(["1" * 4301, "2"])  # past int()'s digit limit: real, like an overflow
+    @example(["1" * 4301, "2"])  # past int()'s digit limit and the float range: text
+    @example(["1e999", "2"])  # overflows to inf: text
+    @example(["2", "-1e999"])
+    @example(["1e308", "1e308", "-1e308"])  # finite, but the sum overflows: real, per cell
     @example(["0" * 4301 + "7", "-" + "0" * 4301 + "9223372036854775808"])  # padded: int
     @example(["2018-02-30"])  # no such day: text
     @example(["2018-02-28", "2018-02-30"])
@@ -378,6 +381,18 @@ class TestInferDifferential:
         assert _infer_outcome(infer_column_types, cells) == _infer_outcome(
             slowpaths.per_cell_infer_column_types, cells
         )
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"x\n1e999\n2\n", b"x\n2\n-1E+999\n", b"x\n1\n" + b"9" * 400 + b".5\n"],
+        ids=["1e999", "-1E+999", "400 digits"],
+    )
+    def test_a_column_that_overflows_the_float_range_stays_text(self, data):
+        # As a real it would be written as inf, which reads back as text.
+        t = infer_column_types(parse_csv(data))
+        assert t.column("x").ctype is CType.TEXT
+        assert infer_column_types(parse_csv(write_csv(t))) == t
+        assert write_csv(t) == data
 
     def test_a_million_lines_in_one_match(self):
         form = f"{table._YMD} {table._HMS}"  # a timestamp

@@ -7,16 +7,16 @@ rejection is an :class:`InvalidNode`, whatever the params hold.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wrangle.chart import ChartSpec
 from wrangle.errors import InvalidNode, ParseError, RangeError
 from wrangle.expr import parse_agg, parse_mutate, parse_predicate
 from wrangle.ops import REGISTRY, get_op
-from wrangle.spacetime import SpaceTimeParams, WetCodeSet
+from wrangle.spacetime import DEFAULT_WET_CODES, SpaceTimeParams
 
 
 def _parse_error(parse, text: str) -> str:
@@ -126,8 +126,8 @@ CASES: dict[str, dict[str, list]] = {
     },
     "spacetime.add_weather_condition": {
         "accepted": [
-            ({}, {"wet": WetCodeSet(), "col": "wx_W"}),
-            ({"wet_codes": [1, 2, 2], "col": "W"}, {"wet": WetCodeSet(frozenset({1, 2})), "col": "W"}),
+            ({}, {"wet_codes": DEFAULT_WET_CODES, "col": "wx_W"}),
+            ({"wet_codes": [1, 2, 2], "col": "W"}, {"wet_codes": frozenset({1, 2}), "col": "W"}),
         ],
         "shape": [({"col": ""}, _str("col"))],
         "specific": [
@@ -177,8 +177,10 @@ CASES: dict[str, dict[str, list]] = {
     },
     "chart.bar": {
         "accepted": [
-            ({"category_col": "c", "value_col": "v"}, {"spec": ChartSpec("c", "v")}),
-            ({"category_col": "c", "value_col": "v", "title": "t"}, {"spec": ChartSpec("c", "v", "t")}),
+            ({"category_col": "c", "value_col": "v"},
+             {"category_col": "c", "value_col": "v", "title": ""}),
+            ({"category_col": "c", "value_col": "v", "title": "t"},
+             {"category_col": "c", "value_col": "v", "title": "t"}),
         ],
         "missing": [
             ({"value_col": "v"}, "missing param 'category_col'"),
@@ -200,6 +202,14 @@ def test_every_registered_op_has_cases():
 @pytest.mark.parametrize("op, params, bound", _rows("accepted"))
 def test_accepted_params_and_bound_value(op, params, bound):
     assert get_op(op).bind(params) == bound
+
+
+@pytest.mark.parametrize("op, params, bound", _rows("accepted"))
+def test_the_function_takes_the_ports_and_the_bound_params(op, params, bound):
+    # run calls fn(*ports, **bound): an argument renamed away from its
+    # declared param, or a port or param the function lacks, fails here.
+    op_def = get_op(op)
+    inspect.signature(op_def.fn).bind(*[object() for _ in op_def.ports], **bound)
 
 
 @pytest.mark.parametrize("op", sorted(CASES))
@@ -314,7 +324,7 @@ def test_giving_the_default_binds_like_leaving_it_out(op, param):
 
 def test_defaults_that_fail_their_shape_are_accepted():
     chart = {"category_col": "c", "value_col": "v"}
-    assert get_op("chart.bar").bind({**chart, "title": ""}) == {"spec": ChartSpec("c", "v")}
+    assert get_op("chart.bar").bind({**chart, "title": ""}) == {**chart, "title": ""}
     assert get_op(_JOIN).bind({"traffic_timestamp": None}) == {"params": SpaceTimeParams()}
 
 

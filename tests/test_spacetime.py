@@ -18,7 +18,6 @@ from wrangle.errors import RangeError, TypeMismatch, UnknownColumn
 from wrangle.spacetime import (
     DEFAULT_WET_CODES,
     SpaceTimeParams,
-    WetCodeSet,
     add_weather_condition,
     haversine_m,
     time_space_join,
@@ -535,12 +534,8 @@ class TestWetCodes:
         assert Column(col.name, col.ctype, col.cells) == col
 
     def test_custom_code_set(self):
-        got = add_weather_condition(self._joined([5]), WetCodeSet(frozenset({5})))
+        got = add_weather_condition(self._joined([5]), frozenset({5}))
         assert got.column("weatherCond").cells == ("wet",)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            WetCodeSet(frozenset())
 
     def test_non_integer_codes_rejected(self):
         t = table_from_rows(["wx_W"], [CType.TEXT], [["8"]])

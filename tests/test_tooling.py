@@ -4,9 +4,10 @@ The package has no runtime dependencies: every absolute import in
 ``src/wrangle`` names a standard-library module. The independent oracles in
 ``tests/oracles.py`` import nothing from the package they check. The
 package works on whole columns: no module in it iterates a table by rows.
-Every slow path kept in ``tests/slowpaths.py`` is used by some test. The
-bundled workflows read only the traffic columns they keep, and their
-predicate and mutate texts survive a format/parse round trip.
+Every slow path kept in ``tests/slowpaths.py`` is used by some test. Each
+registered operator's function lives in the module its name's prefix
+names. The bundled workflows read only the traffic columns they keep, and
+their predicate and mutate texts survive a format/parse round trip.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from wrangle.expr import format_expr, parse_mutate, parse_predicate
+from wrangle.ops import REGISTRY
 from wrangle.workflow import parse_workflow, read_columns
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +83,12 @@ def test_every_public_slow_path_is_named_in_a_test():
         path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("tests/test_*.py"))
     )
     assert [name for name in public if not re.search(rf"\b{name}\b", tests)] == []
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_op_function_lives_in_the_module_its_name_prefixes(name):
+    # A registry that imports an op's module on first use needs only the name.
+    assert REGISTRY[name].fn.__module__ == "wrangle." + name.partition(".")[0]
 
 
 def test_bundled_workflows_read_only_the_traffic_columns_they_keep():

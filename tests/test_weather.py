@@ -176,6 +176,30 @@ class TestParse:
         with pytest.raises(MalformedJson):
             parse_weather_json(_one_rep_doc(rep, **loc))
 
+    @pytest.mark.parametrize("value", ["NaN", "nan", "inf", "-inf", "-Infinity", "1e999"])
+    def test_a_non_finite_real_field_is_malformed(self, value):
+        # Written as nan or inf, the flat column would read back as text.
+        with pytest.raises(MalformedJson) as err:
+            parse_weather_json(_one_rep_doc({"$": 60, "T": value}))
+        assert str(err.value) == f"field 'T' is not numeric: {value!r}"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_json_nan_and_infinity_are_malformed(self, token):
+        data = _one_rep_doc({"$": 60, "G": 0}).replace(b'"G": 0', f'"G": {token}'.encode())
+        with pytest.raises(MalformedJson, match="^field 'G' is not numeric: "):
+            parse_weather_json(data)
+
+    @pytest.mark.parametrize("loc", [{"lat": "NaN"}, {"lon": "-inf"}, {"lat": "1e999"}])
+    def test_a_non_finite_coordinate_is_malformed(self, loc):
+        with pytest.raises(MalformedJson, match="is not numeric"):
+            parse_weather_json(_one_rep_doc({"$": 60}, **loc))
+
+    @pytest.mark.parametrize("key, value", [("D", ["N"]), ("Pt", {"a": 1}), ("D", [])])
+    def test_an_array_or_object_in_a_text_field_is_malformed(self, key, value):
+        with pytest.raises(MalformedJson) as err:
+            parse_weather_json(_one_rep_doc({"$": 60, key: value}))
+        assert str(err.value) == f"field '{key}' is not text: {value!r}"
+
     def test_whole_json_numbers_are_accepted(self):
         doc = parse_weather_json(_one_rep_doc({"$": 90, "W": 12.0, "T": 5}, lat=50.5))
         rep = _fields(doc.locations[0].periods[0].reps[0])
