@@ -11,6 +11,18 @@ error (validation failure or a failing node; the message names the node).
 
 ``WRANGLE_WORKSPACE`` overrides where ``run --keep-intermediates`` spills
 per-node results.
+
+``run`` loads its inputs before any node runs. Where the platform forks and
+reports CPU affinity, the process runs no other thread and may use two or
+more CPUs, and the workflow has two or more CSV inputs, each spare CPU
+parses CSV inputs in a forked worker while the process loads the rest. CSV
+inputs go largest file first to the least-loaded of the process and its
+workers, the process first on ties; weather inputs stay with the process.
+A worker sends back its text columns through a pipe, and the process types
+them. An input whose worker fails in any way is loaded by the process
+itself, so tables, errors and exit codes are those of loading the inputs
+one by one in ``--input`` order, which is what happens everywhere else. No
+worker outlives the load.
 """
 
 from __future__ import annotations
@@ -18,16 +30,20 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import marshal
 import os
+import signal
 import sys
+import threading
 from datetime import date
 from importlib import resources
 from pathlib import Path
+from typing import IO
 
 from .errors import DataError, RangeError, UnknownOp, WorkflowError
 from .gen import GenConfig, generate
 from .ops import OpDef, get_op, list_ops
-from .table import Table, infer_column_types, parse_csv
+from .table import Column, CType, Table, infer_column_types, parse_csv
 from .weather import parse_weather_json
 from .workflow import (encode_result, execute, parse_workflow, random_keys, read_columns,
                        sequential_keys, write_atomic, write_result)
@@ -67,6 +83,157 @@ def _load_weather(path: str):
         return parse_weather_json(_read_bytes(path))
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork, cannot tell, or runs threads.
+
+    A forked child runs only the thread that forked, so a lock that another
+    thread held at the fork stays held in the child for good.
+    """
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _load_inputs(
+    paths: dict[str, str], declared: dict[str, str], read: dict[str, frozenset[str] | None]
+) -> dict[str, object]:
+    """Each input of ``paths`` loaded, as loading them one by one in order gives them.
+
+    With at least two usable CPUs and two CSV inputs, one fewer worker than
+    the smaller of the two counts is forked before the process loads its own
+    share (see :func:`_shares`) and every weather input. Each worker parses
+    its share and sends the text columns back (:func:`_frame`); the process
+    types them. An input that failed here, or that no whole frame brought
+    back, is loaded again in ``paths`` order, so the first bad input raises
+    what it raises when loaded alone. Workers are reaped before this
+    returns, and killed first if it raises.
+    """
+
+    def load(name: str) -> object:
+        if declared[name] == "table-csv":
+            return _load_table(paths[name], read[name])
+        return _load_weather(paths[name])
+
+    csv = [name for name in paths if declared[name] == "table-csv"]
+    count = min(_usable_cpus(), len(csv))
+    if count < 2:
+        return {name: load(name) for name in paths}
+    own, *shares = _shares(csv, paths, count)
+    loaded: dict[str, object] = {}
+    failed: dict[str, Exception] = {}
+    pipes: dict[int, IO[bytes]] = {}
+    try:
+        for share in shares:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no worker: its share is loaded below, one by one
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                _parse_in_worker(share, paths, read, w, [r, *(p.fileno() for p in pipes.values())])
+            os.close(w)
+            pipes[pid] = open(r, "rb")
+        for name in paths:
+            if name in own or declared[name] != "table-csv":
+                try:
+                    loaded[name] = load(name)
+                except Exception as exc:  # raised below, if no earlier input fails
+                    failed[name] = exc
+                    break
+        for pid in list(pipes):
+            with pipes[pid] as pipe:
+                payload = pipe.read()
+            os.waitpid(pid, 0)
+            del pipes[pid]
+            loaded.update((name, infer_column_types(t)) for name, t in _received(payload))
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    inputs = {}
+    for name in paths:
+        if name in failed:
+            raise failed[name]
+        inputs[name] = loaded[name] if name in loaded else load(name)
+    return inputs
+
+
+def _shares(csv: list[str], paths: dict[str, str], count: int) -> list[list[str]]:
+    """The CSV inputs ``csv`` split into ``count`` shares, the first the process's.
+
+    Largest file first, each goes to the share with the fewest bytes so far,
+    the earliest share on ties. A file that cannot be sized counts as empty.
+    """
+
+    sizes = {}
+    for name in csv:
+        try:
+            sizes[name] = os.stat(paths[name]).st_size
+        except OSError:
+            sizes[name] = 0
+    shares: list[list[str]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for name in sorted(csv, key=sizes.__getitem__, reverse=True):
+        i = loads.index(min(loads))
+        shares[i].append(name)
+        loads[i] += sizes[name]
+    return shares
+
+
+def _parse_in_worker(
+    names: list[str],
+    paths: dict[str, str],
+    read: dict[str, frozenset[str] | None],
+    fd: int,
+    inherited: list[int],
+) -> None:
+    """In a forked worker: parse ``names``, write a frame each to ``fd``, then exit.
+
+    ``inherited`` are the read ends of pipes the worker holds from its
+    parent; they are closed first, so that no write waits on a reader that
+    is gone. The worker stops at its first failure; whatever happens, it
+    leaves by ``os._exit``, never returning into the caller's stack.
+    """
+    code = 1
+    try:
+        for inherited_fd in inherited:
+            os.close(inherited_fd)
+        with open(fd, "wb") as out:
+            for name in names:
+                out.write(_frame(name, parse_csv(_read_bytes(paths[name]), read[name])))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _frame(name: str, table: Table) -> bytes:
+    """A text table as a worker sends it: the length of a marshal blob, then the blob."""
+    blob = marshal.dumps((name, [(c.name, c.cells) for c in table.columns]))
+    return len(blob).to_bytes(8, "little") + blob
+
+
+def _received(payload: bytes) -> list[tuple[str, Table]]:
+    """The text tables of the whole frames in a worker's ``payload``; a short frame is dropped."""
+    tables, pos, view = [], 0, memoryview(payload)
+    while pos + 8 <= len(payload):
+        end = pos + 8 + int.from_bytes(view[pos : pos + 8], "little")
+        if end > len(payload):
+            break
+        name, columns = marshal.loads(view[pos + 8 : end])
+        tables.append(
+            (name, Table(tuple(Column._unchecked(n, CType.TEXT, cells) for n, cells in columns)))
+        )
+        pos = end
+    return tables
 
 
 def _workflow_bytes(path: str) -> bytes:
@@ -115,12 +282,7 @@ def _run_workflow(args: argparse.Namespace) -> int:
     missing = sorted(set(declared) - set(paths))
     if missing:
         return _fail(1, f"missing --input for: {', '.join(missing)}")
-    read = read_columns(spec)
-    inputs = {
-        name: _load_table(path, read[name]) if declared[name] == "table-csv"
-        else _load_weather(path)
-        for name, path in paths.items()
-    }
+    inputs = _load_inputs(paths, declared, read_columns(spec))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

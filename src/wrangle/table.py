@@ -489,8 +489,8 @@ def _parse_columns(text: str, columns: frozenset[str] | None = None) -> Table | 
     Splitting each line on every comma gives the field tokenizer's fields
     exactly when each piece is either free of quotes or one whole quoted
     field, which :func:`_unquote_column` checks a column at a time. The
-    columns ``columns`` does not keep are checked the same way, and their
-    cells dropped.
+    columns ``columns`` does not keep are checked the same way where they
+    may hold a quote (see :func:`_split_block`), and their cells dropped.
     """
     if "\r" in text:
         if text.count("\r") != text.count("\r\n"):
@@ -531,8 +531,10 @@ def _split_block(block: str, cols: list[list[Cell] | None]) -> bool:
 
     Every line must split into ``len(cols)`` pieces, or into one more when
     each line's last piece is bare empty; else False, ``cols`` part-filled.
-    A column whose entry is None is checked, and its cells go to a
-    throwaway list.
+    A column whose entry is None is dropped. It is checked, its cells going
+    to a throwaway list, only if its piece on the block's first line holds a
+    quote, or if the block holds more quotes than the checked columns: else
+    it holds none, and each of its pieces is a bare field.
     """
     lines = block.count("\n") + 1
     # A newline becomes a piece of its own, found every stride pieces.
@@ -546,22 +548,31 @@ def _split_block(block: str, cols: list[list[Cell] | None]) -> bool:
             return False
     elif stride != width + 1:
         return False
-    return all(
-        _unquote_column(pieces[i::stride], [] if cells is None else cells)
-        for i, cells in enumerate(cols)
+    quotes, unchecked = 0, []
+    for i, cells in enumerate(cols):
+        if cells is None and '"' not in pieces[i]:
+            unchecked.append(i)
+            continue
+        found = _unquote_column(pieces[i::stride], [] if cells is None else cells)
+        if found is None:
+            return False
+        quotes += found
+    return quotes == block.count('"') or all(
+        _unquote_column(pieces[i::stride], []) is not None for i in unchecked
     )
 
 
-def _unquote_column(raw: list[str], out: list[Cell]) -> bool:
+def _unquote_column(raw: list[str], out: list[Cell]) -> int | None:
     """Append the cells of one column's comma-split pieces to ``out``.
 
-    A bare empty piece is null and ``""`` is the empty string. False, with
-    ``out`` left part-filled, when a piece is not a whole field.
+    A bare empty piece is null and ``""`` is the empty string. The count of
+    quotes in the pieces; None, with ``out`` left part-filled, when a piece
+    is not a whole field.
     """
     joined = "\n".join(raw)
     if '"' not in joined:
         out.extend(raw if "" not in raw else [piece or None for piece in raw])
-        return True
+        return 0
     n = len(raw)
     all_quoted = joined.count('\n"') + (joined[0] == '"') == n
     quotes = joined.count('"')
@@ -574,9 +585,9 @@ def _unquote_column(raw: list[str], out: list[Cell]) -> bool:
         # Every piece opens and closes with a quote, none is a lone quote doing
         # both, and two quotes each leave none inside: whole fields, no escapes.
         out.extend(joined[1:-1].split('"\n"'))
-        return True
+        return quotes
     if re.search(_BAD_QUOTING, joined, re.M):
-        return False
+        return None
     if all_quoted:
         # Every piece is quoted: strip the quotes around all of them at once.
         contents = joined[1:-1].split('"\n"')
@@ -590,7 +601,7 @@ def _unquote_column(raw: list[str], out: list[Cell]) -> bool:
                 for piece in raw
             ]
         )
-    return True
+    return quotes
 
 
 def _lone_quote(joined: str) -> bool:
@@ -784,7 +795,8 @@ def _infer_values(values: Sequence[str], joined: str) -> tuple[CType, list[Cell]
         if parser(values[0]) is None:  # rules out most kinds at once
             continue
         if one_per_line:
-            if charset is not None and not joined.translate(charset):
+            converted = charset is not None and not joined.translate(charset)
+            if converted:
                 # Only the form's characters: the bulk conversion decides,
                 # and what it rejects goes on to the match and the parser.
                 parsed = _bulk(convert, values)
@@ -792,7 +804,8 @@ def _infer_values(values: Sequence[str], joined: str) -> tuple[CType, list[Cell]
                     return ctype, parsed
             bad = _first_bad_line(form, joined)
             if bad < 0:
-                parsed = _bulk(convert, values)
+                # Converting the same values again would refuse them again.
+                parsed = None if converted else _bulk(convert, values)
                 if parsed is not None:
                     return ctype, parsed
             elif parser(_line_at(joined, bad)) is None:

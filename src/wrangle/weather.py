@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 
@@ -214,7 +215,7 @@ def parse_weather_json(data: bytes) -> WeatherDoc:
 
     raw_date = str(_req(dv, "dataDate", "DV"))
     try:
-        data_date = datetime.strptime(raw_date, "%Y-%m-%dT%H:%M:%SZ")
+        data_date = _parse_data_date(raw_date)
     except ValueError:
         raise MalformedJson(f"bad dataDate {raw_date!r}") from None
 
@@ -228,6 +229,21 @@ def parse_weather_json(data: bytes) -> WeatherDoc:
         locations=locations,
         unknown_rep_fields=sum(len(obj.keys() - _REP_KEYS) for obj in rep_objs),
     )
+
+
+def _parse_data_date(raw: str) -> datetime:
+    """``raw`` as ``datetime.strptime(raw, "%Y-%m-%dT%H:%M:%SZ")`` reads it.
+
+    The canonical ASCII form is built field by field, which spares the
+    process ``strptime``'s import of ``_strptime``. Every other text (lower
+    case ``t`` or ``z``, one-digit fields, non-ASCII digits) goes through
+    ``strptime``, so the same texts are accepted and refused. A field out of
+    range raises ``ValueError`` either way.
+    """
+    m = re.fullmatch(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", raw, re.ASCII)
+    if m is None:
+        return datetime.strptime(raw, "%Y-%m-%dT%H:%M:%SZ")
+    return datetime(*map(int, m.groups()))
 
 
 def flatten_weather(doc: WeatherDoc) -> Table:

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from importlib import resources
 
 import pytest
@@ -19,8 +23,8 @@ from wrangle.chart import render_bar_chart
 from wrangle.cli import main
 from wrangle.gen import GenConfig, generate
 from wrangle.ops import REGISTRY
-from wrangle.table import infer_column_types, parse_csv
-from wrangle.workflow import parse_workflow
+from wrangle.table import Table, infer_column_types, parse_csv
+from wrangle.workflow import parse_workflow, read_columns
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +206,8 @@ class TestRun:
 
     def test_run_reads_the_planned_columns_and_op_reads_all(self, dataset, tmp_path,
                                                             capsys, monkeypatch):
+        # One usable CPU: every read happens in this process, where the spy sees it.
+        _cpus(monkeypatch, 1)
         reads = []
 
         def spy(data, columns=None):
@@ -218,6 +224,33 @@ class TestRun:
         run_ok(["op", "relops.select_columns", "--table", f"{dataset}/site_1.csv",
                 "--params", '{"names": ["Speed"]}', "--out", str(tmp_path / "s.csv")], capsys)
         assert reads == [None]
+
+    def test_run_workers_send_back_the_planned_columns(self, dataset, tmp_path, capsys,
+                                                       monkeypatch):
+        _cpus(monkeypatch, 3)
+        process, reads, sent = os.getpid(), [], {}
+        real_received = cli._received
+
+        def spy(data, columns=None):
+            if os.getpid() == process:
+                reads.append(columns)
+            return parse_csv(data, columns)
+
+        def received(payload):
+            tables = real_received(payload)
+            sent.update((name, t.column_names) for name, t in tables)
+            return tables
+
+        monkeypatch.setattr(cli, "parse_csv", spy)
+        monkeypatch.setattr(cli, "_received", received)
+        run_ok(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
+                "--input", f"ds1_2={dataset}/site_2.csv", "--input", f"ds1_3={dataset}/sites.csv",
+                "--out", str(tmp_path / "o")], capsys)
+        # The larger export stays here; one worker takes the other, one sites.csv.
+        assert reads == [frozenset({"Site ID", "Date", "Direction Name", "Speed"})]
+        assert sent.pop("ds1_3") == parse_csv((dataset / "sites.csv").read_bytes()).column_names
+        assert list(sent.values()) == [("Site ID", "Date", "Direction Name", "Speed")]
+        assert set(sent) < {"ds1_1", "ds1_2"}
 
     def test_repeated_kept_name_is_exit_3_before_any_input_is_read(self, tmp_path, capsys):
         flow = _one_node_flow("relops.select_columns", {"names": ["Speed", "Speed"]})
@@ -408,6 +441,212 @@ class TestRun:
             )
         assert (out / "journey_time_s.csv").read_bytes() == b"old\n"
         assert sorted(p.name for p in out.iterdir()) == ["journey_time_s.csv"]
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make ``wrangle run`` see ``count`` usable CPUs."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
+def _typed(value):
+    """A loaded input with each cell's Python type, for exact comparison."""
+    if isinstance(value, Table):
+        return [(c.name, c.ctype, [(type(v), v) for v in c.cells]) for c in value.columns]
+    return value
+
+
+@pytest.fixture()
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_FLOW_FILES = {
+    "dwr1.json": ("site_1.csv", "site_2.csv", "sites.csv"),
+    "dwr2.json": ("site_1.csv", "sites.csv", "weather.json"),
+}
+
+
+def _bad_csv(kind: str, path, big: bytes | None) -> None:
+    """Make ``path`` an input that fails to load in the way ``kind`` names.
+
+    With ``big``, a file longer than ``big``, so that the largest file
+    first goes to this process rather than to a worker.
+    """
+    if kind == "malformed":
+        body = big + big.split(b"\n", 1)[1] if big else b"Site ID,Date\n"
+        path.write_bytes(body + b"x," * 40 + b"EXTRA\n")
+    elif kind == "bom":  # a byte order mark and no header names
+        path.write_bytes(b"\xef\xbb\xbf" + b"\n" * (2 * len(big) if big else 1))
+    else:
+        assert kind == "missing"
+
+
+_BAD_CASES = [
+    *(((kind, at),) for kind in ("malformed", "missing", "bom") for at in range(3)),
+    *(
+        ((first, i), (second, j))
+        for first, second in itertools.permutations(("malformed", "missing", "bom"), 2)
+        for i, j in itertools.combinations(range(3), 2)
+    ),
+]
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestLoadInputs:
+    """``wrangle run`` with its CSV inputs parsed in forked workers loads,
+    fails and exits as it does loading them one by one, and leaves no
+    process behind."""
+
+    def _inputs(self, dataset, flow):
+        """``_load_inputs``' arguments for ``flow`` on ``dataset``."""
+        spec = parse_workflow(cli._workflow_bytes(flow))
+        declared = {x.name: x.kind for x in spec.inputs}
+        paths = {name: str(dataset / f) for name, f in zip(declared, _FLOW_FILES[flow])}
+        return paths, declared, read_columns(spec)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("flow", sorted(_FLOW_FILES))
+    def test_tables_equal_the_one_by_one_load(self, dataset, flow, cpus, monkeypatch):
+        paths, declared, read = self._inputs(dataset, flow)
+        _cpus(monkeypatch, 1)
+        alone = cli._load_inputs(paths, declared, read)
+        _cpus(monkeypatch, cpus)
+        received = []
+        real_received = cli._received
+
+        def spy(payload):
+            tables = real_received(payload)
+            received.extend(name for name, _ in tables)
+            return tables
+
+        monkeypatch.setattr(cli, "_received", spy)
+        loaded = cli._load_inputs(paths, declared, read)
+        assert list(loaded) == list(alone)
+        assert {k: _typed(v) for k, v in loaded.items()} == {
+            k: _typed(v) for k, v in alone.items()
+        }
+        csv_inputs = [name for name in paths if declared[name] == "table-csv"]
+        _, *shares = cli._shares(csv_inputs, paths, min(cpus, len(csv_inputs)))
+        assert sorted(received) == sorted(itertools.chain(*shares))
+        assert received
+
+    def test_shares_go_largest_first_to_the_least_loaded_the_process_first(self, tmp_path):
+        sizes = {"a": 5, "b": 9, "c": 5, "d": 1, "e": 0}
+        paths = {}
+        for name, size in sizes.items():
+            (tmp_path / name).write_bytes(b"x" * size)
+            paths[name] = str(tmp_path / name)
+        paths["gone"] = str(tmp_path / "gone")
+        # b (9) -> 0; a (5), c (5) -> 1, now 10; d (1) -> 0, now 10; ties -> 0.
+        assert cli._shares(list(paths), paths, 2) == [["b", "d", "e", "gone"], ["a", "c"]]
+        assert cli._shares(list(paths), paths, 3) == [["b"], ["a", "d"], ["c", "e", "gone"]]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
+    @pytest.mark.parametrize("bad", _BAD_CASES, ids=str)
+    def test_a_bad_input_fails_as_in_a_one_by_one_load(
+        self, dataset, tmp_path, bad, big, cpus, capsys, monkeypatch
+    ):
+        src = tmp_path / "in"
+        src.mkdir()
+        files = _FLOW_FILES["dwr1.json"]
+        for name in files:
+            (src / name).write_bytes((dataset / name).read_bytes())
+        largest = max((dataset / name).read_bytes() for name in files[:2])
+        for kind, at in bad:
+            (src / files[at]).unlink()
+            _bad_csv(kind, src / files[at], largest if big else None)
+        argv = ["run", "dwr1.json", "--out", str(tmp_path / "o")]
+        for i, name in enumerate(files, 1):
+            argv += ["--input", f"ds1_{i}={src / name}"]
+        results = []
+        for count in (1, cpus):
+            _cpus(monkeypatch, count)
+            results.append((main(argv), capsys.readouterr()))
+        (code, alone), (parallel_code, parallel) = results
+        assert code in (1, 2)
+        assert (parallel_code, parallel.out, parallel.err) == (code, alone.out, alone.err)
+
+    @pytest.mark.parametrize("how", ["killed", "raises", "short payload", "no fork"])
+    def test_a_failed_worker_leaves_its_inputs_to_the_process(
+        self, how, dataset, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["run", "dwr1.json", "--deterministic-keys"]
+        for i, name in enumerate(_FLOW_FILES["dwr1.json"], 1):
+            argv += ["--input", f"ds1_{i}={dataset / name}"]
+        _cpus(monkeypatch, 1)
+        run_ok([*argv, "--out", str(tmp_path / "alone")], capsys)
+        _cpus(monkeypatch, 3)
+        process = os.getpid()
+        real_parse, real_frame = cli.parse_csv, cli._frame
+
+        def parse_csv(data, columns=None):
+            if os.getpid() != process:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if how == "raises":
+                    raise RuntimeError("worker failed")
+            return real_parse(data, columns)
+
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(cli, "parse_csv", parse_csv)
+        if how == "short payload":
+            monkeypatch.setattr(cli, "_frame", lambda name, t: real_frame(name, t)[:-1])
+        if how == "no fork":
+            monkeypatch.setattr(os, "fork", fork)
+        received = []
+        real_received = cli._received
+        monkeypatch.setattr(cli, "_received", lambda p: received.extend(real_received(p)) or [])
+        run_ok([*argv, "--out", str(tmp_path / "parallel")], capsys)
+        assert received == []
+        for out in ("alone", "parallel"):
+            assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["journey_time_s.csv"]
+        assert (tmp_path / "parallel" / "journey_time_s.csv").read_bytes() == (
+            tmp_path / "alone" / "journey_time_s.csv"
+        ).read_bytes()
+
+    def test_a_worker_is_killed_and_reaped_when_the_process_raises(
+        self, dataset, monkeypatch
+    ):
+        _cpus(monkeypatch, 2)
+        process = os.getpid()
+        real_parse = cli.parse_csv
+
+        def parse_csv(data, columns=None):
+            if os.getpid() == process:
+                raise KeyboardInterrupt
+            time.sleep(60)  # never sends its table
+            return real_parse(data, columns)
+
+        monkeypatch.setattr(cli, "parse_csv", parse_csv)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._load_inputs(*self._inputs(dataset, "dwr1.json"))
+        assert time.monotonic() - started < 30
+
+    def test_without_fork_or_affinity_or_beside_a_thread_it_loads_one_by_one(
+        self, monkeypatch
+    ):
+        if cli._usable_cpus() < 2:
+            pytest.skip("needs a host where the load can fork workers")
+        stop = threading.Event()
+        beside = threading.Thread(target=stop.wait, args=(60,))
+        beside.start()
+        try:
+            assert cli._usable_cpus() == 1
+        finally:
+            stop.set()
+            beside.join(60)
+        assert not beside.is_alive()
+        assert cli._usable_cpus() > 1
+        for name in ("fork", "sched_getaffinity"):
+            with monkeypatch.context() as m:
+                m.delattr(os, name)
+                assert cli._usable_cpus() == 1, name
 
 
 def _one_node_flow(op: str, params: dict) -> dict:

@@ -243,16 +243,32 @@ class TestReadSomeColumns:
                 partial(projected, columns=columns), infer_column_types, data
             )
 
-    def test_every_column_is_checked_and_only_the_kept_are_built(self, tmp_path):
-        paths = generate(GenConfig(seed=3, sites=2, rows_per_site=300), tmp_path)
-        text = paths[0].read_text("utf-8-sig")
-        width = text.count(",", 0, text.index("\n")) + 1
-        with mock.patch.object(
-            table, "_unquote_column", wraps=table._unquote_column
-        ) as unquote:
-            t = table._parse_columns(text, frozenset({"Speed", "Site ID"}))
-        assert t.column_names == ("Site ID", "Speed")
-        assert unquote.call_count == width
+    @pytest.mark.parametrize("block_chars", [250, table._BLOCK_CHARS])
+    def test_a_quote_in_a_dropped_column_reads_as_the_full_read(self, tmp_path, block_chars):
+        # A dropped column is proved piece by piece only when its first piece
+        # in a block holds a quote or the block's quote count says one may
+        # hide elsewhere. Blocks of 250 characters hold two or three rows, so
+        # rows 1 to 4 put a quote on a block's first line and on later ones.
+        paths = generate(GenConfig(seed=3, sites=2, rows_per_site=30), tmp_path)
+        data = paths[0].read_bytes()
+        kept = frozenset({"Speed", "Site ID"})
+        names = parse_csv(data).column_names
+        lines = data.split(b"\n")
+        with mock.patch.object(table, "_BLOCK_CHARS", block_chars):
+            assert parse_csv(data, kept).column_names == ("Site ID", "Speed")
+            for at, name in enumerate(names):
+                if name in kept:
+                    continue
+                for row, field in itertools.product(range(1, 5), (b'x"y', b'"q"')):
+                    fields = lines[row].split(b",")
+                    fields[at] = field
+                    edited = b"\n".join([*lines[:row], b",".join(fields), *lines[row + 1 :]])
+                    narrowed = read(partial(parse_csv, columns=kept), infer_column_types, edited)
+                    assert narrowed == read(
+                        partial(projected, columns=kept), infer_column_types, edited
+                    ), (name, row, field)
+                    parsed = isinstance(narrowed[0], list)
+                    assert parsed == (field == b'"q"'), (name, row, field)
 
 
 class TestColumnPathTaken:

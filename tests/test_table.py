@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import slowpaths
 from conftest import assert_tables_equal, random_typed_table
 from opharness import row, rows_of
+from wrangle import table
 from wrangle.errors import EmptyInput, MalformedCsv, TypeMismatch
 from wrangle.table import (
     Column,
@@ -197,6 +198,16 @@ class TestInference:
     def test_beyond_int64_becomes_real(self):
         col = self.infer_one([str(2**63)])
         assert col.ctype is CType.REAL
+
+    def test_a_refused_bulk_conversion_runs_once(self):
+        # Inside the int charset, but past int64: the bulk conversion refuses
+        # the column once, the per-cell parser agrees, and real takes it.
+        cells = ["1", "9223372036854775808"] + ["1"] * 1000
+        with mock.patch.object(table, "_bulk", wraps=table._bulk) as bulk:
+            col = self.infer_one(cells)
+        assert [c.args[0] for c in bulk.call_args_list] == [table._to_ints, table._to_reals]
+        assert col.ctype is CType.REAL
+        assert col.cells == tuple(map(float, cells))
 
     def test_idempotent(self):
         rng = random.Random("infer:idempotent")

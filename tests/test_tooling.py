@@ -8,13 +8,16 @@ Every slow path kept in ``tests/slowpaths.py`` is used by some test. Each
 registered operator's function lives in the module its name's prefix
 names. The bundled workflows read only the traffic columns they keep, and
 their predicate and mutate texts survive a format/parse round trip.
+Importing the CLI loads no process-pool machinery.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,3 +118,20 @@ def test_bundled_expressions_survive_a_round_trip(name):
     assert texts
     for parse, text in texts:
         assert parse(format_expr(parse(text))) == parse(text), text
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    # ``run`` forks its load workers itself; these packages would add their
+    # import time to every process.
+    code = (
+        "import sys, wrangle.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures'))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

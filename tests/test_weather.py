@@ -219,6 +219,66 @@ class TestParse:
         assert baltasound.unknown_rep_fields == 0
 
 
+# Digits a dataDate field may be written with: ASCII most often, then digits
+# that strptime's \\d also takes (Arabic-Indic, fullwidth).
+_DIGITS = st.sampled_from("0123456789" * 4 + "\u0660\u0661\u0662\u0669\uff10\uff11\uff19")
+
+
+def _field(most: int):
+    return st.lists(_DIGITS, min_size=1, max_size=most).map("".join)
+
+
+_DATA_DATES = st.tuples(
+    _field(4), st.just("-"), _field(2), st.just("-"), _field(2), st.sampled_from("Tt "),
+    _field(2), st.just(":"), _field(2), st.just(":"), _field(2), st.sampled_from(["Z", "z", ""]),
+).map("".join)
+
+
+class TestDataDate:
+    """``dataDate`` reads as ``datetime.strptime`` reads it; canonical text
+    is read without it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_DATA_DATES)
+    @example("2018-02-05T12:00:00Z")
+    @example("0001-01-01T00:00:00Z")
+    @example("9999-12-31T23:59:59Z")
+    @example("0000-01-01T00:00:00Z")  # year 0
+    @example("2018-02-29T00:00:00Z")  # not a leap year
+    @example("2018-02-01T00:00:60Z")  # strptime's pattern takes 60 and 61; datetime does not
+    @example("2018-02-01T24:00:00Z")
+    @example("2018-02-01t00:00:00z")
+    @example("2018-2-1T0:0:0Z")
+    @example("\u0662\u0660\u0661\u0668-02-01T00:00:00Z")
+    def test_reads_as_strptime_reads_it(self, text):
+        try:
+            expected = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+        except ValueError:
+            expected = None
+        data = json.dumps({"DV": {"dataDate": text, "Location": []}}).encode()
+        if expected is None:
+            with pytest.raises(MalformedJson) as err:
+                parse_weather_json(data)
+            assert str(err.value) == f"bad dataDate {text!r}"
+        else:
+            assert parse_weather_json(data).data_date == expected
+
+    def test_a_canonical_data_date_does_not_load_strptime(self):
+        code = (
+            "import sys\n"
+            "from wrangle.weather import parse_weather_json\n"
+            f"parse_weather_json(open({str(FIXTURE)!r}, 'rb').read())\n"
+            "print('_strptime' in sys.modules)\n"
+        )
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestFlatten:
     def test_fixture_row(self, baltasound):
         t = flatten_weather(baltasound)
