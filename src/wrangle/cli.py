@@ -12,17 +12,15 @@ error (validation failure or a failing node; the message names the node).
 ``WRANGLE_WORKSPACE`` overrides where ``run --keep-intermediates`` spills
 per-node results.
 
-``run`` loads its inputs before any node runs. Where the platform forks and
-reports CPU affinity, the process runs no other thread and may use two or
-more CPUs, and the workflow has two or more CSV inputs, each spare CPU
-parses CSV inputs in a forked worker while the process loads the rest. CSV
-inputs go largest file first to the least-loaded of the process and its
-workers, the process first on ties; weather inputs stay with the process.
-A worker sends back its text columns through a pipe, and the process types
-them. An input whose worker fails in any way is loaded by the process
-itself, so tables, errors and exit codes are those of loading the inputs
-one by one in ``--input`` order, which is what happens everywhere else. No
-worker outlives the load.
+``run`` loads its inputs before any node runs. Its CSV inputs, largest file
+first, are dealt round like cards to the process and one forked worker per
+further usable CPU, as far as they go; weather inputs stay with the process.
+A process that cannot fork, cannot tell its CPU affinity or runs other
+threads has one usable CPU, and loads everything itself. Each worker sends
+back the text tables it parsed as one marshal blob through a pipe, and the
+process types them. An input whose worker fails in any way is loaded by the
+process itself, so tables, errors and exit codes are those of loading the
+inputs one by one in ``--input`` order. No worker outlives the load.
 """
 
 from __future__ import annotations
@@ -71,18 +69,22 @@ def _read_bytes(path: str) -> bytes:
     return p.read_bytes()
 
 
-def _load_table(path: str, columns: frozenset[str] | None = None) -> Table:
+def _load(path: str, kind: str, columns: frozenset[str] | None = None) -> object:
+    """The ``kind`` input at ``path``, a ``table-csv`` read as ``columns`` (None: all)."""
     try:
-        return infer_column_types(parse_csv(_read_bytes(path), columns))
+        data = _read_bytes(path)
+        if kind == "table-csv":
+            return infer_column_types(parse_csv(data, columns))
+        return parse_weather_json(data)
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _load_weather(path: str):
+def _size(path: str) -> int:
     try:
-        return parse_weather_json(_read_bytes(path))
-    except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        return os.stat(path).st_size
+    except OSError:
+        return 0
 
 
 def _usable_cpus() -> int:
@@ -105,31 +107,30 @@ def _load_inputs(
 ) -> dict[str, object]:
     """Each input of ``paths`` loaded, as loading them one by one in order gives them.
 
-    With at least two usable CPUs and two CSV inputs, one fewer worker than
-    the smaller of the two counts is forked before the process loads its own
-    share (see :func:`_shares`) and every weather input. Each worker parses
-    its share and sends the text columns back (:func:`_frame`); the process
-    types them. An input that failed here, or that no whole frame brought
-    back, is loaded again in ``paths`` order, so the first bad input raises
-    what it raises when loaded alone. Workers are reaped before this
-    returns, and killed first if it raises.
+    The CSV inputs, sorted by file size, largest first (an unsizable file
+    counts as empty; ties keep ``paths`` order), are dealt round: the process
+    takes ``csv[0::count]`` and worker ``k`` ``csv[k::count]``, where
+    ``count`` is the smaller of the usable CPUs and the CSV inputs. With one
+    loader nothing is forked. The process loads its share and every weather
+    input, then types the text tables each worker's blob brings back. An
+    input that failed here, or that no whole blob brought back, is loaded
+    again in ``paths`` order, so the first bad input raises what it raises
+    when loaded alone. Workers are reaped before this returns, and killed
+    first if it raises.
     """
 
     def load(name: str) -> object:
-        if declared[name] == "table-csv":
-            return _load_table(paths[name], read[name])
-        return _load_weather(paths[name])
+        return _load(paths[name], declared[name], read[name])
 
     csv = [name for name in paths if declared[name] == "table-csv"]
-    count = min(_usable_cpus(), len(csv))
-    if count < 2:
-        return {name: load(name) for name in paths}
-    own, *shares = _shares(csv, paths, count)
+    csv.sort(key=lambda name: _size(paths[name]), reverse=True)
+    count = max(1, min(_usable_cpus(), len(csv)))
+    own = set(csv[0::count])
     loaded: dict[str, object] = {}
     failed: dict[str, Exception] = {}
     pipes: dict[int, IO[bytes]] = {}
     try:
-        for share in shares:
+        for k in range(1, count):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -138,7 +139,9 @@ def _load_inputs(
                 os.close(w)
                 continue
             if pid == 0:
-                _parse_in_worker(share, paths, read, w, [r, *(p.fileno() for p in pipes.values())])
+                _parse_in_worker(
+                    csv[k::count], paths, read, w, [r, *(p.fileno() for p in pipes.values())]
+                )
             os.close(w)
             pipes[pid] = open(r, "rb")
         for name in paths:
@@ -153,7 +156,13 @@ def _load_inputs(
                 payload = pipe.read()
             os.waitpid(pid, 0)
             del pipes[pid]
-            loaded.update((name, infer_column_types(t)) for name, t in _received(payload))
+            try:
+                sent = marshal.loads(payload)
+            except (EOFError, ValueError, TypeError):  # no whole blob: the worker sent nothing
+                sent = []
+            for name, columns in sent:
+                text = Table(tuple(Column._unchecked(n, CType.TEXT, c) for n, c in columns))
+                loaded[name] = infer_column_types(text)
     finally:
         for pid, pipe in pipes.items():
             pipe.close()
@@ -167,28 +176,6 @@ def _load_inputs(
     return inputs
 
 
-def _shares(csv: list[str], paths: dict[str, str], count: int) -> list[list[str]]:
-    """The CSV inputs ``csv`` split into ``count`` shares, the first the process's.
-
-    Largest file first, each goes to the share with the fewest bytes so far,
-    the earliest share on ties. A file that cannot be sized counts as empty.
-    """
-
-    sizes = {}
-    for name in csv:
-        try:
-            sizes[name] = os.stat(paths[name]).st_size
-        except OSError:
-            sizes[name] = 0
-    shares: list[list[str]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for name in sorted(csv, key=sizes.__getitem__, reverse=True):
-        i = loads.index(min(loads))
-        shares[i].append(name)
-        loads[i] += sizes[name]
-    return shares
-
-
 def _parse_in_worker(
     names: list[str],
     paths: dict[str, str],
@@ -196,44 +183,28 @@ def _parse_in_worker(
     fd: int,
     inherited: list[int],
 ) -> None:
-    """In a forked worker: parse ``names``, write a frame each to ``fd``, then exit.
+    """In a forked worker: parse ``names``, write them to ``fd`` as one blob, then exit.
 
     ``inherited`` are the read ends of pipes the worker holds from its
     parent; they are closed first, so that no write waits on a reader that
-    is gone. The worker stops at its first failure; whatever happens, it
-    leaves by ``os._exit``, never returning into the caller's stack.
+    is gone. The blob is ``marshal.dumps`` of a list of ``(name, [(column,
+    cells), ...])``, one for each input parsed before the first failure.
+    Whatever happens, the worker leaves by ``os._exit``, never returning
+    into the caller's stack; the process reads no exit status.
     """
-    code = 1
+    sent = []
     try:
-        for inherited_fd in inherited:
-            os.close(inherited_fd)
-        with open(fd, "wb") as out:
+        try:
+            for inherited_fd in inherited:
+                os.close(inherited_fd)
             for name in names:
-                out.write(_frame(name, parse_csv(_read_bytes(paths[name]), read[name])))
-        code = 0
+                table = parse_csv(_read_bytes(paths[name]), read[name])
+                sent.append((name, [(c.name, c.cells) for c in table.columns]))
+        finally:
+            with open(fd, "wb") as out:
+                out.write(marshal.dumps(sent))
     finally:
-        os._exit(code)
-
-
-def _frame(name: str, table: Table) -> bytes:
-    """A text table as a worker sends it: the length of a marshal blob, then the blob."""
-    blob = marshal.dumps((name, [(c.name, c.cells) for c in table.columns]))
-    return len(blob).to_bytes(8, "little") + blob
-
-
-def _received(payload: bytes) -> list[tuple[str, Table]]:
-    """The text tables of the whole frames in a worker's ``payload``; a short frame is dropped."""
-    tables, pos, view = [], 0, memoryview(payload)
-    while pos + 8 <= len(payload):
-        end = pos + 8 + int.from_bytes(view[pos : pos + 8], "little")
-        if end > len(payload):
-            break
-        name, columns = marshal.loads(view[pos + 8 : end])
-        tables.append(
-            (name, Table(tuple(Column._unchecked(n, CType.TEXT, cells) for n, cells in columns)))
-        )
-        pos = end
-    return tables
+        os._exit(0)
 
 
 def _workflow_bytes(path: str) -> bytes:
@@ -314,7 +285,7 @@ def _bind_files(op_def: OpDef, tables: list[str], weathers: list[str]) -> dict[s
             raise SystemExit(
                 _fail(1, f"op {op_def.name}: port '{port}' needs a --{'table' if kind == 'table' else 'weather'} file")
             )
-        values[port] = _load_table(path) if kind == "table" else _load_weather(path)
+        values[port] = _load(path, "table-csv" if kind == "table" else "weather-json")
     leftover = list(t) + list(w)
     if leftover:
         raise SystemExit(_fail(1, f"op {op_def.name}: unused input files {leftover}"))

@@ -66,9 +66,11 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 class SpaceTimeParams:
     """Column names and buffers for the join.
 
-    The traffic timestamp comes either from one timestamp column
-    (``traffic_timestamp``) or from a date column plus a time-of-day column;
-    exactly one of the two forms must be configured.
+    The traffic timestamp comes from one timestamp column
+    (``traffic_timestamp``) when that is set, and the date and time-of-day
+    columns are then not read; otherwise it comes from a date column
+    (``traffic_date``) plus a time-of-day column (``traffic_time``), and
+    both must be set.
     """
 
     space_buffer_m: float = MILE_M
@@ -86,12 +88,9 @@ class SpaceTimeParams:
     def __post_init__(self) -> None:
         if not (self.space_buffer_m > 0 and self.time_buffer_s > 0):  # NaN too
             raise RangeError("buffers must be positive")
-        if self.traffic_timestamp is not None:
-            if self.traffic_date is not None and self.traffic_time is not None:
-                # Defaults for the pair are still set; the timestamp wins.
-                object.__setattr__(self, "traffic_date", None)
-                object.__setattr__(self, "traffic_time", None)
-        elif self.traffic_date is None or self.traffic_time is None:
+        if self.traffic_timestamp is None and (
+            self.traffic_date is None or self.traffic_time is None
+        ):
             raise ValueError(
                 "need traffic_timestamp or both traffic_date and traffic_time"
             )

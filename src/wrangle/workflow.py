@@ -51,6 +51,9 @@ _NODE_REF_RE = re.compile(r"([a-z0-9_]+)\.out\Z")
 
 _KIND_OF_INPUT = {"table-csv": "table", "weather-json": "weatherdoc"}
 
+# An output is written as <name>.csv or <name>.svg inside the output directory.
+_PATH_SEPARATORS = {"/", os.sep, os.altsep} - {None}
+
 
 # ---------------------------------------------------------------------------
 # Session keys
@@ -248,6 +251,8 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
         if not isinstance(entry, dict):
             raise MalformedJson(f"{where}: must be an object")
         out_name = _want(entry, "name", str, where)
+        if out_name in ("", ".", "..") or any(sep in out_name for sep in _PATH_SEPARATORS):
+            raise MalformedJson(f"{where}: output name {out_name!r} is not a file name")
         if any(x.name == out_name for x in outputs):
             raise MalformedJson(f"{where}: duplicate output name '{out_name}'")
         ref = Reference.parse(_want(entry, "from", str, where), where)

@@ -6,6 +6,7 @@ import csv
 import gc
 import itertools
 import json
+import marshal
 import math
 import os
 import signal
@@ -14,6 +15,7 @@ import sys
 import threading
 import time
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -225,32 +227,46 @@ class TestRun:
                 "--params", '{"names": ["Speed"]}', "--out", str(tmp_path / "s.csv")], capsys)
         assert reads == [None]
 
-    def test_run_workers_send_back_the_planned_columns(self, dataset, tmp_path, capsys,
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_run_workers_send_back_the_planned_columns(self, cpus, dataset, tmp_path, capsys,
                                                        monkeypatch):
-        _cpus(monkeypatch, 3)
-        process, reads, sent = os.getpid(), [], {}
-        real_received = cli._received
+        _cpus(monkeypatch, cpus)
+        process, reads, received = os.getpid(), [], []
 
         def spy(data, columns=None):
             if os.getpid() == process:
                 reads.append(columns)
             return parse_csv(data, columns)
 
-        def received(payload):
-            tables = real_received(payload)
-            sent.update((name, t.column_names) for name, t in tables)
-            return tables
-
         monkeypatch.setattr(cli, "parse_csv", spy)
-        monkeypatch.setattr(cli, "_received", received)
+        _spy_blobs(monkeypatch, received)
         run_ok(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
                 "--input", f"ds1_2={dataset}/site_2.csv", "--input", f"ds1_3={dataset}/sites.csv",
                 "--out", str(tmp_path / "o")], capsys)
-        # The larger export stays here; one worker takes the other, one sites.csv.
-        assert reads == [frozenset({"Site ID", "Date", "Direction Name", "Speed"})]
-        assert sent.pop("ds1_3") == parse_csv((dataset / "sites.csv").read_bytes()).column_names
+        # The larger export stays here and a worker takes the other. sites.csv,
+        # dealt third, stays here with two CPUs and goes to a second worker with three.
+        kept = frozenset({"Site ID", "Date", "Direction Name", "Speed"})
+        sent = dict(received)
+        if cpus == 2:
+            assert reads == [kept, None]
+        else:
+            assert reads == [kept]
+            assert sent.pop("ds1_3") == parse_csv((dataset / "sites.csv").read_bytes()).column_names
         assert list(sent.values()) == [("Site ID", "Date", "Direction Name", "Speed")]
         assert set(sent) < {"ds1_1", "ds1_2"}
+
+    def test_one_usable_cpu_forks_no_worker(self, dataset, tmp_path, capsys, monkeypatch):
+        _cpus(monkeypatch, 1)
+
+        def refuse(*args):
+            raise AssertionError("no worker with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "pipe", refuse)
+        run_ok(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
+                "--input", f"ds1_2={dataset}/site_2.csv", "--input", f"ds1_3={dataset}/sites.csv",
+                "--out", str(tmp_path / "o")], capsys)
+        assert (tmp_path / "o" / "journey_time_s.csv").is_file()
 
     def test_repeated_kept_name_is_exit_3_before_any_input_is_read(self, tmp_path, capsys):
         flow = _one_node_flow("relops.select_columns", {"names": ["Speed", "Speed"]})
@@ -295,6 +311,21 @@ class TestRun:
         assert codes == [0, 1]
         assert during == [False]  # off while the workflow runs
 
+    @pytest.mark.parametrize("name", ["../escaped", ""], ids=["parent", "empty"])
+    def test_an_output_name_that_is_no_file_name_writes_nothing(
+        self, name, dataset, tmp_path, capsys
+    ):
+        flow = _one_node_flow("table.infer_types", {})
+        flow["outputs"] = [{"name": name, "from": "n.out"}]
+        (tmp_path / "flow.json").write_text(json.dumps(flow))
+        code = main(["run", str(tmp_path / "flow.json"), "--input", f"x={dataset}/sites.csv",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: outputs[0]: output name {name!r} is not a file name\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["flow.json"]
+
     def test_missing_input_is_usage_error(self, dataset, tmp_path, capsys):
         code = main(
             ["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
@@ -307,7 +338,7 @@ class TestRun:
         self, dataset, tmp_path, capsys, monkeypatch
     ):
         loaded = []
-        monkeypatch.setattr(cli, "_load_table", loaded.append)
+        monkeypatch.setattr(cli, "_load", lambda *args: loaded.append(args))
         code = main(
             ["run", "dwr1.json",
              "--input", f"ds1_1={dataset}/site_1.csv",
@@ -448,6 +479,18 @@ def _cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
 
 
+def _spy_blobs(monkeypatch, received: list, dumps=marshal.dumps) -> None:
+    """Record in ``received`` ``(name, column names)`` for each table a worker's blob
+    brings back whole; workers write their blobs with ``dumps``."""
+
+    def loads(payload):
+        sent = marshal.loads(payload)
+        received.extend((name, tuple(n for n, _ in columns)) for name, columns in sent)
+        return sent
+
+    monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=dumps, loads=loads))
+
+
 def _typed(value):
     """A loaded input with each cell's Python type, for exact comparison."""
     if isinstance(value, Table):
@@ -455,8 +498,9 @@ def _typed(value):
     return value
 
 
-@pytest.fixture()
+@pytest.fixture(autouse=True)
 def no_child_left():
+    """Every test here, forked workers or not, leaves no child process behind."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -493,7 +537,6 @@ _BAD_CASES = [
 ]
 
 
-@pytest.mark.usefixtures("no_child_left")
 class TestLoadInputs:
     """``wrangle run`` with its CSV inputs parsed in forked workers loads,
     fails and exits as it does loading them one by one, and leaves no
@@ -514,34 +557,57 @@ class TestLoadInputs:
         alone = cli._load_inputs(paths, declared, read)
         _cpus(monkeypatch, cpus)
         received = []
-        real_received = cli._received
-
-        def spy(payload):
-            tables = real_received(payload)
-            received.extend(name for name, _ in tables)
-            return tables
-
-        monkeypatch.setattr(cli, "_received", spy)
+        _spy_blobs(monkeypatch, received)
         loaded = cli._load_inputs(paths, declared, read)
         assert list(loaded) == list(alone)
         assert {k: _typed(v) for k, v in loaded.items()} == {
             k: _typed(v) for k, v in alone.items()
         }
         csv_inputs = [name for name in paths if declared[name] == "table-csv"]
-        _, *shares = cli._shares(csv_inputs, paths, min(cpus, len(csv_inputs)))
-        assert sorted(received) == sorted(itertools.chain(*shares))
+        csv_inputs.sort(key=lambda name: os.path.getsize(paths[name]), reverse=True)
+        count = min(cpus, len(csv_inputs))
+        workers = [name for name in csv_inputs if name not in csv_inputs[::count]]
+        assert sorted(name for name, _ in received) == sorted(workers)
         assert received
 
-    def test_shares_go_largest_first_to_the_least_loaded_the_process_first(self, tmp_path):
-        sizes = {"a": 5, "b": 9, "c": 5, "d": 1, "e": 0}
+    @pytest.mark.parametrize(
+        "cpus, process, workers",
+        [
+            # Largest first, ties in --input order, the unsizable last: b a c d e gone.
+            (2, ["b", "c", "e"], [["a", "d", "gone"]]),
+            (3, ["b", "d"], [["a", "e"], ["c", "gone"]]),
+            (9, ["b"], [["a"], ["c"], ["d"], ["e"], ["gone"]]),
+        ],
+    )
+    def test_csv_inputs_are_dealt_round_largest_first(
+        self, cpus, process, workers, tmp_path, monkeypatch
+    ):
+        rows = {"a": 24, "b": 44, "c": 24, "d": 4, "e": 4}  # 50, 90, 50, 10 and 10 bytes
         paths = {}
-        for name, size in sizes.items():
-            (tmp_path / name).write_bytes(b"x" * size)
+        for name, count in rows.items():
+            (tmp_path / name).write_bytes(b"h\n" + b"x\n" * count)
             paths[name] = str(tmp_path / name)
         paths["gone"] = str(tmp_path / "gone")
-        # b (9) -> 0; a (5), c (5) -> 1, now 10; d (1) -> 0, now 10; ties -> 0.
-        assert cli._shares(list(paths), paths, 2) == [["b", "d", "e", "gone"], ["a", "c"]]
-        assert cli._shares(list(paths), paths, 3) == [["b"], ["a", "d"], ["c", "e", "gone"]]
+        log = tmp_path / "reads"
+        real_read = cli._read_bytes
+
+        def read_bytes(path):
+            with open(log, "a") as fh:  # one short append per read, from any process
+                fh.write(f"{os.getpid()} {os.path.basename(path)}\n")
+            return real_read(path)
+
+        monkeypatch.setattr(cli, "_read_bytes", read_bytes)
+        _cpus(monkeypatch, cpus)
+        declared = dict.fromkeys(paths, "table-csv")
+        with pytest.raises(FileNotFoundError, match="gone"):
+            cli._load_inputs(paths, declared, dict.fromkeys(paths))
+        by_pid: dict[str, list[str]] = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            by_pid.setdefault(pid, []).append(name)
+        # The process reads its share in --input order, then again what no worker brought back.
+        assert by_pid.pop(str(os.getpid())) == [*process, "gone"]
+        assert sorted(by_pid.values()) == workers
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
@@ -580,7 +646,7 @@ class TestLoadInputs:
         run_ok([*argv, "--out", str(tmp_path / "alone")], capsys)
         _cpus(monkeypatch, 3)
         process = os.getpid()
-        real_parse, real_frame = cli.parse_csv, cli._frame
+        real_parse = cli.parse_csv
 
         def parse_csv(data, columns=None):
             if os.getpid() != process:
@@ -594,13 +660,13 @@ class TestLoadInputs:
             raise OSError("no more processes")
 
         monkeypatch.setattr(cli, "parse_csv", parse_csv)
-        if how == "short payload":
-            monkeypatch.setattr(cli, "_frame", lambda name, t: real_frame(name, t)[:-1])
         if how == "no fork":
             monkeypatch.setattr(os, "fork", fork)
         received = []
-        real_received = cli._received
-        monkeypatch.setattr(cli, "_received", lambda p: received.extend(real_received(p)) or [])
+        if how == "short payload":  # the blob loses its last byte
+            _spy_blobs(monkeypatch, received, lambda sent: marshal.dumps(sent)[:-1])
+        else:
+            _spy_blobs(monkeypatch, received)
         run_ok([*argv, "--out", str(tmp_path / "parallel")], capsys)
         assert received == []
         for out in ("alone", "parallel"):

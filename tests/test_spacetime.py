@@ -211,6 +211,20 @@ class TestTimeSpaceJoin:
         got = time_space_join(traffic, weather, p)
         assert got.column("wx_W").cells == (3,)
 
+    def test_timestamp_wins_over_date_and_time_names_the_table_lacks(self):
+        traffic = table_from_rows(
+            ["Lat", "Lon", "When"],
+            [CType.REAL, CType.REAL, CType.TIMESTAMP],
+            [[53.0, -2.0, datetime(2018, 2, 2, 12, 0)], [53.0, -2.0, datetime(2018, 2, 3, 0, 0)]],
+        )
+        weather = _weather([[53.0, -2.0, date(2018, 2, 2), time(12, 15), 3]])
+        named = SpaceTimeParams(traffic_timestamp="When", traffic_date="NoDate",
+                                traffic_time="NoTime")
+        assert (named.traffic_date, named.traffic_time) == ("NoDate", "NoTime")
+        got = time_space_join(traffic, weather, named)
+        assert got == time_space_join(traffic, weather, SpaceTimeParams(traffic_timestamp="When"))
+        assert got.column("wx_W").cells == (3, None)
+
     def test_unknown_column(self):
         with pytest.raises(UnknownColumn):
             time_space_join(_traffic([]), _weather([]), SpaceTimeParams(traffic_lat="nope"))

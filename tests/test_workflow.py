@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from importlib import resources
 
@@ -155,6 +156,24 @@ class TestParseWorkflow:
         ]
         with pytest.raises(MalformedJson):
             parse_workflow(wf([], inputs=inputs))
+
+    def test_duplicate_output_names(self):
+        outputs = [{"name": "y", "from": "$inputs.x"}, {"name": "y", "from": "$inputs.x"}]
+        with pytest.raises(MalformedJson, match=r"outputs\[1\]: duplicate output name 'y'"):
+            parse_workflow(wf([], outputs=outputs))
+
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "../escaped", "a/b", "/abs", *sorted({os.sep, os.altsep} - {None})]
+    )
+    def test_output_name_must_be_a_file_name(self, name):
+        outputs = [{"name": "y", "from": "$inputs.x"}, {"name": name, "from": "$inputs.x"}]
+        with pytest.raises(MalformedJson, match=r"outputs\[1\]: output name .* is not a file name"):
+            parse_workflow(wf([], outputs=outputs))
+
+    @pytest.mark.parametrize("name", ["..y", "y.", "y..z", " ", "-"])
+    def test_output_name_with_dots_but_no_separator_is_a_file_name(self, name):
+        outputs = [{"name": name, "from": "$inputs.x"}]
+        assert parse_workflow(wf([], outputs=outputs)).outputs[0].name == name
 
     def test_output_reference_checked(self):
         with pytest.raises(DanglingReference):
