@@ -5,9 +5,16 @@ Subcommands: ``run`` executes a workflow file, ``op`` invokes one operator
 renders a bar chart), ``gen`` emits a seeded synthetic dataset,
 ``list-ops`` enumerates the registry.
 
-Exit codes: 0 success, 1 usage (bad flags, missing files, invalid
-generator config), 2 data error (CSV/JSON parsing, cell types), 3 workflow
-error (validation failure or a failing node; the message names the node).
+Exit codes: 0 success; 1 usage or a file the system cannot read or write
+(bad flags, invalid generator config, a missing input, an output path that
+is taken); 2 data error (CSV/JSON parsing, cell types); 3 workflow error (a
+failing node, whose message names it). A workflow file refused for its
+shape is a data error, exit 2: invalid JSON, unknown, missing or mistyped
+keys in the document or in an input, node or output entry, a bad input
+kind, duplicate input or output names, an output name that is no file
+name. One refused for what it says is a workflow error, exit 3: an
+unsupported version, a bad or duplicate node id, an unknown op, bad params,
+wrong ports or port kinds, a dangling reference, a cycle.
 
 ``WRANGLE_WORKSPACE`` overrides where ``run --keep-intermediates`` spills
 per-node results.
@@ -46,9 +53,6 @@ from .weather import parse_weather_json
 from .workflow import (encode_result, execute, parse_workflow, random_keys, read_columns,
                        sequential_keys, write_atomic, write_result)
 
-BUNDLED_WORKFLOWS = ("dwr1.json", "dwr2.json")
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented usage exit code is 1.
     def error(self, message: str):
@@ -63,10 +67,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def _read_bytes(path: str) -> bytes:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
-    return p.read_bytes()
+    return Path(path).read_bytes()
 
 
 def _load(path: str, kind: str, columns: frozenset[str] | None = None) -> object:
@@ -211,8 +212,9 @@ def _workflow_bytes(path: str) -> bytes:
     p = Path(path)
     if p.is_file():
         return p.read_bytes()
-    if p.name == path and path in BUNDLED_WORKFLOWS:
-        return resources.files("wrangle.workflows").joinpath(path).read_bytes()
+    bundled = resources.files("wrangle.workflows").joinpath(path)
+    if p.name == path and bundled.is_file():  # a bare name of a bundled workflow
+        return bundled.read_bytes()
     raise FileNotFoundError(f"no such workflow file: {path}")
 
 
@@ -405,9 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, f"workflow error: {exc}")
     except DataError as exc:
         return _fail(2, f"data error: {exc}")
-    except FileNotFoundError as exc:
-        return _fail(1, f"error: {exc}")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(1, f"error: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -74,16 +74,6 @@ class OpDef:
     fn: Callable[..., object]
     make: Callable[[dict], dict] = dict  # converted params -> bound params
 
-    @property
-    def port_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.ports)
-
-    def port_kind(self, port: str) -> str:
-        for name, kind in self.ports:
-            if name == port:
-                return kind
-        raise KeyError(port)
-
     def bind(self, params: dict) -> dict:
         """Check raw params against the declared ones and bind them.
 

@@ -92,25 +92,24 @@ ORDERED_KINDS = frozenset(
 )
 
 
-def _kind_or_none(value: object) -> CType | None:
-    """The kind ``value`` belongs to, or None for null and unsupported types.
+#: Each kind's Python type. bool is a subclass of int and datetime of date,
+#: so each subclass comes before its base: the first ``isinstance`` wins.
+_PY_TYPES = (
+    (CType.BOOL, bool),
+    (CType.INT, int),
+    (CType.REAL, float),
+    (CType.TEXT, str),
+    (CType.TIMESTAMP, datetime),
+    (CType.DATE, date),
+    (CType.TIME, time),
+)
 
-    bool is a subclass of int and datetime of date, so dispatch order matters.
-    """
-    if isinstance(value, bool):
-        return CType.BOOL
-    if isinstance(value, int):
-        return CType.INT
-    if isinstance(value, float):
-        return CType.REAL
-    if isinstance(value, str):
-        return CType.TEXT
-    if isinstance(value, datetime):
-        return CType.TIMESTAMP
-    if isinstance(value, date):
-        return CType.DATE
-    if isinstance(value, time):
-        return CType.TIME
+
+def _kind_or_none(value: object) -> CType | None:
+    """The kind ``value`` belongs to, or None for null and unsupported types."""
+    for kind, py_type in _PY_TYPES:
+        if isinstance(value, py_type):
+            return kind
     return None
 
 
@@ -144,18 +143,7 @@ def kind_of_value(value: Cell) -> CType:
 
 
 #: Each kind's exact cell types, null included: the check's fast path (see Column).
-_EXACT_TYPES = {
-    kind: frozenset({py_type, type(None)})
-    for kind, py_type in (
-        (CType.TEXT, str),
-        (CType.INT, int),
-        (CType.REAL, float),
-        (CType.DATE, date),
-        (CType.TIME, time),
-        (CType.TIMESTAMP, datetime),
-        (CType.BOOL, bool),
-    )
-}
+_EXACT_TYPES = {kind: frozenset({py_type, type(None)}) for kind, py_type in _PY_TYPES}
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ from .errors import (
 from .ops import OpDef, get_op, kind_of_result
 from .table import Table, write_csv
 
-INPUT_KINDS = ("table-csv", "weather-json")
-
 _NODE_ID_RE = re.compile(r"[a-z0-9_]+\Z")
 _INPUT_REF_RE = re.compile(r"\$inputs\.([A-Za-z_][A-Za-z0-9_]*)\Z")
 _NODE_REF_RE = re.compile(r"([a-z0-9_]+)\.out\Z")
@@ -153,6 +151,15 @@ def _want(obj: dict, key: str, typ: type, where: str) -> Any:
     return v
 
 
+def _check_entry(entry: object, where: str, allowed: set[str]) -> None:
+    """Refuse an entry of a workflow list that is no object or has keys outside ``allowed``."""
+    if not isinstance(entry, dict):
+        raise MalformedJson(f"{where}: must be an object")
+    extra = set(entry) - allowed
+    if extra:
+        raise MalformedJson(f"{where}: unknown keys: {sorted(extra)}")
+
+
 def parse_workflow(data: bytes) -> WorkflowSpec:
     """Parse and fully validate a workflow document."""
     try:
@@ -174,12 +181,11 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
     inputs: list[WorkflowInput] = []
     for i, entry in enumerate(_want(doc, "inputs", list, "workflow")):
         where = f"inputs[{i}]"
-        if not isinstance(entry, dict):
-            raise MalformedJson(f"{where}: must be an object")
+        _check_entry(entry, where, {"name", "kind", "comment"})
         in_name = _want(entry, "name", str, where)
         kind = _want(entry, "kind", str, where)
-        if kind not in INPUT_KINDS:
-            raise MalformedJson(f"{where}: kind must be one of {INPUT_KINDS}")
+        if kind not in _KIND_OF_INPUT:
+            raise MalformedJson(f"{where}: kind must be one of {tuple(_KIND_OF_INPUT)}")
         if any(x.name == in_name for x in inputs):
             raise MalformedJson(f"{where}: duplicate input name '{in_name}'")
         inputs.append(WorkflowInput(in_name, kind))
@@ -189,11 +195,7 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
     seen_ids: set[str] = set()
     for i, entry in enumerate(_want(doc, "nodes", list, "workflow")):
         where = f"nodes[{i}]"
-        if not isinstance(entry, dict):
-            raise MalformedJson(f"{where}: must be an object")
-        node_extra = set(entry) - {"id", "op", "params", "inputs", "comment"}
-        if node_extra:
-            raise MalformedJson(f"{where}: unknown keys: {sorted(node_extra)}")
+        _check_entry(entry, where, {"id", "op", "params", "inputs", "comment"})
         node_id = _want(entry, "id", str, where)
         if not _NODE_ID_RE.match(node_id):
             raise InvalidNode(f"{where}: id {node_id!r} must match [a-z0-9_]+")
@@ -216,10 +218,10 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
         refs: dict[str, Reference] = {}
         for port, ref_text in raw_inputs.items():
             refs[port] = Reference.parse(ref_text, f"node '{node_id}' port '{port}'")
-        wanted = set(op_def.port_names)
-        if set(refs) != wanted:
+        ports = dict(op_def.ports)
+        if refs.keys() != ports.keys():
             raise InvalidNode(
-                f"node '{node_id}': op {op_def.name} needs ports {sorted(wanted)}, "
+                f"node '{node_id}': op {op_def.name} needs ports {sorted(ports)}, "
                 f"got {sorted(refs)}"
             )
         if any(r.node_id == node_id for r in refs.values()):
@@ -243,13 +245,12 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
 
     for n in nodes:
         for port, ref in n.inputs.items():
-            check_ref(ref, f"node '{n.id}' port '{port}'", n.op_def.port_kind(port))
+            check_ref(ref, f"node '{n.id}' port '{port}'", dict(n.op_def.ports)[port])
 
     outputs: list[WorkflowOutput] = []
     for i, entry in enumerate(_want(doc, "outputs", list, "workflow")):
         where = f"outputs[{i}]"
-        if not isinstance(entry, dict):
-            raise MalformedJson(f"{where}: must be an object")
+        _check_entry(entry, where, {"name", "from", "comment"})
         out_name = _want(entry, "name", str, where)
         if out_name in ("", ".", "..") or any(sep in out_name for sep in _PATH_SEPARATORS):
             raise MalformedJson(f"{where}: output name {out_name!r} is not a file name")

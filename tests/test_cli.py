@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -460,18 +461,40 @@ class TestRun:
         out.mkdir()
         (out / "journey_time_s.csv").write_bytes(b"old\n")
         monkeypatch.setattr(os, "replace", _refuse_replace)
-        with pytest.raises(OSError, match="disk full"):
-            main(
-                [
-                    "run", "dwr1.json",
-                    "--input", f"ds1_1={dataset}/site_1.csv",
-                    "--input", f"ds1_2={dataset}/site_2.csv",
-                    "--input", f"ds1_3={dataset}/sites.csv",
-                    "--out", str(out),
-                ]
-            )
+        code = main(
+            [
+                "run", "dwr1.json",
+                "--input", f"ds1_1={dataset}/site_1.csv",
+                "--input", f"ds1_2={dataset}/site_2.csv",
+                "--input", f"ds1_3={dataset}/sites.csv",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         assert (out / "journey_time_s.csv").read_bytes() == b"old\n"
         assert sorted(p.name for p in out.iterdir()) == ["journey_time_s.csv"]
+
+    def test_out_naming_a_file_is_exit_1(self, dataset, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_bytes(b"old\n")
+        code = main(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
+                     "--input", f"ds1_2={dataset}/site_2.csv",
+                     "--input", f"ds1_3={dataset}/sites.csv", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_bytes() == b"old\n"
+
+    def test_missing_input_file_is_exit_1_with_the_systems_message(
+        self, dataset, tmp_path, capsys
+    ):
+        gone = tmp_path / "gone.csv"
+        code = main(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
+                     "--input", f"ds1_2={gone}", "--input", f"ds1_3={dataset}/sites.csv",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{gone}'\n"
+        assert not (tmp_path / "o").exists()
 
 
 def _cpus(monkeypatch, count: int) -> None:
@@ -725,6 +748,47 @@ def _one_node_flow(op: str, params: dict) -> dict:
     }
 
 
+def _edited_flow(edit) -> str:
+    """The text of ``_one_node_flow`` for ``table.infer_types`` after ``edit`` mutates it."""
+    flow = _one_node_flow("table.infer_types", {})
+    edit(flow)
+    return json.dumps(flow)
+
+
+# A workflow refused for its shape is a data error; one refused for what it says, a workflow error.
+_BAD_FLOWS = {
+    "invalid JSON": ("{not json", 2, "data error: invalid JSON: "),
+    "unknown key": (_edited_flow(lambda f: f.update(extra=1)), 2,
+                    "data error: unknown workflow keys: ['extra']\n"),
+    "missing key": (_edited_flow(lambda f: f.pop("outputs")), 2,
+                    "data error: workflow: missing 'outputs'\n"),
+    "bad input kind": (_edited_flow(lambda f: f["inputs"][0].update(kind="csv")), 2,
+                       "data error: inputs[0]: kind must be one of ('table-csv', 'weather-json')\n"),
+    "duplicate input": (_edited_flow(lambda f: f["inputs"].append(f["inputs"][0])), 2,
+                        "data error: inputs[1]: duplicate input name 'x'\n"),
+    "duplicate output": (_edited_flow(lambda f: f["outputs"].append(f["outputs"][0])), 2,
+                         "data error: outputs[1]: duplicate output name 'y'\n"),
+    "output name": (_edited_flow(lambda f: f["outputs"][0].update(name="../y")), 2,
+                    "data error: outputs[0]: output name '../y' is not a file name\n"),
+    "entry key": (_edited_flow(lambda f: f["outputs"][0].update(form="csv")), 2,
+                  "data error: outputs[0]: unknown keys: ['form']\n"),
+    "unknown op": (_edited_flow(lambda f: f["nodes"][0].update(op="relops.nope")), 3,
+                   "workflow error: unknown operator 'relops.nope' (see: chart.bar, "),
+    "dangling reference": (_edited_flow(lambda f: f["nodes"][0]["inputs"].update(
+        {"in": "$inputs.nope"})), 3, "workflow error: node 'n' port 'in': no input 'nope'\n"),
+}
+
+
+@pytest.mark.parametrize("text, code, err", _BAD_FLOWS.values(), ids=_BAD_FLOWS.keys())
+def test_bad_workflow_file_exit_code_follows_its_fault(text, code, err, dataset, tmp_path, capsys):
+    flow = tmp_path / "flow.json"
+    flow.write_text(text)
+    assert main(["run", str(flow), "--input", f"x={dataset}/sites.csv",
+                 "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith(err)
+    assert [p.name for p in tmp_path.iterdir()] == ["flow.json"]
+
+
 @pytest.mark.parametrize(
     "op, params",
     [
@@ -796,11 +860,29 @@ class TestOp:
         out = tmp_path / "cleaned.csv"
         out.write_bytes(b"old\n")
         monkeypatch.setattr(os, "replace", _refuse_replace)
-        with pytest.raises(OSError, match="disk full"):
-            main(["op", "traffic.clean_site_id", "--table", f"{dataset}/site_1.csv",
-                  "--params", '{"col": "Site ID"}', "--out", str(out)])
+        code = main(["op", "traffic.clean_site_id", "--table", f"{dataset}/site_1.csv",
+                     "--params", '{"col": "Site ID"}', "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         assert out.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cleaned.csv"]
+
+    def test_out_naming_a_directory_is_exit_1_and_leaves_no_temp(
+        self, dataset, tmp_path, capsys
+    ):
+        out = tmp_path / "d"
+        out.mkdir()
+        code = main(["op", "table.infer_types", "--table", f"{dataset}/sites.csv",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list(out.iterdir()) == []
+
+    def test_a_directory_as_table_is_exit_1_naming_the_fault(self, tmp_path, capsys):
+        code = main(["op", "table.infer_types", "--table", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_nan_space_buffer_is_exit_3(self, capsys):
         code = main(["op", "spacetime.time_space_join", "--params", '{"space_buffer_m": NaN}'])
@@ -868,8 +950,8 @@ class TestOtherCommands:
         assert b"<svg" in out.read_bytes()
 
     def test_list_ops(self, capsys):
-        run = run_ok(["list-ops"], capsys)
-        assert "spacetime.time_space_join" in run.out
+        golden = Path(__file__).parent / "data" / "list_ops.txt"  # the listing, byte for byte
+        assert run_ok(["list-ops"], capsys).out == golden.read_text()
 
     def test_list_ops_shows_every_declared_param(self, capsys):
         lines = {line.split()[0]: line for line in run_ok(["list-ops"], capsys).out.splitlines()}

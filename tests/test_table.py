@@ -27,6 +27,7 @@ from wrangle.table import (
     Table,
     cell_matches,
     infer_column_types,
+    kind_of_value,
     parse_csv,
     table_from_rows,
     write_csv,
@@ -356,6 +357,32 @@ _EXACT_CELLS = {
     CType.TIMESTAMP: datetime(2018, 2, 2, 12, 30),
     CType.BOOL: True,
 }
+
+
+class TestPyTypes:
+    """``_PY_TYPES``, each kind's Python type, is read in order by ``isinstance``."""
+
+    def test_names_each_kind_once(self):
+        kinds = [kind for kind, _ in table._PY_TYPES]
+        assert sorted(kinds, key=list(CType).index) == list(CType)
+
+    def test_no_type_is_a_subclass_of_an_earlier_one(self):
+        types = [py_type for _, py_type in table._PY_TYPES]
+        for i, py_type in enumerate(types):
+            assert not any(issubclass(py_type, earlier) for earlier in types[:i]), py_type
+
+    @pytest.mark.parametrize("kind", list(CType), ids=lambda k: k.value)
+    def test_a_kinds_own_cell_is_of_that_kind(self, kind):
+        assert kind_of_value(_EXACT_CELLS[kind]) is kind
+
+    @pytest.mark.parametrize(
+        "cell, kind",
+        [(_Level.LOW, CType.INT), (_Name("x"), CType.TEXT), (_Day(2020, 1, 1), CType.DATE),
+         (_Instant(2020, 1, 1), CType.TIMESTAMP)],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_a_subclass_cell_is_of_its_bases_kind(self, cell, kind):
+        assert kind_of_value(cell) is kind
 
 
 class TestColumnCheck:

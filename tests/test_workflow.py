@@ -140,14 +140,46 @@ class TestParseWorkflow:
 
     def test_wrong_ports_rejected(self):
         node = {"id": "a", "op": "relops.union", "inputs": {"in": "$inputs.x"}}
-        with pytest.raises(InvalidNode):
+        with pytest.raises(InvalidNode) as err:
             parse_workflow(wf([node]))
+        assert str(err.value) == "node 'a': op relops.union needs ports ['a', 'b'], got ['in']"
 
     def test_port_kind_mismatch(self):
         # weather.flatten wants a weatherdoc, x is a table input
         node = {"id": "a", "op": "weather.flatten", "inputs": {"in": "$inputs.x"}}
-        with pytest.raises(InvalidNode):
+        with pytest.raises(InvalidNode) as err:
             parse_workflow(wf([node]))
+        assert str(err.value) == "node 'a' port 'in': wants weatherdoc, reference carries table"
+
+    @pytest.mark.parametrize(
+        "part, entry",
+        [
+            ("inputs", {"name": "x", "kind": "table-csv", "columns": ["Site ID"]}),
+            ("nodes", {**filter_node("a", "$inputs.x"), "columns": ["Site ID"]}),
+            ("outputs", {"name": "y", "from": "$inputs.x", "columns": ["Site ID"]}),
+        ],
+    )
+    def test_entry_with_an_unknown_key_is_refused(self, part, entry):
+        doc = json.loads(wf([]))
+        doc[part] = [entry]
+        with pytest.raises(MalformedJson) as err:
+            parse_workflow(json.dumps(doc).encode())
+        assert str(err.value) == f"{part}[0]: unknown keys: ['columns']"
+
+    @pytest.mark.parametrize("part", ["inputs", "nodes", "outputs"])
+    def test_entry_that_is_no_object_is_refused(self, part):
+        doc = json.loads(wf([]))
+        doc[part] = [["name", "x"]]
+        with pytest.raises(MalformedJson) as err:
+            parse_workflow(json.dumps(doc).encode())
+        assert str(err.value) == f"{part}[0]: must be an object"
+
+    @pytest.mark.parametrize("part", ["inputs", "nodes", "outputs"])
+    def test_entry_may_carry_a_comment(self, part):
+        doc = json.loads(bundled("dwr1.json"))
+        for entry in doc[part]:
+            entry["comment"] = "noted"
+        assert parse_workflow(json.dumps(doc).encode()) == parse_workflow(bundled("dwr1.json"))
 
     def test_duplicate_input_names(self):
         inputs = [
