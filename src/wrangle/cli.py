@@ -17,29 +17,38 @@ unsupported version, a bad or duplicate node id, an unknown op, bad params,
 wrong ports or port kinds, a dangling reference, a cycle.
 
 ``WRANGLE_WORKSPACE`` overrides where ``run --keep-intermediates`` spills
-per-node results.
+per-node results. An ``--out``, or a spill directory, that exists and is no
+directory is refused before any input is read.
 
 ``run`` loads its inputs before any node runs. Its CSV inputs, largest file
-first, are dealt round like cards to the process and one forked worker per
-further usable CPU, as far as they go; weather inputs stay with the process.
-A process that cannot fork, cannot tell its CPU affinity or runs other
-threads has one usable CPU, and loads everything itself. Each worker sends
-back the text tables it parsed as one marshal blob through a pipe, and the
-process types them. An input whose worker fails in any way is loaded by the
-process itself, so tables, errors and exit codes are those of loading the
-inputs one by one in ``--input`` order. No worker outlives the load.
+first, are dealt each to the least-loaded of the process and one forked
+worker per further usable CPU, as far as they go; weather inputs stay with
+the process. A process that cannot fork, cannot tell its CPU affinity or
+runs other threads has one usable CPU, and loads everything itself. Each
+worker sends back the text tables it parsed as one marshal blob through a
+pipe, and the process types them. An input whose worker fails in any way is
+loaded by the process itself, so tables, errors and exit codes are those of
+loading the inputs one by one in ``--input`` order. No worker outlives the
+load.
+
+With ``--keep-intermediates``, the node results are spilled after the last
+node has run (or failed), dealt by the same rule, largest table first, to
+the process and forked writers; with one usable CPU the process writes them
+all. A spill whose writer fails in any way is written again by the process,
+in node order, so the first failing spill gives the error and exit code it
+gives written alone. No writer outlives the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import marshal
 import os
 import signal
 import sys
-import threading
 from datetime import date
 from importlib import resources
 from pathlib import Path
@@ -50,8 +59,8 @@ from .gen import GenConfig, generate
 from .ops import OpDef, get_op, list_ops
 from .table import Column, CType, Table, infer_column_types, parse_csv
 from .weather import parse_weather_json
-from .workflow import (encode_result, execute, parse_workflow, random_keys, read_columns,
-                       sequential_keys, write_atomic, write_result)
+from .workflow import (_deal, encode_result, execute, parse_workflow, random_keys,
+                       read_columns, sequential_keys, write_atomic, write_result)
 
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented usage exit code is 1.
@@ -88,50 +97,31 @@ def _size(path: str) -> int:
         return 0
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork, cannot tell, or runs threads.
-
-    A forked child runs only the thread that forked, so a lock that another
-    thread held at the fork stays held in the child for good.
-    """
-    if (
-        not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or threading.active_count() > 1
-    ):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _load_inputs(
     paths: dict[str, str], declared: dict[str, str], read: dict[str, frozenset[str] | None]
 ) -> dict[str, object]:
     """Each input of ``paths`` loaded, as loading them one by one in order gives them.
 
-    The CSV inputs, sorted by file size, largest first (an unsizable file
-    counts as empty; ties keep ``paths`` order), are dealt round: the process
-    takes ``csv[0::count]`` and worker ``k`` ``csv[k::count]``, where
-    ``count`` is the smaller of the usable CPUs and the CSV inputs. With one
-    loader nothing is forked. The process loads its share and every weather
-    input, then types the text tables each worker's blob brings back. An
-    input that failed here, or that no whole blob brought back, is loaded
-    again in ``paths`` order, so the first bad input raises what it raises
-    when loaded alone. Workers are reaped before this returns, and killed
-    first if it raises.
+    The CSV inputs are dealt by file size (an unsizable file counts as
+    empty) with :func:`workflow._deal`: the process takes the first share,
+    and one worker each further share. With one share nothing is forked.
+    The process loads its share and every weather input, then types the
+    text tables each worker's blob brings back. An input that failed here,
+    or that no whole blob brought back, is loaded again in ``paths`` order,
+    so the first bad input raises what it raises when loaded alone. Workers
+    are reaped before this returns, and killed first if it raises.
     """
 
     def load(name: str) -> object:
         return _load(paths[name], declared[name], read[name])
 
-    csv = [name for name in paths if declared[name] == "table-csv"]
-    csv.sort(key=lambda name: _size(paths[name]), reverse=True)
-    count = max(1, min(_usable_cpus(), len(csv)))
-    own = set(csv[0::count])
+    shares = _deal({name: _size(paths[name]) for name in paths if declared[name] == "table-csv"})
+    own = set(shares[0])
     loaded: dict[str, object] = {}
     failed: dict[str, Exception] = {}
     pipes: dict[int, IO[bytes]] = {}
     try:
-        for k in range(1, count):
+        for share in shares[1:]:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -141,7 +131,7 @@ def _load_inputs(
                 continue
             if pid == 0:
                 _parse_in_worker(
-                    csv[k::count], paths, read, w, [r, *(p.fileno() for p in pipes.values())]
+                    share, paths, read, w, [r, *(p.fileno() for p in pipes.values())]
                 )
             os.close(w)
             pipes[pid] = open(r, "rb")
@@ -255,14 +245,21 @@ def _run_workflow(args: argparse.Namespace) -> int:
     missing = sorted(set(declared) - set(paths))
     if missing:
         return _fail(1, f"missing --input for: {', '.join(missing)}")
-    inputs = _load_inputs(paths, declared, read_columns(spec))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spill_dir = None
     if args.keep_intermediates:
         workspace = os.environ.get("WRANGLE_WORKSPACE")
         spill_dir = Path(workspace) if workspace else out_dir / "intermediates"
+    # Refused before the load, with what mkdir would raise after it; a failed
+    # load still creates nothing.
+    for directory in (out_dir, spill_dir):
+        if directory is not None and directory.exists() and not directory.is_dir():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(directory))
+    inputs = _load_inputs(paths, declared, read_columns(spec))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if spill_dir is not None:
         spill_dir.mkdir(parents=True, exist_ok=True)
 
     issuer = sequential_keys() if args.deterministic_keys else random_keys()
@@ -364,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", action="store_true",
                    help="accepted and ignored: nodes always run one at a time")
     p.add_argument("--keep-intermediates", action="store_true",
-                   help="spill every node result to the workspace directory")
+                   help="spill every node result to the workspace directory, after the "
+                        "last node, by the process and one forked writer per further "
+                        "usable CPU")
     p.add_argument("--deterministic-keys", action="store_true",
                    help="issue sequential session keys instead of random ones")
     p.set_defaults(func=cmd_run)

@@ -15,16 +15,20 @@ output that names the input included, reads all columns.
 Execution materializes every node result in a dict under a fresh session
 key. Nodes run one at a time, stage by stage in
 :func:`topo_schedule` order: operators are pure Python, so threads would
-only take turns on the interpreter lock.
+only take turns on the interpreter lock. Kept results are spilled after the
+last node, by the process and one forked writer per further usable CPU
+(:func:`_spill`).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
+import signal
+import threading
 import time as _time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -59,7 +63,7 @@ _PATH_SEPARATORS = {"/", os.sep, os.altsep} - {None}
 
 def random_keys() -> Callable[[], str]:
     def issue() -> str:
-        return "tbl-" + uuid.uuid4().hex[:12]
+        return "tbl-" + os.urandom(6).hex()
 
     return issue
 
@@ -334,6 +338,9 @@ class RunReport:
     workflow: str
     nodes: tuple[NodeReport, ...]
     total_ms: float
+    spill_files: int = 0
+    spill_writers: int = 0  # 0: the run spilled nothing
+    spill_ms: float = 0.0
 
     def lines(self) -> list[str]:
         out = [f"workflow '{self.workflow}' ({self.total_ms:.1f} ms)"]
@@ -342,7 +349,16 @@ class RunReport:
             out.append(
                 f"  {n.node_id:<24} {n.op:<32} {n.key}  rows={rows:<7} {n.wall_ms:.1f} ms"
             )
+        if self.spill_writers:
+            out.append(
+                f"  spill: {_count(self.spill_files, 'file')}, "
+                f"{_count(self.spill_writers, 'writer')}, {self.spill_ms:.1f} ms"
+            )
         return out
+
+
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
 def write_atomic(path: Path, payload: bytes) -> None:
@@ -375,6 +391,118 @@ def write_result(out_dir: Path, name: str, value: object) -> Path:
     return path
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork, cannot tell, or runs threads.
+
+    A forked child runs only the thread that forked, so a lock that another
+    thread held at the fork stays held in the child for good.
+    """
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _deal(sizes: Mapping[str, int]) -> list[list[str]]:
+    """The keys of ``sizes`` in one share per writer: the process, then each worker.
+
+    Keys are dealt largest first (ties in ``sizes`` order), each to the
+    share with the least size so far (ties to the earliest share, so the
+    process wins them), among as many shares as usable CPUs but no more than
+    keys. A worker's share that gets nothing is dropped; the process's stays.
+    """
+    count = max(1, min(_usable_cpus(), len(sizes)))
+    shares: list[list[str]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for key in sorted(sizes, key=sizes.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(key)
+        loads[k] += sizes[key]
+    return [shares[0], *filter(None, shares[1:])]
+
+
+def _spill_size(value: object) -> int:
+    """What writing ``value`` weighs when spills are dealt: cells of a table, bytes of a chart."""
+    return value.row_count * len(value.columns) if isinstance(value, Table) else len(value)
+
+
+def _spill(spill_dir: Path, spills: list[tuple[str, object]]) -> int:
+    """Write each ``(key, result)`` of ``spills`` into ``spill_dir``; returns the writers used.
+
+    The spills are dealt by :func:`_deal` on :func:`_spill_size`. A forked
+    worker writes each share past the first, then this process writes the
+    first and reaps the workers. Every spill not known to be written (its
+    worker exited non-zero or was never forked, or this process's own write
+    of it failed or was not reached) is written again here in ``spills``
+    order, so the first spill that fails raises what it raises when written
+    one by one. Workers are reaped before this returns, and killed first if
+    it raises.
+    """
+    values = dict(spills)
+    shares = _deal({key: _spill_size(value) for key, value in spills})
+    written: set[str] = set()
+    workers: dict[int, list[str]] = {}
+    try:
+        for share in shares[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no worker: its share is written below, one by one
+                continue
+            if pid == 0:
+                _spill_in_worker(spill_dir, [(key, values[key]) for key in share])
+            workers[pid] = share
+        writers = 1 + len(workers)
+        for key in shares[0]:
+            try:
+                write_result(spill_dir, key, values[key])
+            except Exception:  # written again below, where it raises
+                break
+            written.add(key)
+        for pid in list(workers):
+            _, status = os.waitpid(pid, 0)
+            share = workers.pop(pid)
+            if status == 0:
+                written.update(share)
+            else:
+                _remove_temps(spill_dir, pid)
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            _remove_temps(spill_dir, pid)
+    for key, value in spills:
+        if key not in written:
+            write_result(spill_dir, key, value)
+    return writers
+
+
+def _spill_in_worker(spill_dir: Path, share: list[tuple[str, object]]) -> None:
+    """In a forked worker: write ``share`` into ``spill_dir``, then exit 0, or 1 if anything failed.
+
+    The collector is off, so that no collection pass touches, and so
+    copies, every page shared with the parent. The worker leaves by
+    ``os._exit``, flushing no inherited stdio and never returning into the
+    caller's stack.
+    """
+    code = 1
+    try:
+        gc.disable()
+        for key, value in share:
+            write_result(spill_dir, key, value)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _remove_temps(spill_dir: Path, pid: int) -> None:
+    """Remove the :func:`write_atomic` temp files that process ``pid``, now gone, left."""
+    for tmp in spill_dir.glob(f".*.{pid}.tmp"):
+        tmp.unlink(missing_ok=True)
+
+
 def execute(
     w: WorkflowSpec,
     inputs: Mapping[str, object],
@@ -389,7 +517,13 @@ def execute(
     ``perfbench/traced_run.py``. A node failure aborts the run with
     :class:`NodeFailed` naming the node; later nodes are not executed. With
     ``spill_dir`` set, every node result is also written there under its
-    session key.
+    session key, once the last node has run or failed: by this process and
+    one forked worker per further usable CPU, largest result first to the
+    writer with the least to write. With one usable CPU (no fork, no CPU
+    affinity, or other threads running) this process writes them all. The
+    first spill that fails, in node order, raises as it does when the spills
+    are written one by one; the nodes after it have run by then, and other
+    spills may be on disk.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"mode must be 'parallel' or 'sequential', got {mode!r}")
@@ -434,12 +568,20 @@ def execute(
         timings[node_id] = (_time.perf_counter() - started) * 1000.0
         results[keys[node_id]] = result
         if spill_dir is not None:
-            write_result(spill_dir, keys[node_id], result)
+            spills.append((keys[node_id], result))
 
+    spills: list[tuple[str, object]] = []
+    writers = 0
     run_started = _time.perf_counter()
-    for stage in topo_schedule(w):
-        for node_id in stage:
-            run_node(node_id)
+    try:
+        for stage in topo_schedule(w):
+            for node_id in stage:
+                run_node(node_id)
+    finally:
+        spill_started = _time.perf_counter()
+        if spill_dir is not None:
+            writers = _spill(spill_dir, spills)
+        spill_ms = (_time.perf_counter() - spill_started) * 1000.0
 
     reports = []
     for n in w.nodes:
@@ -449,4 +591,5 @@ def execute(
     total_ms = (_time.perf_counter() - run_started) * 1000.0
 
     outputs = {o.name: resolve(o.ref) for o in w.outputs}
-    return outputs, RunReport(w.name, tuple(reports), total_ms)
+    report = RunReport(w.name, tuple(reports), total_ms, len(spills), writers, spill_ms)
+    return outputs, report

@@ -1,13 +1,26 @@
-"""Shared helpers: seeded random typed tables and table comparison."""
+"""Shared helpers: seeded random typed tables and table comparison, and a
+check that no test leaves a child process behind."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import string
 from datetime import date, time, timedelta
 
+import pytest
+
 from wrangle.table import Column, CType, Table
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test, forked workers or not, leaves no child process behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 # Text cells must stay text under type inference: always carry a letter,
 # never the bool literals.

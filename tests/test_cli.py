@@ -9,6 +9,7 @@ import json
 import marshal
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from wrangle import cli
+from wrangle import cli, workflow
 from wrangle.chart import render_bar_chart
 from wrangle.cli import main
 from wrangle.gen import GenConfig, generate
@@ -82,6 +83,7 @@ class TestRun:
         )
         assert (out / "journey_time_s.csv").is_file()
         assert "tbl-000000000001" in captured.out
+        assert "spill:" not in captured.out
         t = infer_column_types(parse_csv((out / "journey_time_s.csv").read_bytes()))
         assert t.column("journey_time_s").cells[0] > 0
 
@@ -245,14 +247,12 @@ class TestRun:
                 "--input", f"ds1_2={dataset}/site_2.csv", "--input", f"ds1_3={dataset}/sites.csv",
                 "--out", str(tmp_path / "o")], capsys)
         # The larger export stays here and a worker takes the other. sites.csv,
-        # dealt third, stays here with two CPUs and goes to a second worker with three.
+        # dealt third, goes to the least-loaded writer: that worker with two
+        # CPUs, a second worker with three.
         kept = frozenset({"Site ID", "Date", "Direction Name", "Speed"})
         sent = dict(received)
-        if cpus == 2:
-            assert reads == [kept, None]
-        else:
-            assert reads == [kept]
-            assert sent.pop("ds1_3") == parse_csv((dataset / "sites.csv").read_bytes()).column_names
+        assert reads == [kept]
+        assert sent.pop("ds1_3") == parse_csv((dataset / "sites.csv").read_bytes()).column_names
         assert list(sent.values()) == [("Site ID", "Date", "Direction Name", "Speed")]
         assert set(sent) < {"ds1_1", "ds1_2"}
 
@@ -427,6 +427,33 @@ class TestRun:
         assert len(spilled) == len(parse_workflow(dwr1).nodes)
         assert spilled[0] == "tbl-000000000001.csv"
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("flow", ["dwr1.json", "dwr2.json"])
+    def test_spills_and_report_equal_those_of_one_writer(
+        self, flow, cpus, dataset, tmp_path, capsys, monkeypatch
+    ):
+        spec = parse_workflow(cli._workflow_bytes(flow))
+        argv = ["run", flow, "--deterministic-keys", "--keep-intermediates"]
+        for x, file in zip(spec.inputs, _FLOW_FILES[flow]):
+            argv += ["--input", f"{x.name}={dataset / file}"]
+        runs = []
+        for count in (1, cpus):
+            _cpus(monkeypatch, count)
+            workspace = tmp_path / f"ws{count}"
+            monkeypatch.setenv("WRANGLE_WORKSPACE", str(workspace))
+            out = run_ok([*argv, "--out", str(tmp_path / f"o{count}")], capsys).out
+            spilled = {p.name: p.read_bytes() for p in workspace.iterdir()}
+            lines = re.sub(r"\d+\.\d ms", "ms", out.replace(str(tmp_path / f"o{count}"), "OUT"))
+            runs.append((spilled, lines.splitlines()))
+        (alone, alone_lines), (parallel, parallel_lines) = runs
+        assert len(alone) == len(spec.nodes)
+        assert parallel == alone
+        spill_line = f"  spill: {len(spec.nodes)} files, {{}} writer{{}}, ms"
+        assert alone_lines[len(spec.nodes) + 1] == spill_line.format(1, "")
+        assert parallel_lines[len(spec.nodes) + 1] == spill_line.format(cpus, "s")
+        assert parallel_lines[:len(spec.nodes) + 1] == alone_lines[:len(spec.nodes) + 1]
+        assert parallel_lines[len(spec.nodes) + 2:] == alone_lines[len(spec.nodes) + 2:]
+
     @pytest.mark.parametrize(
         "name, edit, node",
         [
@@ -475,15 +502,34 @@ class TestRun:
         assert (out / "journey_time_s.csv").read_bytes() == b"old\n"
         assert sorted(p.name for p in out.iterdir()) == ["journey_time_s.csv"]
 
-    def test_out_naming_a_file_is_exit_1(self, dataset, tmp_path, capsys):
+    def test_out_naming_a_file_is_exit_1(self, dataset, tmp_path, capsys, monkeypatch):
         out = tmp_path / "o"
         out.write_bytes(b"old\n")
+        loads = _spy_loads(monkeypatch)
         code = main(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
                      "--input", f"ds1_2={dataset}/site_2.csv",
                      "--input", f"ds1_3={dataset}/sites.csv", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
         assert out.read_bytes() == b"old\n"
+        assert loads == []
+
+    def test_workspace_naming_a_file_is_exit_1_before_any_input_is_read(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        workspace = tmp_path / "ws"
+        workspace.write_bytes(b"old\n")
+        monkeypatch.setenv("WRANGLE_WORKSPACE", str(workspace))
+        loads = _spy_loads(monkeypatch)
+        code = main(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
+                     "--input", f"ds1_2={dataset}/site_2.csv",
+                     "--input", f"ds1_3={dataset}/sites.csv", "--out", str(tmp_path / "o"),
+                     "--keep-intermediates"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{workspace}'\n"
+        assert workspace.read_bytes() == b"old\n"
+        assert loads == []
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_file_is_exit_1_with_the_systems_message(
         self, dataset, tmp_path, capsys
@@ -499,7 +545,22 @@ class TestRun:
 
 def _cpus(monkeypatch, count: int) -> None:
     """Make ``wrangle run`` see ``count`` usable CPUs."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(workflow, "_usable_cpus", lambda: count)
+
+
+def _spy_loads(monkeypatch) -> list:
+    """The path of each input ``wrangle run`` loads, with one usable CPU so that
+    every load is made in this process."""
+    _cpus(monkeypatch, 1)
+    loads = []
+    real_load = cli._load
+
+    def load(path, *args):
+        loads.append(path)
+        return real_load(path, *args)
+
+    monkeypatch.setattr(cli, "_load", load)
+    return loads
 
 
 def _spy_blobs(monkeypatch, received: list, dumps=marshal.dumps) -> None:
@@ -519,14 +580,6 @@ def _typed(value):
     if isinstance(value, Table):
         return [(c.name, c.ctype, [(type(v), v) for v in c.cells]) for c in value.columns]
     return value
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """Every test here, forked workers or not, leaves no child process behind."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 _FLOW_FILES = {
@@ -586,23 +639,23 @@ class TestLoadInputs:
         assert {k: _typed(v) for k, v in loaded.items()} == {
             k: _typed(v) for k, v in alone.items()
         }
-        csv_inputs = [name for name in paths if declared[name] == "table-csv"]
-        csv_inputs.sort(key=lambda name: os.path.getsize(paths[name]), reverse=True)
-        count = min(cpus, len(csv_inputs))
-        workers = [name for name in csv_inputs if name not in csv_inputs[::count]]
+        sizes = {name: os.path.getsize(paths[name])
+                 for name in paths if declared[name] == "table-csv"}
+        workers = [name for share in workflow._deal(sizes)[1:] for name in share]
         assert sorted(name for name, _ in received) == sorted(workers)
         assert received
 
     @pytest.mark.parametrize(
         "cpus, process, workers",
         [
-            # Largest first, ties in --input order, the unsizable last: b a c d e gone.
-            (2, ["b", "c", "e"], [["a", "d", "gone"]]),
-            (3, ["b", "d"], [["a", "e"], ["c", "gone"]]),
+            # Largest first, ties in --input order, the unsizable last: b a c d e gone,
+            # each to the least-loaded reader, ties to the process.
+            (2, ["b", "d", "e"], [["a", "c", "gone"]]),
+            (3, ["b"], [["a", "d", "gone"], ["c", "e"]]),
             (9, ["b"], [["a"], ["c"], ["d"], ["e"], ["gone"]]),
         ],
     )
-    def test_csv_inputs_are_dealt_round_largest_first(
+    def test_csv_inputs_are_dealt_largest_first_to_the_least_loaded(
         self, cpus, process, workers, tmp_path, monkeypatch
     ):
         rows = {"a": 24, "b": 44, "c": 24, "d": 4, "e": 4}  # 50, 90, 50, 10 and 10 bytes
@@ -720,22 +773,22 @@ class TestLoadInputs:
     def test_without_fork_or_affinity_or_beside_a_thread_it_loads_one_by_one(
         self, monkeypatch
     ):
-        if cli._usable_cpus() < 2:
+        if workflow._usable_cpus() < 2:
             pytest.skip("needs a host where the load can fork workers")
         stop = threading.Event()
         beside = threading.Thread(target=stop.wait, args=(60,))
         beside.start()
         try:
-            assert cli._usable_cpus() == 1
+            assert workflow._usable_cpus() == 1
         finally:
             stop.set()
             beside.join(60)
         assert not beside.is_alive()
-        assert cli._usable_cpus() > 1
+        assert workflow._usable_cpus() > 1
         for name in ("fork", "sched_getaffinity"):
             with monkeypatch.context() as m:
                 m.delattr(os, name)
-                assert cli._usable_cpus() == 1, name
+                assert workflow._usable_cpus() == 1, name
 
 
 def _one_node_flow(op: str, params: dict) -> dict:

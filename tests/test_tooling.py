@@ -8,7 +8,7 @@ Every slow path kept in ``tests/slowpaths.py`` is used by some test. Each
 registered operator's function lives in the module its name's prefix
 names. The bundled workflows read only the traffic columns they keep, and
 their predicate and mutate texts survive a format/parse round trip.
-Importing the CLI loads no process-pool machinery.
+Importing the CLI loads no process-pool machinery and no ``uuid``.
 """
 
 from __future__ import annotations
@@ -120,18 +120,29 @@ def test_bundled_expressions_survive_a_round_trip(name):
         assert parse(format_expr(parse(text))) == parse(text), text
 
 
-def test_cli_import_loads_no_process_pool_machinery():
-    # ``run`` forks its load workers itself; these packages would add their
-    # import time to every process.
-    code = (
-        "import sys, wrangle.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures'))\n"
-    )
+def modules_after_cli_import() -> list[str]:
+    """The modules a fresh interpreter holds after ``import wrangle.cli``."""
+    code = "import sys, wrangle.cli\nprint(*sorted(sys.modules))\n"
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    # ``run`` forks its load and spill workers itself; these packages would
+    # add their import time to every process.
+    modules = modules_after_cli_import()
+    assert "wrangle.cli" in modules
+    assert [m for m in modules
+            if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures"] == []
+
+
+def test_cli_import_loads_no_uuid():
+    # Session keys come from os.urandom; uuid would import platform as well.
+    modules = modules_after_cli_import()
+    assert "wrangle.workflow" in modules
+    assert "uuid" not in modules

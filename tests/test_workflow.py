@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
+import time
 from importlib import resources
 
 import pytest
 
 import dagharness
+from wrangle import workflow
 from wrangle.errors import (
     BadVersion,
     CycleDetected,
@@ -306,6 +309,7 @@ class TestRegistry:
         keys = {issue() for _ in range(100)}
         assert len(keys) == 100
         assert all(k.startswith("tbl-") and len(k) == 16 for k in keys)
+        assert all(set(k[4:]) <= set("0123456789abcdef") for k in keys)
 
     def test_duplicate_issued_key_is_refused_before_any_node_runs(self, tmp_path):
         spec = parse_workflow(wf([filter_node("a", "$inputs.x"), filter_node("b", "a.out")]))
@@ -418,3 +422,150 @@ class TestExecute:
         )
         for node in report.nodes:
             assert (tmp_path / f"{node.key}.csv").is_file()
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make ``execute`` see ``count`` usable CPUs."""
+    monkeypatch.setattr(workflow, "_usable_cpus", lambda: count)
+
+
+def _files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+# Five nodes whose results differ in size, so that every writer gets a share.
+_SPILL_NODES = [
+    filter_node(f"n{i}", "$inputs.x", predicate)
+    for i, predicate in enumerate(
+        ["k >= 0", "k >= 3", "k >= 8", "k between 2 and 7", "v < 10 or s == 'red'"]
+    )
+]
+
+
+class TestSpill:
+    """Spills written by forked writers are those written one by one."""
+
+    @pytest.mark.parametrize(
+        "cpus, sizes, shares",
+        [
+            (1, {"s": 1, "m": 2, "l": 3}, [["l", "m", "s"]]),
+            (2, {"s": 1, "m": 2, "l": 3}, [["l"], ["m", "s"]]),
+            (2, {"a": 4, "b": 4, "c": 4, "d": 4}, [["a", "c"], ["b", "d"]]),
+            (3, {"a": 4, "b": 4, "c": 4, "d": 4}, [["a", "d"], ["b"], ["c"]]),
+            (3, {"a": 9, "b": 5, "c": 4, "d": 3, "e": 1}, [["a"], ["b", "e"], ["c", "d"]]),
+            (3, {"a": 1}, [["a"]]),
+            (3, {}, [[]]),
+            (2, {"a": 0, "b": 0}, [["a", "b"]]),
+        ],
+    )
+    def test_deal_gives_largest_first_to_the_least_loaded_ties_to_the_process(
+        self, cpus, sizes, shares, monkeypatch
+    ):
+        _cpus(monkeypatch, cpus)
+        assert workflow._deal(sizes) == shares
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_spilled_bytes_equal_those_of_one_writer(self, cpus, tmp_path, monkeypatch):
+        rng = random.Random(f"spill:{cpus}")
+        for i in range(6):
+            spec, tables = dagharness.random_workflow(rng)
+            spilled = []
+            for count in (1, cpus):
+                _cpus(monkeypatch, count)
+                out = tmp_path / f"{i}-{count}"
+                out.mkdir()
+                _, report = execute(spec, tables, key_issuer=sequential_keys(), spill_dir=out)
+                assert report.spill_files == len(spec.nodes)
+                assert 1 <= report.spill_writers <= min(count, len(spec.nodes))
+                spilled.append(_files(out))
+            assert sorted(spilled[0]) == sorted(f"{n.key}.csv" for n in report.nodes)
+            assert spilled[1] == spilled[0]
+
+    def test_without_spill_dir_nothing_is_forked_or_reported(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+        def refuse():
+            raise AssertionError("no writer without a spill directory")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        spec = parse_workflow(wf(_SPILL_NODES))
+        table = dagharness.canonical_table(random.Random("spill:none"))
+        _, report = execute(spec, {"x": table}, key_issuer=sequential_keys())
+        assert (report.spill_files, report.spill_writers) == (0, 0)
+        assert not any("spill" in line for line in report.lines())
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_worker_killed_in_mid_spill_leaves_every_file_whole(
+        self, cpus, tmp_path, monkeypatch
+    ):
+        spec = parse_workflow(wf(_SPILL_NODES))
+        table = dagharness.canonical_table(random.Random("spill:kill"))
+        for name in ("alone", "parallel"):
+            (tmp_path / name).mkdir()
+        _cpus(monkeypatch, 1)
+        execute(spec, {"x": table}, key_issuer=sequential_keys(), spill_dir=tmp_path / "alone")
+        _cpus(monkeypatch, cpus)
+        process, real_replace, replaced = os.getpid(), os.replace, []
+
+        def replace(src, dst):
+            if os.getpid() != process:
+                replaced.append(dst)
+                if len(replaced) == 2:  # its first spill is in place, its second a temp file
+                    os.kill(os.getpid(), signal.SIGKILL)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        _, report = execute(
+            spec, {"x": table}, key_issuer=sequential_keys(), spill_dir=tmp_path / "parallel"
+        )
+        assert report.spill_writers == cpus
+        assert _files(tmp_path / "parallel") == _files(tmp_path / "alone")
+
+    def test_a_worker_is_killed_and_reaped_when_the_process_raises(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        process = os.getpid()
+
+        def write_result(out_dir, name, value):
+            if os.getpid() == process:
+                raise KeyboardInterrupt
+            time.sleep(60)  # never finishes its share
+
+        monkeypatch.setattr(workflow, "write_result", write_result)
+        spec = parse_workflow(wf(_SPILL_NODES))
+        table = dagharness.canonical_table(random.Random("spill:interrupt"))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            execute(spec, {"x": table}, key_issuer=sequential_keys(), spill_dir=tmp_path)
+        assert time.monotonic() - started < 30
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("later_node_fails", [False, True], ids=["nodes ok", "later fails"])
+    @pytest.mark.parametrize("bad", [(1,), (2,), (3,), (4,), (5,), (2, 5), (4, 1), (3, 2)],
+                             ids=str)
+    def test_a_failed_spill_raises_as_with_one_writer(
+        self, bad, later_node_fails, cpus, tmp_path, monkeypatch
+    ):
+        nodes = list(_SPILL_NODES)
+        if later_node_fails:
+            nodes.append(filter_node("boom", "n4.out", predicate="missing_col == 1"))
+        spec = parse_workflow(wf(nodes))
+        table = dagharness.canonical_table(random.Random("spill:fail"))
+        bad_keys = {f"tbl-{i:012d}" for i in bad}
+        real_write = workflow.write_result
+
+        def write_result(out_dir, name, value):
+            if name in bad_keys:
+                raise OSError(f"disk full writing {name}")
+            return real_write(out_dir, name, value)
+
+        monkeypatch.setattr(workflow, "write_result", write_result)
+        errors = []
+        for count in (1, cpus):
+            _cpus(monkeypatch, count)
+            out = tmp_path / str(count)
+            out.mkdir()
+            with pytest.raises(OSError) as err:
+                execute(spec, {"x": table}, key_issuer=sequential_keys(), spill_dir=out)
+            errors.append((type(err.value), str(err.value)))
+            assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        assert errors[0] == errors[1] == (OSError, f"disk full writing {min(bad_keys)}")
