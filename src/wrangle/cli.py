@@ -21,22 +21,12 @@ per-node results. An ``--out``, or a spill directory, that exists and is no
 directory is refused before any input is read.
 
 ``run`` loads its inputs before any node runs. Its CSV inputs, largest file
-first, are dealt each to the least-loaded of the process and one forked
-worker per further usable CPU, as far as they go; weather inputs stay with
-the process. A process that cannot fork, cannot tell its CPU affinity or
-runs other threads has one usable CPU, and loads everything itself. Each
-worker sends back the text tables it parsed as one marshal blob through a
-pipe, and the process types them. An input whose worker fails in any way is
-loaded by the process itself, so tables, errors and exit codes are those of
-loading the inputs one by one in ``--input`` order. No worker outlives the
-load.
-
-With ``--keep-intermediates``, the node results are spilled after the last
-node has run (or failed), dealt by the same rule, largest table first, to
-the process and forked writers; with one usable CPU the process writes them
-all. A spill whose writer fails in any way is written again by the process,
-in node order, so the first failing spill gives the error and exit code it
-gives written alone. No writer outlives the run.
+first, are shared with forked workers, one per further usable CPU; weather
+inputs stay with the process. With ``--keep-intermediates``, the node
+results are spilled after the last node has run (or failed), largest table
+first, shared the same way. Either way tables, files, errors and exit codes
+are those of doing the work one by one, and no worker outlives the run
+(``workflow._fork_map``).
 """
 
 from __future__ import annotations
@@ -45,21 +35,18 @@ import argparse
 import errno
 import gc
 import json
-import marshal
 import os
-import signal
 import sys
 from datetime import date
 from importlib import resources
 from pathlib import Path
-from typing import IO
 
 from .errors import DataError, RangeError, UnknownOp, WorkflowError
 from .gen import GenConfig, generate
 from .ops import OpDef, get_op, list_ops
 from .table import Column, CType, Table, infer_column_types, parse_csv
 from .weather import parse_weather_json
-from .workflow import (_deal, encode_result, execute, parse_workflow, random_keys,
+from .workflow import (_fork_map, encode_result, execute, parse_workflow, random_keys,
                        read_columns, sequential_keys, write_atomic, write_result)
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -103,99 +90,25 @@ def _load_inputs(
     """Each input of ``paths`` loaded, as loading them one by one in order gives them.
 
     The CSV inputs are dealt by file size (an unsizable file counts as
-    empty) with :func:`workflow._deal`: the process takes the first share,
-    and one worker each further share. With one share nothing is forked.
-    The process loads its share and every weather input, then types the
-    text tables each worker's blob brings back. An input that failed here,
-    or that no whole blob brought back, is loaded again in ``paths`` order,
-    so the first bad input raises what it raises when loaded alone. Workers
-    are reaped before this returns, and killed first if it raises.
+    empty) to :func:`workflow._fork_map`'s workers; weather inputs stay with
+    the process. A worker parses its inputs and sends back their text
+    columns, which the process types.
     """
 
     def load(name: str) -> object:
         return _load(paths[name], declared[name], read[name])
 
-    shares = _deal({name: _size(paths[name]) for name in paths if declared[name] == "table-csv"})
-    own = set(shares[0])
-    loaded: dict[str, object] = {}
-    failed: dict[str, Exception] = {}
-    pipes: dict[int, IO[bytes]] = {}
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no worker: its share is loaded below, one by one
-                os.close(r)
-                os.close(w)
-                continue
-            if pid == 0:
-                _parse_in_worker(
-                    share, paths, read, w, [r, *(p.fileno() for p in pipes.values())]
-                )
-            os.close(w)
-            pipes[pid] = open(r, "rb")
-        for name in paths:
-            if name in own or declared[name] != "table-csv":
-                try:
-                    loaded[name] = load(name)
-                except Exception as exc:  # raised below, if no earlier input fails
-                    failed[name] = exc
-                    break
-        for pid in list(pipes):
-            with pipes[pid] as pipe:
-                payload = pipe.read()
-            os.waitpid(pid, 0)
-            del pipes[pid]
-            try:
-                sent = marshal.loads(payload)
-            except (EOFError, ValueError, TypeError):  # no whole blob: the worker sent nothing
-                sent = []
-            for name, columns in sent:
-                text = Table(tuple(Column._unchecked(n, CType.TEXT, c) for n, c in columns))
-                loaded[name] = infer_column_types(text)
-    finally:
-        for pid, pipe in pipes.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    inputs = {}
-    for name in paths:
-        if name in failed:
-            raise failed[name]
-        inputs[name] = loaded[name] if name in loaded else load(name)
-    return inputs
+    def parse(name: str) -> list[tuple[str, tuple]]:
+        table = parse_csv(_read_bytes(paths[name]), read[name])
+        return [(c.name, c.cells) for c in table.columns]
 
+    def take(name: str, columns: list[tuple[str, tuple]]) -> Table:
+        return infer_column_types(
+            Table(tuple(Column._unchecked(n, CType.TEXT, cells) for n, cells in columns))
+        )
 
-def _parse_in_worker(
-    names: list[str],
-    paths: dict[str, str],
-    read: dict[str, frozenset[str] | None],
-    fd: int,
-    inherited: list[int],
-) -> None:
-    """In a forked worker: parse ``names``, write them to ``fd`` as one blob, then exit.
-
-    ``inherited`` are the read ends of pipes the worker holds from its
-    parent; they are closed first, so that no write waits on a reader that
-    is gone. The blob is ``marshal.dumps`` of a list of ``(name, [(column,
-    cells), ...])``, one for each input parsed before the first failure.
-    Whatever happens, the worker leaves by ``os._exit``, never returning
-    into the caller's stack; the process reads no exit status.
-    """
-    sent = []
-    try:
-        try:
-            for inherited_fd in inherited:
-                os.close(inherited_fd)
-            for name in names:
-                table = parse_csv(_read_bytes(paths[name]), read[name])
-                sent.append((name, [(c.name, c.cells) for c in table.columns]))
-        finally:
-            with open(fd, "wb") as out:
-                out.write(marshal.dumps(sent))
-    finally:
-        os._exit(0)
+    sizes = {name: _size(paths[name]) for name in paths if declared[name] == "table-csv"}
+    return _fork_map(paths, sizes, load, parse, take)[0]
 
 
 def _workflow_bytes(path: str) -> bytes:
@@ -362,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted and ignored: nodes always run one at a time")
     p.add_argument("--keep-intermediates", action="store_true",
                    help="spill every node result to the workspace directory, after the "
-                        "last node, by the process and one forked writer per further "
-                        "usable CPU")
+                        "last node, shared with one forked writer per further usable CPU")
     p.add_argument("--deterministic-keys", action="store_true",
                    help="issue sequential session keys instead of random ones")
     p.set_defaults(func=cmd_run)

@@ -16,14 +16,15 @@ Execution materializes every node result in a dict under a fresh session
 key. Nodes run one at a time, stage by stage in
 :func:`topo_schedule` order: operators are pure Python, so threads would
 only take turns on the interpreter lock. Kept results are spilled after the
-last node, by the process and one forked writer per further usable CPU
-(:func:`_spill`).
+last node (:func:`_spill`). Both the spill and ``wrangle run``'s input load
+share their work with forked workers through :func:`_fork_map`.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import marshal
 import os
 import re
 import signal
@@ -31,7 +32,7 @@ import threading
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import IO, Any, Callable, Iterable, Mapping
 
 from .errors import (
     BadVersion,
@@ -424,6 +425,99 @@ def _deal(sizes: Mapping[str, int]) -> list[list[str]]:
     return [shares[0], *filter(None, shares[1:])]
 
 
+def _fork_map(
+    keys: Iterable[str],
+    sizes: Mapping[str, int],
+    run: Callable[[str], object],
+    work: Callable[[str], object],
+    take: Callable[[str, Any], object] = lambda key, sent: sent,
+    lost: Callable[[int], None] = lambda pid: None,
+) -> tuple[dict[str, object], int]:
+    """``{key: run(key)}`` over ``keys`` as running them one by one in order gives it,
+    and the writers used: this process and each worker it forked.
+
+    The keys of ``sizes`` are dealt by :func:`_deal`, and one worker is
+    forked for each share past the first; with one share nothing is forked.
+    A worker runs ``work`` on each key of its share in turn, stopping at the
+    first that raises. It sends back ``(key, work(key))`` for those done
+    before, as one :mod:`marshal` blob through a pipe, and leaves by
+    ``os._exit``, never returning into the caller's stack. Its collector is
+    off, so that no pass touches, and so copies, every page it shares with
+    this process. This process meanwhile runs ``run`` on its share and on the
+    keys not in ``sizes``, in ``keys`` order, stopping at the first that
+    raises. It then reads each worker's blob and keeps ``take(key, value)``
+    for each key the blob brings back; ``lost(pid)`` is called for a worker
+    that sent nothing whole. Every worker is reaped before this returns, and
+    killed first (then handed to ``lost``) if it raises. Last, each key not
+    yet done is run here in ``keys`` order, and a key that raised here raises
+    again at its place, so the first key that fails raises what it raises
+    when run alone.
+    """
+    keys = list(keys)
+    shares = _deal(sizes)
+    done: dict[str, object] = {}
+    failed: dict[str, Exception] = {}
+    pipes: dict[int, IO[bytes]] = {}
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no worker: its share is run below, one by one
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                sent = []
+                try:
+                    try:
+                        gc.disable()
+                        for fd in (r, *(pipe.fileno() for pipe in pipes.values())):
+                            os.close(fd)  # no write may wait on a reader that is gone
+                        for key in share:
+                            sent.append((key, work(key)))
+                    finally:
+                        with open(w, "wb") as out:
+                            out.write(marshal.dumps(sent))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            pipes[pid] = open(r, "rb")
+        writers = 1 + len(pipes)
+        own = set(shares[0])
+        for key in keys:
+            if key in own or key not in sizes:
+                try:
+                    done[key] = run(key)
+                except Exception as exc:  # raised below, if no earlier key fails
+                    failed[key] = exc
+                    break
+        for pid in list(pipes):
+            with pipes[pid] as pipe:
+                blob = pipe.read()
+            os.waitpid(pid, 0)
+            del pipes[pid]
+            try:
+                sent = marshal.loads(blob)
+            except (EOFError, ValueError, TypeError):  # no whole blob: the worker sent nothing
+                sent = []
+                lost(pid)
+            for key, value in sent:
+                done[key] = take(key, value)
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            lost(pid)
+    for key in keys:
+        if key in failed:
+            raise failed[key]
+        if key not in done:
+            done[key] = run(key)
+    return {key: done[key] for key in keys}, writers
+
+
 def _spill_size(value: object) -> int:
     """What writing ``value`` weighs when spills are dealt: cells of a table, bytes of a chart."""
     return value.row_count * len(value.columns) if isinstance(value, Table) else len(value)
@@ -432,75 +526,21 @@ def _spill_size(value: object) -> int:
 def _spill(spill_dir: Path, spills: list[tuple[str, object]]) -> int:
     """Write each ``(key, result)`` of ``spills`` into ``spill_dir``; returns the writers used.
 
-    The spills are dealt by :func:`_deal` on :func:`_spill_size`. A forked
-    worker writes each share past the first, then this process writes the
-    first and reaps the workers. Every spill not known to be written (its
-    worker exited non-zero or was never forked, or this process's own write
-    of it failed or was not reached) is written again here in ``spills``
-    order, so the first spill that fails raises what it raises when written
-    one by one. Workers are reaped before this returns, and killed first if
-    it raises.
+    The spills are written by :func:`_fork_map`, dealt on :func:`_spill_size`.
+    A writer sends back the keys it wrote. The :func:`write_atomic` temp
+    files of a writer that sent nothing whole are removed.
     """
     values = dict(spills)
-    shares = _deal({key: _spill_size(value) for key, value in spills})
-    written: set[str] = set()
-    workers: dict[int, list[str]] = {}
-    try:
-        for share in shares[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # no worker: its share is written below, one by one
-                continue
-            if pid == 0:
-                _spill_in_worker(spill_dir, [(key, values[key]) for key in share])
-            workers[pid] = share
-        writers = 1 + len(workers)
-        for key in shares[0]:
-            try:
-                write_result(spill_dir, key, values[key])
-            except Exception:  # written again below, where it raises
-                break
-            written.add(key)
-        for pid in list(workers):
-            _, status = os.waitpid(pid, 0)
-            share = workers.pop(pid)
-            if status == 0:
-                written.update(share)
-            else:
-                _remove_temps(spill_dir, pid)
-    finally:
-        for pid in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            _remove_temps(spill_dir, pid)
-    for key, value in spills:
-        if key not in written:
-            write_result(spill_dir, key, value)
-    return writers
 
+    def write(key: str) -> None:
+        write_result(spill_dir, key, values[key])
 
-def _spill_in_worker(spill_dir: Path, share: list[tuple[str, object]]) -> None:
-    """In a forked worker: write ``share`` into ``spill_dir``, then exit 0, or 1 if anything failed.
+    def remove_temps(pid: int) -> None:
+        for tmp in spill_dir.glob(f".*.{pid}.tmp"):
+            tmp.unlink(missing_ok=True)
 
-    The collector is off, so that no collection pass touches, and so
-    copies, every page shared with the parent. The worker leaves by
-    ``os._exit``, flushing no inherited stdio and never returning into the
-    caller's stack.
-    """
-    code = 1
-    try:
-        gc.disable()
-        for key, value in share:
-            write_result(spill_dir, key, value)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _remove_temps(spill_dir: Path, pid: int) -> None:
-    """Remove the :func:`write_atomic` temp files that process ``pid``, now gone, left."""
-    for tmp in spill_dir.glob(f".*.{pid}.tmp"):
-        tmp.unlink(missing_ok=True)
+    sizes = {key: _spill_size(value) for key, value in spills}
+    return _fork_map(values, sizes, write, write, lost=remove_temps)[1]
 
 
 def execute(
@@ -517,10 +557,7 @@ def execute(
     ``perfbench/traced_run.py``. A node failure aborts the run with
     :class:`NodeFailed` naming the node; later nodes are not executed. With
     ``spill_dir`` set, every node result is also written there under its
-    session key, once the last node has run or failed: by this process and
-    one forked worker per further usable CPU, largest result first to the
-    writer with the least to write. With one usable CPU (no fork, no CPU
-    affinity, or other threads running) this process writes them all. The
+    session key by :func:`_spill`, once the last node has run or failed. The
     first spill that fails, in node order, raises as it does when the spills
     are written one by one; the nodes after it have run by then, and other
     spills may be on disk.

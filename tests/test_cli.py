@@ -572,7 +572,7 @@ def _spy_blobs(monkeypatch, received: list, dumps=marshal.dumps) -> None:
         received.extend((name, tuple(n for n, _ in columns)) for name, columns in sent)
         return sent
 
-    monkeypatch.setattr(cli, "marshal", SimpleNamespace(dumps=dumps, loads=loads))
+    monkeypatch.setattr(workflow, "marshal", SimpleNamespace(dumps=dumps, loads=loads))
 
 
 def _typed(value):

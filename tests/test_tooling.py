@@ -8,7 +8,8 @@ Every slow path kept in ``tests/slowpaths.py`` is used by some test. Each
 registered operator's function lives in the module its name's prefix
 names. The bundled workflows read only the traffic columns they keep, and
 their predicate and mutate texts survive a format/parse round trip.
-Importing the CLI loads no process-pool machinery and no ``uuid``.
+Importing the CLI loads no process-pool machinery and no ``uuid``. Only
+``workflow._fork_map`` forks, opens pipes or leaves by ``os._exit``.
 """
 
 from __future__ import annotations
@@ -146,3 +147,24 @@ def test_cli_import_loads_no_uuid():
     modules = modules_after_cli_import()
     assert "wrangle.workflow" in modules
     assert "uuid" not in modules
+
+
+def test_only_the_fork_helper_forks_pipes_or_exits():
+    # One protocol forks, feeds and reaps every worker; a hand-rolled copy
+    # of it elsewhere would show here.
+    calls = {"fork", "pipe", "_exit"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not calls & {alias.name for alias in node.names}, path.name
+            if (isinstance(node, ast.Attribute) and node.attr in calls
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append((path.name, node.lineno, node.attr))
+        if path.name == "workflow.py":
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_fork_map")
+    assert {attr for _, _, attr in found} == calls
+    assert [(name, line) for name, line, _ in found
+            if name != "workflow.py" or not helper.lineno <= line <= helper.end_lineno] == []

@@ -10,6 +10,7 @@ import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dagharness
 from wrangle import workflow
@@ -538,6 +539,35 @@ class TestSpill:
             execute(spec, {"x": table}, key_issuer=sequential_keys(), spill_dir=tmp_path)
         assert time.monotonic() - started < 30
 
+    def test_a_writer_killed_when_the_process_raises_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        _cpus(monkeypatch, 2)
+        process, real_write, temps = os.getpid(), workflow.write_result, []
+
+        def replace(src, dst):
+            time.sleep(60)  # only the writer gets here, its temp file written
+
+        def write_result(out_dir, name, value):
+            if os.getpid() != process:
+                return real_write(out_dir, name, value)
+            deadline = time.monotonic() + 20
+            while not temps and time.monotonic() < deadline:
+                temps.extend(p.name for p in out_dir.glob(".*.tmp"))
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(workflow, "write_result", write_result)
+        spec = parse_workflow(wf(_SPILL_NODES))
+        table = dagharness.canonical_table(random.Random("spill:temp"))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            execute(spec, {"x": table}, key_issuer=sequential_keys(), spill_dir=tmp_path)
+        assert time.monotonic() - started < 30
+        assert temps
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("later_node_fails", [False, True], ids=["nodes ok", "later fails"])
     @pytest.mark.parametrize("bad", [(1,), (2,), (3,), (4,), (5,), (2, 5), (4, 1), (3, 2)],
@@ -569,3 +599,90 @@ class TestSpill:
             errors.append((type(err.value), str(err.value)))
             assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
         assert errors[0] == errors[1] == (OSError, f"disk full writing {min(bad_keys)}")
+
+
+
+
+class TestForkMap:
+    """``_fork_map`` gives what running its keys one by one gives, whichever
+    key fails and wherever, and leaves no process behind."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keys=st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=6),
+        data=st.data(),
+    )
+    def test_equals_a_one_by_one_run(self, keys, data):
+        # "bad" fails wherever it runs; "raises" and "killed" only in a worker.
+        some_keys = st.sampled_from(keys or [""])
+        faults = data.draw(st.dictionaries(
+            some_keys, st.sampled_from(["bad", "raises", "killed"]), max_size=2
+        ), label="faults")
+        unsized = data.draw(st.sets(some_keys, max_size=2), label="not dealt")
+        sizes = {key: data.draw(st.integers(0, 9)) for key in data.draw(st.permutations(keys))
+                 if key not in unsized}
+        cpus = data.draw(st.integers(1, 3), label="cpus")
+        refused = data.draw(st.sets(st.integers(0, 1)), label="forks refused")
+        process, real_fork = os.getpid(), os.fork
+        forks, forked, lost, runs, taken = [], [], [], [], []
+
+        def fork():
+            forks.append(None)
+            if len(forks) - 1 in refused:
+                raise OSError("no more processes")
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def run(key):
+            assert os.getpid() == process
+            runs.append(key)
+            if faults.get(key) == "bad":
+                raise ValueError(f"bad {key}")
+            return key + "!"
+
+        def work(key):
+            assert os.getpid() != process
+            if faults.get(key) == "bad":
+                raise ValueError(f"bad {key}")
+            if faults.get(key) == "raises":
+                raise RuntimeError("worker failed")
+            if faults.get(key) == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return key
+
+        def take(key, sent):
+            taken.append(key)
+            return sent + "!"
+
+        def one_by_one():
+            try:
+                return list({key: run(key) for key in keys}.items())
+            except ValueError as exc:
+                return ValueError, str(exc)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(workflow, "_usable_cpus", lambda: cpus)
+            expected = one_by_one()
+            runs.clear()
+            workers = [key for share in workflow._deal(sizes)[1:] for key in share]
+            m.setattr(os, "fork", fork)
+            try:
+                done, writers = workflow._fork_map(keys, sizes, run, work, take, lost.append)
+                got = list(done.items())
+            except ValueError as exc:
+                got, writers = (ValueError, str(exc)), None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == expected
+        # The process runs no key twice, and after a key that fails only keys before it.
+        assert len(runs) == len(set(runs))
+        for i, key in enumerate(runs):
+            if faults.get(key) == "bad":
+                assert all(keys.index(later) < keys.index(key) for later in runs[i + 1:])
+        assert len(forks) <= 2 and len(forked) <= len(forks)
+        if writers is not None:
+            assert writers == 1 + len(forked)
+        assert set(lost) <= set(forked) if "killed" in faults.values() else lost == []
+        assert set(taken) <= set(workers)
