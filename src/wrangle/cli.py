@@ -14,7 +14,8 @@ keys in the document or in an input, node or output entry, a bad input
 kind, duplicate input or output names, an output name that is no file
 name. One refused for what it says is a workflow error, exit 3: an
 unsupported version, a bad or duplicate node id, an unknown op, bad params,
-wrong ports or port kinds, a dangling reference, a cycle.
+wrong ports or port kinds, a dangling reference, a cycle, an output that
+carries a weather document.
 
 ``WRANGLE_WORKSPACE`` overrides where ``run --keep-intermediates`` spills
 per-node results. An ``--out``, or a spill directory, that exists and is no
@@ -37,12 +38,10 @@ import gc
 import json
 import os
 import sys
-from datetime import date
 from importlib import resources
 from pathlib import Path
 
 from .errors import DataError, RangeError, UnknownOp, WorkflowError
-from .gen import GenConfig, generate
 from .ops import OpDef, get_op, list_ops
 from .table import Column, CType, Table, infer_column_types, parse_csv
 from .weather import parse_weather_json
@@ -228,6 +227,9 @@ def cmd_op(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from datetime import date
+    from .gen import GenConfig, generate  # imported here, so that ``run`` never loads it
+
     try:
         config = GenConfig(
             seed=args.seed,

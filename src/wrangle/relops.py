@@ -11,7 +11,7 @@ from functools import reduce
 from itertools import compress
 from operator import add
 
-from .errors import RequirementFailed, SchemaMismatch, TypeMismatch, UnknownColumn
+from .errors import RequirementFailed, SchemaMismatch, TypeMismatch
 from .expr import (
     AggSpec,
     MutateExpr,

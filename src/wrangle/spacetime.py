@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import datetime, timedelta
 
-from .errors import RangeError, SchemaMismatch, TypeMismatch, UnknownColumn
+from .errors import RangeError, SchemaMismatch, TypeMismatch
 from .table import Cell, Column, CType, Table
 
 EARTH_RADIUS_M = 6_371_000.0

@@ -451,7 +451,9 @@ def parse_csv(data: bytes, columns: frozenset[str] | None = None) -> Table:
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise MalformedCsv(f"not valid UTF-8: {exc}") from None
+        head = exc.object[: exc.start]  # line ends: LF, CRLF or a lone CR
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MalformedCsv(f"not valid UTF-8: {exc}", line) from None
     table = _parse_columns(text, columns)
     return table if table is not None else _parse_records(text, columns)
 

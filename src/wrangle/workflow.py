@@ -4,7 +4,8 @@ A workflow names its inputs, wires nodes through references
 (``$inputs.<name>`` for a declared input, ``<node_id>.out`` for another
 node's single output port), and exposes named outputs. All static checks
 happen in :func:`parse_workflow`; a spec that validates cannot fail at run
-time with an unknown op, a dangling reference, or a cycle.
+time with an unknown op, a dangling reference, a cycle, or an output it
+cannot write.
 
 A plan step, :func:`read_columns`, gives each ``table-csv`` input the
 columns it can be read as. Only the provable case is narrowed: every reader
@@ -45,7 +46,7 @@ from .errors import (
     NodeFailed,
     RegistryError,
 )
-from .ops import OpDef, get_op, kind_of_result
+from .ops import SVG, TABLE, OpDef, get_op, kind_of_result
 from .table import Table, write_csv
 
 _NODE_ID_RE = re.compile(r"[a-z0-9_]+\Z")
@@ -54,8 +55,15 @@ _NODE_REF_RE = re.compile(r"([a-z0-9_]+)\.out\Z")
 
 _KIND_OF_INPUT = {"table-csv": "table", "weather-json": "weatherdoc"}
 
-# An output is written as <name>.csv or <name>.svg inside the output directory.
-_PATH_SEPARATORS = {"/", os.sep, os.altsep} - {None}
+
+def _is_file_name(name: str) -> bool:
+    """Whether an output ``name`` can be written as ``<name>.csv`` or ``<name>.svg`` in
+    the output directory: no path part, no NUL, and encodable by the file system."""
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        return False
+    return name not in ("", ".", "..") and {"\0", "/", os.sep, os.altsep}.isdisjoint(name)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,7 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
     node_by_id = {n.id: n for n in nodes}
 
     # Reference and port-kind checks.
-    def check_ref(ref: Reference, where: str, want_kind: str | None) -> None:
+    def check_ref(ref: Reference, where: str, kinds: tuple[str, ...]) -> None:
         if ref.input_name is not None:
             if ref.input_name not in input_kinds:
                 raise DanglingReference(f"{where}: no input '{ref.input_name}'")
@@ -245,24 +253,24 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
             if ref.node_id not in node_by_id:
                 raise DanglingReference(f"{where}: no node '{ref.node_id}'")
             src = node_by_id[ref.node_id].op_def.result
-        if want_kind is not None and src != want_kind:
-            raise InvalidNode(f"{where}: wants {want_kind}, reference carries {src}")
+        if src not in kinds:
+            raise InvalidNode(f"{where}: wants {' or '.join(kinds)}, reference carries {src}")
 
     for n in nodes:
         for port, ref in n.inputs.items():
-            check_ref(ref, f"node '{n.id}' port '{port}'", dict(n.op_def.ports)[port])
+            check_ref(ref, f"node '{n.id}' port '{port}'", (dict(n.op_def.ports)[port],))
 
     outputs: list[WorkflowOutput] = []
     for i, entry in enumerate(_want(doc, "outputs", list, "workflow")):
         where = f"outputs[{i}]"
         _check_entry(entry, where, {"name", "from", "comment"})
         out_name = _want(entry, "name", str, where)
-        if out_name in ("", ".", "..") or any(sep in out_name for sep in _PATH_SEPARATORS):
+        if not _is_file_name(out_name):
             raise MalformedJson(f"{where}: output name {out_name!r} is not a file name")
         if any(x.name == out_name for x in outputs):
             raise MalformedJson(f"{where}: duplicate output name '{out_name}'")
         ref = Reference.parse(_want(entry, "from", str, where), where)
-        check_ref(ref, where, None)
+        check_ref(ref, where, (TABLE, SVG))  # the kinds a file can hold
         outputs.append(WorkflowOutput(out_name, ref))
 
     spec = WorkflowSpec(version, name, tuple(inputs), tuple(nodes), tuple(outputs))

@@ -278,7 +278,8 @@ def char_split_parse_csv(data: bytes) -> Table:
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise MalformedCsv(f"not valid UTF-8: {exc}") from None
+        line = len(re.split(rb"\r\n|\r|\n", exc.object[: exc.start]))
+        raise MalformedCsv(f"not valid UTF-8: {exc}", line) from None
     records = _split_records(text)
     if not records:
         raise EmptyInput("no header row")

@@ -599,12 +599,14 @@ def _bad_csv(kind: str, path, big: bytes | None) -> None:
         path.write_bytes(body + b"x," * 40 + b"EXTRA\n")
     elif kind == "bom":  # a byte order mark and no header names
         path.write_bytes(b"\xef\xbb\xbf" + b"\n" * (2 * len(big) if big else 1))
+    elif kind == "cp1252":  # a spreadsheet's pound sign in the last data row
+        path.write_bytes((big or b"Site ID,Date\n") + b"x,\xa34\n")
     else:
         assert kind == "missing"
 
 
 _BAD_CASES = [
-    *(((kind, at),) for kind in ("malformed", "missing", "bom") for at in range(3)),
+    *(((kind, at),) for kind in ("malformed", "missing", "bom", "cp1252") for at in range(3)),
     *(
         ((first, i), (second, j))
         for first, second in itertools.permutations(("malformed", "missing", "bom"), 2)
@@ -829,6 +831,11 @@ _BAD_FLOWS = {
                    "workflow error: unknown operator 'relops.nope' (see: chart.bar, "),
     "dangling reference": (_edited_flow(lambda f: f["nodes"][0]["inputs"].update(
         {"in": "$inputs.nope"})), 3, "workflow error: node 'n' port 'in': no input 'nope'\n"),
+    # Refused before the unbound input 'w' is noticed, so before any input is read.
+    "weather output": (_edited_flow(lambda f: (
+        f["inputs"].append({"name": "w", "kind": "weather-json"}),
+        f["outputs"].append({"name": "z", "from": "$inputs.w"}))), 3,
+        "workflow error: outputs[1]: wants table or svg, reference carries weatherdoc\n"),
 }
 
 

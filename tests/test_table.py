@@ -113,6 +113,15 @@ class TestParseCsv:
                 parse_csv(b"\xef\xbb\xbf" + data)
             assert str(bom.value) == str(plain.value)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_not_utf8_names_the_line_of_the_first_bad_byte(self, bom, end):
+        # A cp1252 pound sign, as a spreadsheet save writes it, on the third line.
+        data = bom + end.join([b"a,b", b"1,2", b"3,\xa34", b"\xff,5", b""])
+        with pytest.raises(MalformedCsv, match=r"^line 3: not valid UTF-8: .* byte 0xa3 ") as err:
+            parse_csv(data)
+        assert err.value.line == 3
+
 
 class TestWriteCsv:
     def test_empty_table(self):

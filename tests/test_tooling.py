@@ -8,8 +8,10 @@ Every slow path kept in ``tests/slowpaths.py`` is used by some test. Each
 registered operator's function lives in the module its name's prefix
 names. The bundled workflows read only the traffic columns they keep, and
 their predicate and mutate texts survive a format/parse round trip.
-Importing the CLI loads no process-pool machinery and no ``uuid``. Only
-``workflow._fork_map`` forks, opens pipes or leaves by ``os._exit``.
+Every module reads each name it imports. Importing the package loads none
+of its modules, and importing the CLI loads no generator, no process-pool
+machinery and no ``uuid``. Only ``workflow._fork_map`` forks, opens pipes
+or leaves by ``os._exit``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,23 @@ def test_oracles_import_nothing_from_the_package():
     assert imports, "oracles.py should import something from the standard library"
     assert [m for level, m in imports if level > 0] == []
     assert [m for _, m in imports if m.split(".")[0] == "wrangle"] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_module_reads_every_name_it_imports(path):
+    # No linter runs here; an import that nothing reads costs every process
+    # its load and hides what a module really depends on.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(bound - read) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -121,9 +140,9 @@ def test_bundled_expressions_survive_a_round_trip(name):
         assert parse(format_expr(parse(text))) == parse(text), text
 
 
-def modules_after_cli_import() -> list[str]:
-    """The modules a fresh interpreter holds after ``import wrangle.cli``."""
-    code = "import sys, wrangle.cli\nprint(*sorted(sys.modules))\n"
+def modules_after_import(module: str) -> list[str]:
+    """The modules a fresh interpreter holds after ``import <module>``."""
+    code = f"import sys, {module}\nprint(*sorted(sys.modules))\n"
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -131,6 +150,25 @@ def modules_after_cli_import() -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def modules_after_cli_import() -> list[str]:
+    """The modules a fresh interpreter holds after ``import wrangle.cli``."""
+    return modules_after_import("wrangle.cli")
+
+
+def test_package_import_loads_no_module_of_it():
+    # The package root exports nothing, so it imports nothing of its own.
+    modules = modules_after_import("wrangle")
+    assert "wrangle" in modules
+    assert [m for m in modules if m.startswith("wrangle.")] == []
+
+
+def test_cli_import_loads_no_generator():
+    # Only ``wrangle gen`` uses the generator; it imports it when it runs.
+    modules = modules_after_cli_import()
+    assert "wrangle.cli" in modules
+    assert "wrangle.gen" not in modules
 
 
 def test_cli_import_loads_no_process_pool_machinery():

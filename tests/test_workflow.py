@@ -199,7 +199,8 @@ class TestParseWorkflow:
             parse_workflow(wf([], outputs=outputs))
 
     @pytest.mark.parametrize(
-        "name", ["", ".", "..", "../escaped", "a/b", "/abs", *sorted({os.sep, os.altsep} - {None})]
+        "name", ["", ".", "..", "../escaped", "a/b", "/abs", *sorted({os.sep, os.altsep} - {None}),
+                 "x\u0000y", "x\ud800"]
     )
     def test_output_name_must_be_a_file_name(self, name):
         outputs = [{"name": "y", "from": "$inputs.x"}, {"name": name, "from": "$inputs.x"}]
