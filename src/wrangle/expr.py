@@ -16,14 +16,18 @@ Expressions::
     factor  := '-' factor | literal | ident | '(' expr ')'
     cmp     := '==' | '!=' | '<' | '<=' | '>' | '>='
 
-Every node is a truth (a comparison, ``in``, ``between``, ``not``, ``and``,
-``or``) or a value (a literal, a column, ``-`` or arithmetic). ``not``,
-``and`` and ``or`` take truths; comparisons and arithmetic take values. So a
-bare value stands as a clause only inside parentheses, as in
-``(a + b) / 2 > c``, and ``a and b > 1`` or ``(a > 1) + 2`` is a
-:class:`ParseError`. :func:`parse_predicate` reads a truth and
-:func:`parse_mutate` a value (a ``sum``). Columns may stand on either side
-of a comparison: ``Gap <= Headway``, ``5 < x``.
+``x in (a, b, c)`` is read as ``x == a or x == b or x == c`` and ``x between
+lo and hi`` as ``x >= lo and x <= hi``: the parser builds those comparisons,
+and the canonical text prints them that way.
+
+Every node is a truth (a comparison, ``not``, ``and``, ``or``) or a value (a
+literal, a column, ``-`` or arithmetic). ``not``, ``and`` and ``or`` take
+truths; comparisons and arithmetic take values. So a bare value stands as a
+clause only inside parentheses, as in ``(a + b) / 2 > c``, and
+``a and b > 1`` or ``(a > 1) + 2`` is a :class:`ParseError`.
+:func:`parse_predicate` reads a truth and :func:`parse_mutate` a value (a
+``sum``). Columns may stand on either side of a comparison:
+``Gap <= Headway``, ``5 < x``.
 
 Aggregations::
 
@@ -34,9 +38,10 @@ Identifiers are bare words or backtick-quoted to allow dots and spaces
 single-quoted strings, ``#HH:MM[:SS]#`` times and ``#YYYY-MM-DD#`` dates; a
 negative number is ``-`` applied to a number.
 
-Each AST has a canonical formatter and ``parse(format(e)) == e`` holds for
-any tree the parser can produce; a number literal that is not finite is a
-:class:`ParseError`, since it would format as ``inf``.
+:func:`format_expr` gives a predicate or mutate tree its canonical text,
+and ``parse(format_expr(e)) == e`` holds for any tree the parser can
+produce; a number literal that is not finite is a :class:`ParseError`, since
+it would format as ``inf``.
 
 Expressions are compiled, then evaluated. One walk of an operand against a
 table looks up every column it reads and gives the operand's kind and a
@@ -126,19 +131,6 @@ class Compare:
 
 
 @dataclass(frozen=True)
-class InList:
-    operand: Operand
-    values: tuple[Operand, ...]
-
-
-@dataclass(frozen=True)
-class Between:
-    operand: Operand
-    lo: Operand
-    hi: Operand
-
-
-@dataclass(frozen=True)
 class And:
     left: "PredicateExpr"
     right: "PredicateExpr"
@@ -156,7 +148,7 @@ class Not:
 
 
 #: A truth: what a row filter tests.
-PredicateExpr = Union[Compare, InList, Between, And, Or, Not]
+PredicateExpr = Union[Compare, And, Or, Not]
 Expr = Union[PredicateExpr, Operand]
 
 
@@ -330,11 +322,11 @@ class _Parser:
             while self.accept(","):
                 values.append(self.value(op))
             self.expect(")")
-            return InList(left, tuple(values))
+            return reduce(Or, (Compare(left, "==", v) for v in values))
         if op.kind == "between":
             lo = self.value(op)
             self.expect("and")
-            return Between(left, lo, self.value(op))
+            return And(Compare(left, ">=", lo), Compare(left, "<=", self.value(op)))
         return Compare(left, op.kind, self.value(op))
 
     def sum(self) -> Expr:
@@ -445,7 +437,7 @@ def _format_literal(value: LitValue) -> str:
 
 # How tightly each node binds: an operand that binds more loosely than its
 # place allows is printed in parentheses.
-_PREC = {Or: 0, And: 1, Not: 2, Compare: 3, InList: 3, Between: 3, Neg: 6, Lit: 7, ColRef: 7}
+_PREC = {Or: 0, And: 1, Not: 2, Compare: 3, Neg: 6, Lit: 7, ColRef: 7}
 
 
 def _prec(e: Expr) -> int:
@@ -471,23 +463,11 @@ def format_expr(e: Expr) -> str:
         return f"not {_wrap(e.operand, 2)}"
     if isinstance(e, Compare):
         return f"{format_expr(e.left)} {e.op} {format_expr(e.right)}"
-    if isinstance(e, InList):
-        return f"{format_expr(e.operand)} in ({', '.join(map(format_expr, e.values))})"
-    if isinstance(e, Between):
-        return f"{format_expr(e.operand)} between {format_expr(e.lo)} and {format_expr(e.hi)}"
     if isinstance(e, (And, Or, BinOp)):
         # Left-associative: the right operand binds more tightly or is wrapped.
         word = e.op if isinstance(e, BinOp) else type(e).__name__.lower()
         return f"{_wrap(e.left, _prec(e))} {word} {_wrap(e.right, _prec(e) + 1)}"
     raise TypeError(f"not an expression node: {e!r}")
-
-
-format_predicate = format_mutate = format_expr
-
-
-def format_agg(spec: AggSpec) -> str:
-    target = _format_ident(spec.target) if spec.target is not None else ""
-    return f"{_format_ident(spec.new_name)} = {spec.func}({target})"
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +546,6 @@ def compile_predicate(e: PredicateExpr, t: Table) -> Truths:
     columns = {c.name: c for c in t.columns}
 
     def walk(e: PredicateExpr) -> Truths:
-        # x in (a, b) compares as x == a or x == b, and lo <= x <= hi as
-        # x >= lo and x <= hi: the same values, compared in the same order.
-        if isinstance(e, InList):
-            return walk(reduce(Or, (Compare(e.operand, "==", v) for v in e.values)))
-        if isinstance(e, Between):
-            return walk(And(Compare(e.operand, ">=", e.lo), Compare(e.operand, "<=", e.hi)))
         if isinstance(e, Compare):
             left_kind, left = _compile_operand(e.left, columns)
             right_kind, right = _compile_operand(e.right, columns)

@@ -135,14 +135,24 @@ def _keep_or_drop(mode: str) -> str:
     return mode
 
 
+def _refuse_repeats(named: list[tuple[str, str]]) -> None:
+    # Each (param, name) names an output column; a repeated name would duplicate it.
+    seen: set[str] = set()
+    for param, name in named:
+        if name in seen:
+            raise InvalidNode(f"param '{param}' repeats {name!r}")
+        seen.add(name)
+
+
 def _select(p: dict) -> dict:
-    # A repeated kept name would build a table with a duplicate column.
     if p["mode"] == "keep":
-        seen: set[str] = set()
-        for name in p["names"]:
-            if name in seen:
-                raise InvalidNode(f"param 'names' repeats {name!r}")
-            seen.add(name)
+        _refuse_repeats([("names", name) for name in p["names"]])
+    return p
+
+
+def _group(p: dict) -> dict:
+    outputs = [("by", name) for name in p["by"]] + [("aggs", a.new_name) for a in p["aggs"]]
+    _refuse_repeats(outputs)
     return p
 
 
@@ -261,6 +271,7 @@ _register(
     TABLE,
     (Param("aggs", STR_LIST, convert=_aggs), Param("by", STR_LIST, [], list)),
     relops.group_summarise,
+    _group,
 )
 
 

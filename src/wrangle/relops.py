@@ -18,7 +18,7 @@ from .expr import (
     PredicateExpr,
     compile_mutate,
     compile_predicate,
-    format_predicate,
+    format_expr,
 )
 from .table import Cell, Column, CType, NUMERIC_KINDS, ORDERED_KINDS, Table
 
@@ -87,7 +87,7 @@ def require(t: Table, predicate: PredicateExpr) -> Table:
     truths = compile_predicate(predicate, t)(range(t.row_count))
     if False in truths:
         raise RequirementFailed(
-            f"row {truths.index(False)} does not meet {format_predicate(predicate)}"
+            f"row {truths.index(False)} does not meet {format_expr(predicate)}"
         )
     return t
 

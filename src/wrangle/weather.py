@@ -54,7 +54,6 @@ FLAT_COLUMNS: tuple[tuple[str, CType], ...] = (
 
 @dataclass(frozen=True)
 class WxPeriod:
-    ptype: str
     date: date
     reps: tuple[tuple[Cell, ...], ...]  # cells in REP_LAYOUT order
 
@@ -66,7 +65,6 @@ class WxLocation:
     lon: float
     name: str
     country: str
-    continent: str
     elevation_m: float | None
     periods: tuple[WxPeriod, ...]
 
@@ -79,8 +77,6 @@ class WxLocation:
 
 @dataclass(frozen=True)
 class WeatherDoc:
-    data_date: datetime
-    doc_type: str
     locations: tuple[WxLocation, ...]
     unknown_rep_fields: int = field(default=0, compare=False)
 
@@ -171,7 +167,7 @@ def _parse_period(obj: object, rep_objs: list) -> WxPeriod:
     entries = _as_list(_req(obj, "Rep", "Period"))
     reps = tuple(map(_parse_rep, entries))
     rep_objs += entries
-    return WxPeriod(str(obj.get("type", "Day")), day, reps)
+    return WxPeriod(day, reps)
 
 
 def _parse_location(obj: object, rep_objs: list) -> WxLocation:
@@ -191,7 +187,6 @@ def _parse_location(obj: object, rep_objs: list) -> WxLocation:
         lon=lon,
         name=str(obj.get("name", "")),
         country=str(obj.get("country", "")),
-        continent=str(obj.get("continent", "")),
         elevation_m=_opt_float(obj, "elevation"),
         periods=periods,
     )
@@ -215,7 +210,7 @@ def parse_weather_json(data: bytes) -> WeatherDoc:
 
     raw_date = str(_req(dv, "dataDate", "DV"))
     try:
-        data_date = _parse_data_date(raw_date)
+        _parse_data_date(raw_date)
     except ValueError:
         raise MalformedJson(f"bad dataDate {raw_date!r}") from None
 
@@ -223,12 +218,7 @@ def parse_weather_json(data: bytes) -> WeatherDoc:
     locations = tuple(
         _parse_location(entry, rep_objs) for entry in _as_list(_req(dv, "Location", "DV"))
     )
-    return WeatherDoc(
-        data_date=data_date,
-        doc_type=str(dv.get("type", "Obs")),
-        locations=locations,
-        unknown_rep_fields=sum(len(obj.keys() - _REP_KEYS) for obj in rep_objs),
-    )
+    return WeatherDoc(locations, sum(len(obj.keys() - _REP_KEYS) for obj in rep_objs))
 
 
 def _parse_data_date(raw: str) -> datetime:

@@ -32,6 +32,7 @@ import signal
 import threading
 import time as _time
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Mapping
 
@@ -95,7 +96,6 @@ def sequential_keys() -> Callable[[], str]:
 class Reference:
     """Parsed form of ``$inputs.<name>`` or ``<node_id>.out``."""
 
-    text: str
     input_name: str | None = None
     node_id: str | None = None
 
@@ -105,10 +105,10 @@ class Reference:
             raise DanglingReference(f"{where}: reference must be a string")
         m = _INPUT_REF_RE.match(text)
         if m:
-            return cls(text, input_name=m.group(1))
+            return cls(input_name=m.group(1))
         m = _NODE_REF_RE.match(text)
         if m:
-            return cls(text, node_id=m.group(1))
+            return cls(node_id=m.group(1))
         raise DanglingReference(
             f"{where}: bad reference {text!r} (want $inputs.<name> or <node_id>.out)"
         )
@@ -118,10 +118,9 @@ class Reference:
 class NodeSpec:
     id: str
     op: str
-    params: dict
     inputs: dict[str, Reference]
     op_def: OpDef = field(compare=False, repr=False)
-    bound_params: dict = field(compare=False, repr=False)
+    bound_params: dict = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ class WorkflowOutput:
 
 @dataclass(frozen=True)
 class WorkflowSpec:
-    version: int
     name: str
     inputs: tuple[WorkflowInput, ...]
     nodes: tuple[NodeSpec, ...]
@@ -239,7 +237,7 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
             )
         if any(r.node_id == node_id for r in refs.values()):
             raise CycleDetected(f"node '{node_id}' references itself")
-        nodes.append(NodeSpec(node_id, op_def.name, dict(raw_params), refs, op_def, bound))
+        nodes.append(NodeSpec(node_id, op_def.name, refs, op_def, bound))
 
     node_by_id = {n.id: n for n in nodes}
 
@@ -273,7 +271,7 @@ def parse_workflow(data: bytes) -> WorkflowSpec:
         check_ref(ref, where, (TABLE, SVG))  # the kinds a file can hold
         outputs.append(WorkflowOutput(out_name, ref))
 
-    spec = WorkflowSpec(version, name, tuple(inputs), tuple(nodes), tuple(outputs))
+    spec = WorkflowSpec(name, tuple(inputs), tuple(nodes), tuple(outputs))
     topo_schedule(spec)  # raises CycleDetected
     return spec
 
@@ -302,30 +300,22 @@ def read_columns(w: WorkflowSpec) -> dict[str, frozenset[str] | None]:
 
 
 def topo_schedule(w: WorkflowSpec) -> list[list[str]]:
-    """Stages of mutually independent node ids, by longest-path depth."""
-    depth: dict[str, int] = {}
-    visiting: set[str] = set()
-
-    def visit(node_id: str) -> int:
-        if node_id in depth:
-            return depth[node_id]
-        if node_id in visiting:
-            raise CycleDetected(f"cycle through node '{node_id}'")
-        visiting.add(node_id)
-        node = w.node(node_id)
-        d = 0
-        for ref in node.inputs.values():
-            if ref.node_id is not None:
-                d = max(d, visit(ref.node_id) + 1)
-        visiting.discard(node_id)
-        depth[node_id] = d
-        return d
-
-    for n in w.nodes:
-        visit(n.id)
-    stages: list[list[str]] = [[] for _ in range(max(depth.values()) + 1)] if depth else []
-    for n in w.nodes:  # declaration order within each stage
-        stages[depth[n.id]].append(n.id)
+    """Stages of mutually independent node ids, by longest-path depth; each
+    stage in declaration order."""
+    order = {n.id: i for i, n in enumerate(w.nodes)}
+    reads = {n.id: {ref.node_id for ref in n.inputs.values()} - {None} for n in w.nodes}
+    sorter = TopologicalSorter(reads)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        raise CycleDetected(
+            "cycle through nodes " + " -> ".join(f"'{node_id}'" for node_id in exc.args[1])
+        ) from None
+    stages = []
+    while sorter.is_active():
+        stage = sorted(sorter.get_ready(), key=order.__getitem__)
+        sorter.done(*stage)
+        stages.append(stage)
     return stages
 
 

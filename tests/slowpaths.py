@@ -34,6 +34,8 @@ bit-identical, not merely close.
   rep parsed into a frozen ``WxRep`` record, its fields named one by one,
   and unknown rep keys counted by summing ``(value, count)`` pairs up the
   location and period walk.
+- :func:`depth_first_topo_schedule`: ``workflow.topo_schedule`` as a
+  depth-first search that gives each node its longest-path depth.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Iterator, Mapping
 
 from wrangle import spacetime, traffic
 from wrangle.errors import (
+    CycleDetected,
     EmptyInput,
     MalformedCsv,
     MalformedJson,
@@ -61,11 +64,9 @@ from wrangle.errors import (
 )
 from wrangle.expr import (
     And,
-    Between,
     BinOp,
     ColRef,
     Compare,
-    InList,
     Lit,
     LitValue,
     MutateExpr,
@@ -76,7 +77,7 @@ from wrangle.expr import (
     PredicateExpr,
     _KEYWORDS,
     _Token,
-    format_predicate,
+    format_expr,
 )
 from wrangle.spacetime import SpaceTimeParams
 from wrangle.table import (
@@ -106,6 +107,7 @@ from wrangle.weather import (
     _opt_str,
     _req,
 )
+from wrangle.workflow import WorkflowSpec
 
 
 def nested_loop_time_space_join(traffic: Table, weather: Table, p: SpaceTimeParams) -> Table:
@@ -406,15 +408,9 @@ def per_cell_filter_weekdays(t: Table, date_col: str, days: set[str]) -> Table:
 
 def _parts(e: PredicateExpr | Operand) -> tuple:
     """The subexpressions of ``e``, in tree order."""
-    if isinstance(e, Compare):
-        return (e.left, e.right)
-    if isinstance(e, InList):
-        return (e.operand, *e.values)
-    if isinstance(e, Between):
-        return (e.operand, e.lo, e.hi)
     if isinstance(e, (Not, Neg)):
         return (e.operand,)
-    if isinstance(e, (And, Or, BinOp)):
+    if isinstance(e, (Compare, And, Or, BinOp)):
         return (e.left, e.right)
     return ()
 
@@ -433,7 +429,7 @@ def _name(e: Operand) -> str:
         return f"literal {e.value!r}"
     if isinstance(e, Neg) and isinstance(e.operand, Lit):
         return f"literal {-e.operand.value!r}"
-    return f"expression {format_predicate(e)}"
+    return f"expression {format_expr(e)}"
 
 
 def _check_operand(e: Operand, kinds: Mapping[str, CType]) -> CType:
@@ -459,17 +455,14 @@ def _check_number(e: Operand, kinds: Mapping[str, CType]) -> CType:
 
 def _check_predicate(e: PredicateExpr, kinds: Mapping[str, CType]) -> None:
     """Raise UnknownColumn/TypeMismatch unless e can evaluate against kinds."""
-    if isinstance(e, (Compare, InList, Between)):
-        # One comparison per right side: x in (a, b) is x == a, then x == b.
-        left, *rights = _parts(e)
-        for right in rights:
-            left_kind = _check_operand(left, kinds)
-            right_kind = _check_operand(right, kinds)
-            if not kinds_comparable(left_kind, right_kind):
-                raise TypeMismatch(
-                    f"{_name(left)} is {left_kind.value}, cannot compare with "
-                    f"{right_kind.value} {_name(right)}"
-                )
+    if isinstance(e, Compare):
+        left_kind = _check_operand(e.left, kinds)
+        right_kind = _check_operand(e.right, kinds)
+        if not kinds_comparable(left_kind, right_kind):
+            raise TypeMismatch(
+                f"{_name(e.left)} is {left_kind.value}, cannot compare with "
+                f"{right_kind.value} {_name(e.right)}"
+            )
         return
     for part in _parts(e):
         _check_predicate(part, kinds)
@@ -496,14 +489,6 @@ def _eval_predicate(e: PredicateExpr, row: Mapping[str, Cell]) -> bool:
     """Evaluate against one row."""
     if isinstance(e, Compare):
         return _compare(e.op, _eval_operand(e.left, row), _eval_operand(e.right, row))
-    if isinstance(e, InList):
-        v = _eval_operand(e.operand, row)
-        return any(_compare("==", v, _eval_operand(x, row)) for x in e.values)
-    if isinstance(e, Between):
-        v = _eval_operand(e.operand, row)
-        return _compare(">=", v, _eval_operand(e.lo, row)) and _compare(
-            "<=", v, _eval_operand(e.hi, row)
-        )
     if isinstance(e, Not):
         return not _eval_predicate(e.operand, row)
     if isinstance(e, And):
@@ -564,7 +549,7 @@ def row_wise_require(t: Table, p: PredicateExpr) -> Table:
     """``relops.require`` as ``p`` walked once per row, up to the first false one."""
     for i, ok in enumerate(_truths(t, p)):
         if not ok:
-            raise RequirementFailed(f"row {i} does not meet {format_predicate(p)}")
+            raise RequirementFailed(f"row {i} does not meet {format_expr(p)}")
     return t
 
 
@@ -722,7 +707,7 @@ def _wx_parse_period(obj: object) -> tuple[WxPeriod, int]:
         rep, n = _wx_parse_rep(entry)
         reps.append(rep)
         unknown += n
-    return WxPeriod(str(obj.get("type", "Day")), day, tuple(reps)), unknown
+    return WxPeriod(day, tuple(reps)), unknown
 
 
 def _wx_parse_location(obj: object) -> tuple[WxLocation, int]:
@@ -748,7 +733,6 @@ def _wx_parse_location(obj: object) -> tuple[WxLocation, int]:
             lon=lon,
             name=str(obj.get("name", "")),
             country=str(obj.get("country", "")),
-            continent=str(obj.get("continent", "")),
             elevation_m=_opt_float(obj, "elevation"),
             periods=tuple(periods),
         ),
@@ -774,7 +758,7 @@ def wxrep_parse_weather_json(data: bytes) -> WeatherDoc:
 
     raw_date = str(_req(dv, "dataDate", "DV"))
     try:
-        data_date = datetime.strptime(raw_date, "%Y-%m-%dT%H:%M:%SZ")
+        datetime.strptime(raw_date, "%Y-%m-%dT%H:%M:%SZ")
     except ValueError:
         raise MalformedJson(f"bad dataDate {raw_date!r}") from None
 
@@ -784,12 +768,7 @@ def wxrep_parse_weather_json(data: bytes) -> WeatherDoc:
         loc, n = _wx_parse_location(entry)
         locations.append(loc)
         unknown += n
-    return WeatherDoc(
-        data_date=data_date,
-        doc_type=str(dv.get("type", "Obs")),
-        locations=tuple(locations),
-        unknown_rep_fields=unknown,
-    )
+    return WeatherDoc(locations=tuple(locations), unknown_rep_fields=unknown)
 
 
 _WX_FLAT_COLUMNS: tuple[tuple[str, CType], ...] = (
@@ -848,3 +827,31 @@ def wxrep_flatten_weather(doc: WeatherDoc) -> Table:
             for i, (name, ctype) in enumerate(_WX_FLAT_COLUMNS)
         )
     )
+
+
+def depth_first_topo_schedule(w: WorkflowSpec) -> list[list[str]]:
+    """Stages of mutually independent node ids, by longest-path depth."""
+    depth: dict[str, int] = {}
+    visiting: set[str] = set()
+
+    def visit(node_id: str) -> int:
+        if node_id in depth:
+            return depth[node_id]
+        if node_id in visiting:
+            raise CycleDetected(f"cycle through node '{node_id}'")
+        visiting.add(node_id)
+        node = w.node(node_id)
+        d = 0
+        for ref in node.inputs.values():
+            if ref.node_id is not None:
+                d = max(d, visit(ref.node_id) + 1)
+        visiting.discard(node_id)
+        depth[node_id] = d
+        return d
+
+    for n in w.nodes:
+        visit(n.id)
+    stages: list[list[str]] = [[] for _ in range(max(depth.values()) + 1)] if depth else []
+    for n in w.nodes:  # declaration order within each stage
+        stages[depth[n.id]].append(n.id)
+    return stages

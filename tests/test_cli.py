@@ -280,6 +280,21 @@ class TestRun:
             "workflow error: node 'n': param 'names' repeats 'Speed'\n"
         )
 
+    def test_repeated_group_summarise_name_is_exit_3_before_any_input_is_read(
+        self, tmp_path, capsys
+    ):
+        flow = _one_node_flow(
+            "relops.group_summarise", {"by": ["Speed"], "aggs": ["Speed = count()"]}
+        )
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(flow))
+        code = main(["run", str(path), "--input", f"x={tmp_path}/missing.csv",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "workflow error: node 'n': param 'aggs' repeats 'Speed'\n"
+        )
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_cyclic_collector_as_it_found_it(
         self, enabled, dataset, tmp_path, capsys, monkeypatch

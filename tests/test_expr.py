@@ -8,6 +8,7 @@ import math
 import re
 import sys
 from datetime import date, time
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,11 +18,9 @@ from wrangle.errors import ParseError
 from wrangle.expr import (
     AggSpec,
     And,
-    Between,
     BinOp,
     ColRef,
     Compare,
-    InList,
     Neg,
     Lit,
     Not,
@@ -29,9 +28,7 @@ from wrangle.expr import (
     _format_ident,
     _format_literal,
     _tokenize,
-    format_agg,
-    format_mutate,
-    format_predicate,
+    format_expr,
     parse_agg,
     parse_mutate,
     parse_predicate,
@@ -71,13 +68,15 @@ class TestPredicateParsing:
             Compare(ColRef("c"), "==", Lit(3)),
         )
 
-    def test_in_and_between(self):
-        assert parse_predicate("x in (1, 2, 3)") == InList(
-            ColRef("x"), (Lit(1), Lit(2), Lit(3))
+    def test_in_and_between_are_comparisons(self):
+        x, d = ColRef("x"), ColRef("d")
+        assert parse_predicate("x in (1, 2, 3)") == Or(
+            Or(Compare(x, "==", Lit(1)), Compare(x, "==", Lit(2))), Compare(x, "==", Lit(3))
         )
-        assert parse_predicate("d between #2018-02-01# and #2018-02-28#") == Between(
-            ColRef("d"), Lit(date(2018, 2, 1)), Lit(date(2018, 2, 28))
+        assert parse_predicate("d between #2018-02-01# and #2018-02-28#") == And(
+            Compare(d, ">=", Lit(date(2018, 2, 1))), Compare(d, "<=", Lit(date(2018, 2, 28)))
         )
+        assert format_expr(parse_predicate("x in (1, 2)")) == "x == 1 or x == 2"
 
     def test_not(self):
         assert parse_predicate("not x == 1") == Not(Compare(ColRef("x"), "==", Lit(1)))
@@ -88,15 +87,15 @@ class TestPredicateParsing:
     def test_negative_number_literal(self):
         e = parse_predicate("x > -1.5")
         assert e == Compare(ColRef("x"), ">", Neg(Lit(1.5)))
-        assert format_predicate(e) == "x > -1.5"
+        assert format_expr(e) == "x > -1.5"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_literal_is_refused_by_the_formatter(self, value):
         # its text (nan, inf) would parse back as a column name
         with pytest.raises(ValueError, match="cannot be written in the grammar"):
-            format_predicate(Compare(ColRef("r"), ">=", Lit(value)))
+            format_expr(Compare(ColRef("r"), ">=", Lit(value)))
         with pytest.raises(ValueError, match="cannot be written in the grammar"):
-            format_mutate(BinOp("*", ColRef("r"), Lit(value)))
+            format_expr(BinOp("*", ColRef("r"), Lit(value)))
 
     def test_backticks_allow_dots_and_spaces(self):
         assert parse_predicate("`Site.ID` == 1083") == Compare(ColRef("Site.ID"), "==", Lit(1083))
@@ -104,11 +103,12 @@ class TestPredicateParsing:
     def test_columns_on_both_sides(self):
         assert parse_predicate("Gap <= Headway") == Compare(ColRef("Gap"), "<=", ColRef("Headway"))
         assert parse_predicate("5 < x") == Compare(Lit(5), "<", ColRef("x"))
-        assert parse_predicate("x between a and b + 1") == Between(
-            ColRef("x"), ColRef("a"), BinOp("+", ColRef("b"), Lit(1))
+        assert parse_predicate("x between a and b + 1") == And(
+            Compare(ColRef("x"), ">=", ColRef("a")),
+            Compare(ColRef("x"), "<=", BinOp("+", ColRef("b"), Lit(1))),
         )
-        assert parse_predicate("-x in (1, -2)") == InList(
-            Neg(ColRef("x")), (Lit(1), Neg(Lit(2)))
+        assert parse_predicate("-x in (1, -2)") == Or(
+            Compare(Neg(ColRef("x")), "==", Lit(1)), Compare(Neg(ColRef("x")), "==", Neg(Lit(2)))
         )
 
     def test_arithmetic_binds_tighter_than_comparison(self):
@@ -280,11 +280,21 @@ def _combined(atoms, max_leaves):
     )
 
 
+def _in(operand, values):
+    """The tree ``operand in (values)`` parses to."""
+    return reduce(Or, (Compare(operand, "==", v) for v in values))
+
+
+def _between(operand, lo, hi):
+    """The tree ``operand between lo and hi`` parses to."""
+    return And(Compare(operand, ">=", lo), Compare(operand, "<=", hi))
+
+
 _predicates = _combined(
     st.one_of(
         st.builds(Compare, _operands, _COMPARE_OPS, _operands),
-        st.builds(InList, _operands, st.lists(_operands, min_size=1, max_size=3).map(tuple)),
-        st.builds(Between, _operands, _operands, _operands),
+        st.builds(_in, _operands, st.lists(_operands, min_size=1, max_size=3)),
+        st.builds(_between, _operands, _operands, _operands),
     ),
     max_leaves=8,
 )
@@ -293,19 +303,20 @@ _predicates = _combined(
 @settings(max_examples=200, deadline=None)
 @given(_predicates)
 def test_predicate_format_parse_round_trip(e):
-    assert parse_predicate(format_predicate(e)) == e
+    assert parse_predicate(format_expr(e)) == e
 
 
 @settings(max_examples=200, deadline=None)
 @given(_operands)
 def test_mutate_format_parse_round_trip(e):
-    assert parse_mutate(format_mutate(e)) == e
+    assert parse_mutate(format_expr(e)) == e
 
 
-# The first grammar compared a column with a literal only. Its trees were
-# Compare(column, op, value), InList(column, values) and Between(column,
-# lo, hi); each pair below is such a predicate as a tree of today's nodes,
-# and the text its formatter gave, built by its rules.
+# The first grammar compared a column with a literal only: a comparison, an
+# ``in`` list or a ``between``. Each pair below is such a predicate as a tree
+# of today's nodes, and the text its formatter gave, built by its rules;
+# ``in`` and ``between`` are given as the comparisons they parse to, as the
+# formatter prints them.
 
 def _lit(value):
     if isinstance(value, (int, float)) and math.copysign(1, value) < 0:
@@ -319,13 +330,11 @@ def _old_compare(column, op, value):
 
 
 def _old_in(column, values):
-    inner = ", ".join(map(_format_literal, values))
-    return InList(ColRef(column), tuple(map(_lit, values))), f"{_format_ident(column)} in ({inner})"
+    return reduce(_old_or, (_old_compare(column, "==", v) for v in values))
 
 
 def _old_between(column, lo, hi):
-    text = f"{_format_ident(column)} between {_format_literal(lo)} and {_format_literal(hi)}"
-    return Between(ColRef(column), _lit(lo), _lit(hi)), text
+    return _old_and(_old_compare(column, ">=", lo), _old_compare(column, "<=", hi))
 
 
 def _wrapped(pair, types):
@@ -367,18 +376,79 @@ _old_predicates = st.recursive(
 @example(_old_in("x", [1, -2, "a"]))
 def test_first_grammar_texts_format_as_before(tree_text):
     tree, text = tree_text
-    assert format_predicate(tree) == text
+    assert format_expr(tree) == text
     assert parse_predicate(text) == tree
 
 
-@given(
-    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
-    st.sampled_from(["mean", "sum", "count", "min", "max"]),
-    _idents,
+# ``in`` and ``between`` texts beside their expansions: each triple is the
+# text with ``in``/``between``, the same text with each of them written out
+# in parentheses, and whether the text is one clause that needs no
+# parentheses under ``not``, ``and`` or ``or``.
+
+def _sugar_in(operand, values):
+    texts = [format_expr(v) for v in values]
+    left = format_expr(operand)
+    expanded = " or ".join(f"{left} == {v}" for v in texts)
+    return f"{left} in ({', '.join(texts)})", f"({expanded})", True
+
+
+def _sugar_between(operand, lo, hi):
+    left, lo, hi = format_expr(operand), format_expr(lo), format_expr(hi)
+    return f"{left} between {lo} and {hi}", f"({left} >= {lo} and {left} <= {hi})", True
+
+
+def _sugar_compare(left, op, right):
+    text = f"{format_expr(left)} {op} {format_expr(right)}"
+    return text, text, True
+
+
+def _clause(triple, index):
+    return triple[index] if triple[2] else f"({triple[index]})"
+
+
+def _sugar_connect(word):
+    def connect(left, right):
+        return tuple(f"{_clause(left, i)} {word} {_clause(right, i)}" for i in (0, 1)) + (False,)
+
+    return connect
+
+
+def _sugar_not(operand):
+    return tuple(f"not {_clause(operand, i)}" for i in (0, 1)) + (True,)
+
+
+_sugared = st.recursive(
+    st.one_of(
+        st.builds(_sugar_in, _operands, st.lists(_operands, min_size=1, max_size=3)),
+        st.builds(_sugar_between, _operands, _operands, _operands),
+        st.builds(_sugar_compare, _operands, _COMPARE_OPS, _operands),
+    ),
+    lambda children: st.one_of(
+        st.builds(_sugar_connect("and"), children, children),
+        st.builds(_sugar_connect("or"), children, children),
+        st.builds(_sugar_not, children),
+    ),
+    max_leaves=6,
+).map(lambda triple: triple[:2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sugared)
+@example(("x in (1)", "(x == 1)"))
+@example(("x in (1, 'a', #17:00#)", "(x == 1 or x == 'a' or x == #17:00#)"))
+@example(("x between a - 1 and b * 2", "(x >= a - 1 and x <= b * 2)"))
+@example(("not x between 1 and 2", "not (x >= 1 and x <= 2)"))
+@example(("not x in (1, 2)", "not (x == 1 or x == 2)"))
+@example(("y > 0 and x between 1 and 2", "y > 0 and (x >= 1 and x <= 2)"))
+@example(("x in (1, 2) and y > 0 or x in (3)", "(x == 1 or x == 2) and y > 0 or (x == 3)"))
+@example(
+    ("y > 0 or x between lo and hi and z < 1", "y > 0 or (x >= lo and x <= hi) and z < 1")
 )
-def test_agg_format_parse_round_trip(name, func, target):
-    spec = AggSpec(name, func, None if func == "count" else target)
-    assert parse_agg(format_agg(spec)) == spec
+def test_in_and_between_parse_to_the_tree_of_their_expanded_text(texts):
+    sugared, expanded = texts
+    tree = parse_predicate(expanded)
+    assert parse_predicate(sugared) == tree
+    assert parse_predicate(format_expr(tree)) == tree
 
 
 # ---------------------------------------------------------------------------

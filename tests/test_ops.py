@@ -239,6 +239,22 @@ def test_a_repeated_name_is_refused_only_where_it_is_kept():
         "names": ["a", "a"], "mode": "drop"}
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"by": ["a", "a"], "aggs": ["n = count()"]}, "param 'by' repeats 'a'"),
+        ({"by": ["a"], "aggs": ["a = count()"]}, "param 'aggs' repeats 'a'"),
+        ({"aggs": ["n = count()", "n = sum(b)"]}, "param 'aggs' repeats 'n'"),
+        ({"by": ["a", "b"], "aggs": ["m = min(a)", "b = max(a)"]}, "param 'aggs' repeats 'b'"),
+    ],
+)
+def test_a_repeated_group_summarise_output_name_is_refused(params, message):
+    # The group keys and the aggregates are the output's columns, in that order.
+    with pytest.raises(InvalidNode) as err:
+        get_op("relops.group_summarise").bind(params)
+    assert str(err.value) == message
+
+
 def test_unknown_params_are_reported_before_bad_ones():
     with pytest.raises(InvalidNode) as err:
         get_op("relops.filter").bind({"predicate": "k >=", "x": 1})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from datetime import date, time
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,11 +19,9 @@ from wrangle.expr import (
     COMPARE_OPS,
     AggSpec,
     And,
-    Between,
     BinOp,
     ColRef,
     Compare,
-    InList,
     Neg,
     Not,
     Lit,
@@ -456,11 +455,13 @@ def _cmp(name, op, value):
 
 
 def _in(name, values):
-    return InList(ColRef(name), tuple(map(Lit, values)))
+    """The tree ``name in (values)`` parses to."""
+    return reduce(Or, (_cmp(name, "==", v) for v in values))
 
 
 def _between(name, lo, hi):
-    return Between(ColRef(name), Lit(lo), Lit(hi))
+    """The tree ``name between lo and hi`` parses to."""
+    return And(_cmp(name, ">=", lo), _cmp(name, "<=", hi))
 
 
 def _atoms(name, literal):
@@ -607,12 +608,14 @@ def _operands_of(kind):
 @st.composite
 def _comparisons(draw):
     operand = draw(st.sampled_from([*map(_operands_of, _KINDS), _ANY_OPERANDS]))
-    shape = draw(st.sampled_from([Compare, InList, Between]))
-    if shape is Compare:
-        return Compare(draw(operand), draw(st.sampled_from(COMPARE_OPS)), draw(operand))
-    if shape is InList:
-        return InList(draw(operand), tuple(draw(st.lists(operand, min_size=1, max_size=3))))
-    return Between(draw(operand), draw(operand), draw(operand))
+    shape = draw(st.sampled_from(["compare", "in", "between"]))
+    left = draw(operand)
+    if shape == "compare":
+        return Compare(left, draw(st.sampled_from(COMPARE_OPS)), draw(operand))
+    if shape == "in":  # the tree of left in (values)
+        values = draw(st.lists(operand, min_size=1, max_size=3))
+        return reduce(Or, (Compare(left, "==", v) for v in values))
+    return And(Compare(left, ">=", draw(operand)), Compare(left, "<=", draw(operand)))
 
 
 _operand_predicates = st.recursive(

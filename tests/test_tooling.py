@@ -11,7 +11,8 @@ their predicate and mutate texts survive a format/parse round trip.
 Every module reads each name it imports. Importing the package loads none
 of its modules, and importing the CLI loads no generator, no process-pool
 machinery and no ``uuid``. Only ``workflow._fork_map`` forks, opens pipes
-or leaves by ``os._exit``.
+or leaves by ``os._exit``. Every field a package dataclass declares is read
+as an attribute somewhere in the package or the benchmark.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from wrangle.workflow import parse_workflow, read_columns
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wrangle"
+PERFBENCH = ROOT / "perfbench"
 ORACLES = ROOT / "tests" / "oracles.py"
 SLOWPATHS = ROOT / "tests" / "slowpaths.py"
 
@@ -206,3 +208,29 @@ def test_only_the_fork_helper_forks_pipes_or_exits():
     assert {attr for _, _, attr in found} == calls
     assert [(name, line) for name, line, _ in found
             if name != "workflow.py" or not helper.lineno <= line <= helper.end_lineno] == []
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    # A parsed field that nothing reads is built, carried and compared for
+    # nothing. The benchmark counts as a reader: it alone reads
+    # WeatherDoc.unknown_rep_fields. Fields are matched by name, so a field
+    # that shares its name with one that is read passes unseen.
+    sources = [*sorted(PACKAGE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sources}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{path.name}: {cls.name}.{item.target.id}"
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    ]
+    assert unread == []

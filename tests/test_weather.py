@@ -22,6 +22,7 @@ from wrangle.weather import (
     WeatherDoc,
     WxLocation,
     WxPeriod,
+    _parse_data_date,
     flatten_weather,
     parse_weather_json,
 )
@@ -53,10 +54,9 @@ def _one_rep_doc(rep: object, **location: object) -> bytes:
 
 def _one_location_doc(*periods: WxPeriod) -> WeatherDoc:
     loc = WxLocation(
-        id="1", lat=0.0, lon=0.0, name="", country="", continent="",
-        elevation_m=None, periods=periods,
+        id="1", lat=0.0, lon=0.0, name="", country="", elevation_m=None, periods=periods,
     )
-    return WeatherDoc(datetime(2020, 1, 1), "Obs", (loc,))
+    return WeatherDoc((loc,))
 
 
 @pytest.fixture()
@@ -67,8 +67,6 @@ def baltasound() -> WeatherDoc:
 class TestParse:
     def test_fixture_document(self, baltasound):
         doc = baltasound
-        assert doc.doc_type == "Obs"
-        assert doc.data_date == datetime(2016, 6, 21, 16, 0, 0)
         assert len(doc.locations) == 1
         loc = doc.locations[0]
         assert loc.id == "3002"
@@ -261,7 +259,8 @@ class TestDataDate:
                 parse_weather_json(data)
             assert str(err.value) == f"bad dataDate {text!r}"
         else:
-            assert parse_weather_json(data).data_date == expected
+            assert parse_weather_json(data).locations == ()
+            assert _parse_data_date(text) == expected
 
     def test_a_canonical_data_date_does_not_load_strptime(self):
         code = (
@@ -304,7 +303,7 @@ class TestFlatten:
         assert proc.stdout == pinned
 
     def test_empty_doc_keeps_header(self):
-        doc = WeatherDoc(datetime(2016, 6, 21, 16), "Obs", ())
+        doc = WeatherDoc(())
         t = flatten_weather(doc)
         assert t.row_count == 0
         assert t.column_names == tuple(name for name, _ in FLAT_COLUMNS)
@@ -321,7 +320,6 @@ class TestFlatten:
                 reps_total += n
                 periods.append(
                     WxPeriod(
-                        "Day",
                         date(2018, 2, 1 + p),
                         tuple(_rep_at(rng.randrange(1440)) for _ in range(n)),
                     )
@@ -329,10 +327,10 @@ class TestFlatten:
             locations.append(
                 WxLocation(
                     id=str(i), lat=50.0, lon=0.0, name=f"L{i}", country="",
-                    continent="", elevation_m=None, periods=tuple(periods),
+                    elevation_m=None, periods=tuple(periods),
                 )
             )
-        doc = WeatherDoc(datetime(2018, 2, 1), "Obs", tuple(locations))
+        doc = WeatherDoc(tuple(locations))
         t = flatten_weather(doc)
         assert t.row_count == reps_total == 12
 
@@ -352,13 +350,13 @@ class TestFlatten:
         assert [cell.hour * 60 + cell.minute for cell in cells] == minutes
 
     def test_hand_built_rep_of_wrong_shape_or_kind_is_refused(self):
-        period = WxPeriod("Day", date(2020, 1, 1), (_rep_at(0)[:-1],))
+        period = WxPeriod(date(2020, 1, 1), (_rep_at(0)[:-1],))
         with pytest.raises(ValueError):
             flatten_weather(_one_location_doc(period))
-        period = WxPeriod("Day", date(2020, 1, 1), (_rep_at(0), _rep_at(60)[:-1]))
+        period = WxPeriod(date(2020, 1, 1), (_rep_at(0), _rep_at(60)[:-1]))
         with pytest.raises(ValueError):
             flatten_weather(_one_location_doc(period))
-        period = WxPeriod("Day", date(2020, 1, 1), ((60,) + _rep_at(0)[1:],))
+        period = WxPeriod(date(2020, 1, 1), ((60,) + _rep_at(0)[1:],))
         with pytest.raises(TypeMismatch, match="column 'ObsTime' is time but cell 0 is 60"):
             flatten_weather(_one_location_doc(period))
 

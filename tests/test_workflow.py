@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import signal
 import time
 from importlib import resources
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dagharness
+import slowpaths
 from wrangle import workflow
 from wrangle.errors import (
     BadVersion,
@@ -25,8 +27,13 @@ from wrangle.errors import (
     RegistryError,
     UnknownOp,
 )
+from wrangle.ops import get_op
 from wrangle.table import write_csv
 from wrangle.workflow import (
+    NodeSpec,
+    Reference,
+    WorkflowInput,
+    WorkflowSpec,
     execute,
     parse_workflow,
     random_keys,
@@ -84,7 +91,7 @@ class TestParseWorkflow:
             filter_node("a", "b.out"),
             filter_node("b", "a.out"),
         ]
-        with pytest.raises(CycleDetected):
+        with pytest.raises(CycleDetected, match="^cycle through nodes 'a' -> 'b' -> 'a'$"):
             parse_workflow(wf(nodes))
 
     def test_self_reference(self):
@@ -298,6 +305,59 @@ class TestToposchedule:
             stages = topo_schedule(spec)
             flat = [n for stage in stages for n in stage]
             assert sorted(flat) == sorted(n.id for n in spec.nodes)
+
+
+_UNION = get_op("relops.union")
+
+
+def _graph(reads: list[list[int]], order: list[int]) -> WorkflowSpec:
+    """A workflow whose node ``n<i>`` reads an input and the nodes ``n<j>`` for each
+    ``j`` in ``reads[i]``, repeats and cycles allowed, declared in ``order``."""
+    nodes = []
+    for i in order:
+        refs = [Reference(input_name="x")] + [Reference(node_id=f"n{j}") for j in reads[i]]
+        ports = {f"p{k}": ref for k, ref in enumerate(refs)}
+        nodes.append(NodeSpec(f"n{i}", _UNION.name, ports, _UNION, {}))
+    return WorkflowSpec("g", (WorkflowInput("x", "table-csv"),), tuple(nodes), ())
+
+
+@st.composite
+def _dags(draw):
+    n = draw(st.integers(1, 8))
+    # node i reads only nodes below i, so no cycle; the declaration order is any
+    reads = [draw(st.lists(st.integers(0, i - 1), max_size=3)) if i else [] for i in range(n)]
+    return _graph(reads, draw(st.permutations(range(n))))
+
+
+@st.composite
+def _cyclic_graphs(draw):
+    n = draw(st.integers(1, 8))
+    reads = [draw(st.lists(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
+    cycle = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        reads[b].append(a)  # a self-reference when the cycle has one node
+    return _graph(reads, draw(st.permutations(range(n))))
+
+
+class TestScheduleOracle:
+    """``topo_schedule`` against the depth-first search it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dags())
+    def test_stages_equal_the_depth_first_oracle(self, spec):
+        assert topo_schedule(spec) == slowpaths.depth_first_topo_schedule(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cyclic_graphs())
+    def test_every_cycle_is_refused_and_named_in_data_flow_order(self, spec):
+        with pytest.raises(CycleDetected):
+            slowpaths.depth_first_topo_schedule(spec)
+        with pytest.raises(CycleDetected) as err:
+            topo_schedule(spec)
+        names = re.findall(r"'(n\d+)'", str(err.value))
+        assert len(names) >= 2 and names[0] == names[-1]
+        for a, b in zip(names, names[1:]):  # b reads a
+            assert a in {ref.node_id for ref in spec.node(b).inputs.values()}
 
 
 class TestRegistry:
