@@ -60,12 +60,12 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from datetime import date, time
 from functools import reduce
 from typing import Callable, Sequence, Union
 
 from .errors import ParseError, TypeMismatch, UnknownColumn
+from .record import record
 from .table import (
     Cell,
     Column,
@@ -96,24 +96,24 @@ _BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # AST nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ColRef:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Lit:
     value: LitValue
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # + - * /
     left: "Operand"
     right: "Operand"
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     operand: "Operand"
 
@@ -123,26 +123,26 @@ Operand = Union[ColRef, Lit, BinOp, Neg]
 MutateExpr = Operand
 
 
-@dataclass(frozen=True)
+@record
 class Compare:
     left: Operand
     op: str
     right: Operand
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "PredicateExpr"
     right: "PredicateExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "PredicateExpr"
     right: "PredicateExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     operand: "PredicateExpr"
 
@@ -152,7 +152,7 @@ PredicateExpr = Union[Compare, And, Or, Not]
 Expr = Union[PredicateExpr, Operand]
 
 
-@dataclass(frozen=True)
+@record
 class AggSpec:
     new_name: str
     func: str
@@ -169,7 +169,7 @@ class AggSpec:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str
     value: object
@@ -408,7 +408,7 @@ def parse_agg(text: str) -> AggSpec:
 # ---------------------------------------------------------------------------
 
 def _format_ident(name: str) -> str:
-    if _BARE_IDENT_RE.match(name) and name not in _KEYWORDS and name not in AGG_FUNCS:
+    if _BARE_IDENT_RE.match(name) and name not in _KEYWORDS:
         return name
     if "`" in name:
         raise ValueError(f"column name {name!r} cannot be written in the grammar")

@@ -60,6 +60,8 @@ WET_SPEED_MEAN_MPH = 24.0
 SPEED_SD_MPH = 3.0
 
 
+# A dataclass, not a wrangle.record record: perfbench/run.py reads it with
+# dataclasses.asdict. The CLI imports this module only for ``wrangle gen``.
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 42

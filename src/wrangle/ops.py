@@ -16,13 +16,13 @@ workflow validator uses them to check port wiring statically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping
 
 from . import relops, traffic
 from .chart import render_bar_chart
 from .errors import InvalidNode, UnknownOp, WrangleError
 from .expr import AggSpec, parse_agg, parse_mutate, parse_predicate
+from .record import fields, record
 from .spacetime import (
     DEFAULT_WET_CODES,
     SpaceTimeParams,
@@ -45,7 +45,7 @@ ANY = ("any JSON value", lambda v: True)  # the param's convert checks it
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     """One declared operator param.
 
@@ -65,7 +65,7 @@ class Param:
         return self.default is _REQUIRED
 
 
-@dataclass(frozen=True)
+@record
 class OpDef:
     name: str
     ports: tuple[tuple[str, str], ...]  # (port name, kind)

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .errors import RangeError, SchemaMismatch, TypeMismatch
+from .record import record
 from .table import Cell, Column, CType, Table
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -62,7 +62,7 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
 
 
-@dataclass(frozen=True)
+@record
 class SpaceTimeParams:
     """Column names and buffers for the join.
 

@@ -52,12 +52,12 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from datetime import date, datetime, time
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch, UnknownColumn
+from .record import record
 
 Cell = None | str | int | float | date | time | datetime | bool
 
@@ -146,7 +146,7 @@ def kind_of_value(value: Cell) -> CType:
 _EXACT_TYPES = {kind: frozenset({py_type, type(None)}) for kind, py_type in _PY_TYPES}
 
 
-@dataclass(frozen=True)
+@record
 class Column:
     """A named, typed, immutable column of cells.
 
@@ -183,7 +183,7 @@ class Column:
         return col
 
 
-@dataclass(frozen=True)
+@record
 class Table:
     columns: tuple[Column, ...]
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from datetime import date, datetime, time
 
 from .errors import MalformedJson, MissingField, RangeError
+from .record import field, record
 from .table import Cell, Column, CType, Table
 
 
@@ -52,13 +52,13 @@ FLAT_COLUMNS: tuple[tuple[str, CType], ...] = (
 ) + tuple((name, ctype) for name, _, ctype in REP_LAYOUT)
 
 
-@dataclass(frozen=True)
+@record
 class WxPeriod:
     date: date
     reps: tuple[tuple[Cell, ...], ...]  # cells in REP_LAYOUT order
 
 
-@dataclass(frozen=True)
+@record
 class WxLocation:
     id: str
     lat: float
@@ -75,7 +75,7 @@ class WxLocation:
             raise RangeError(f"longitude {self.lon} out of range")
 
 
-@dataclass(frozen=True)
+@record
 class WeatherDoc:
     locations: tuple[WxLocation, ...]
     unknown_rep_fields: int = field(default=0, compare=False)

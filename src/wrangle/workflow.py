@@ -31,7 +31,6 @@ import re
 import signal
 import threading
 import time as _time
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Mapping
@@ -48,6 +47,7 @@ from .errors import (
     RegistryError,
 )
 from .ops import SVG, TABLE, OpDef, get_op, kind_of_result
+from .record import field, record
 from .table import Table, write_csv
 
 _NODE_ID_RE = re.compile(r"[a-z0-9_]+\Z")
@@ -92,7 +92,7 @@ def sequential_keys() -> Callable[[], str]:
 # Spec model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Reference:
     """Parsed form of ``$inputs.<name>`` or ``<node_id>.out``."""
 
@@ -114,7 +114,7 @@ class Reference:
         )
 
 
-@dataclass(frozen=True)
+@record
 class NodeSpec:
     id: str
     op: str
@@ -123,19 +123,19 @@ class NodeSpec:
     bound_params: dict = field(repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class WorkflowInput:
     name: str
     kind: str
 
 
-@dataclass(frozen=True)
+@record
 class WorkflowOutput:
     name: str
     ref: Reference
 
 
-@dataclass(frozen=True)
+@record
 class WorkflowSpec:
     name: str
     inputs: tuple[WorkflowInput, ...]
@@ -323,7 +323,7 @@ def topo_schedule(w: WorkflowSpec) -> list[list[str]]:
 # Execution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class NodeReport:
     node_id: str
     op: str
@@ -332,7 +332,7 @@ class NodeReport:
     wall_ms: float
 
 
-@dataclass(frozen=True)
+@record
 class RunReport:
     workflow: str
     nodes: tuple[NodeReport, ...]

@@ -100,6 +100,13 @@ class TestPredicateParsing:
     def test_backticks_allow_dots_and_spaces(self):
         assert parse_predicate("`Site.ID` == 1083") == Compare(ColRef("Site.ID"), "==", Lit(1083))
 
+    @pytest.mark.parametrize("name", ["mean", "sum", "count", "min", "max"])
+    def test_a_column_named_like_an_aggregate_reads_and_writes_bare(self, name):
+        tree = parse_predicate(f"{name} > 1")
+        assert parse_predicate(f"`{name}` > 1") == tree == Compare(ColRef(name), ">", Lit(1))
+        assert format_expr(tree) == f"{name} > 1"
+        assert format_expr(parse_mutate(f"`{name}` + 1")) == f"{name} + 1"
+
     def test_columns_on_both_sides(self):
         assert parse_predicate("Gap <= Headway") == Compare(ColRef("Gap"), "<=", ColRef("Headway"))
         assert parse_predicate("5 < x") == Compare(Lit(5), "<", ColRef("x"))

@@ -186,6 +186,11 @@ class TestRequire:
             relops.require(t, parse_predicate("(`a`>=1)and b<5 or b==9"))
         assert str(err.value) == "row 2 does not meet a >= 1 and b < 5 or b == 9"
 
+    def test_message_writes_a_column_named_like_an_aggregate_bare(self):
+        with pytest.raises(RequirementFailed) as err:
+            relops.require(int_table(["mean"], [[0]]), parse_predicate("`mean` > 0"))
+        assert str(err.value) == "row 0 does not meet mean > 0"
+
     @pytest.mark.parametrize(
         "text, error", [("c > 0", UnknownColumn), ("a == 'x'", TypeMismatch)]
     )

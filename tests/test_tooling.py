@@ -10,9 +10,12 @@ names. The bundled workflows read only the traffic columns they keep, and
 their predicate and mutate texts survive a format/parse round trip.
 Every module reads each name it imports. Importing the package loads none
 of its modules, and importing the CLI loads no generator, no process-pool
-machinery and no ``uuid``. Only ``workflow._fork_map`` forks, opens pipes
-or leaves by ``os._exit``. Every field a package dataclass declares is read
-as an attribute somewhere in the package or the benchmark.
+machinery, no ``uuid`` and neither ``dataclasses`` nor ``inspect``. No
+module generates code with ``exec``, ``eval`` or ``compile``, and only
+``gen`` imports ``dataclasses``. Only ``workflow._fork_map`` forks, opens
+pipes or leaves by ``os._exit``. Every field a package record (or
+dataclass) declares is read as an attribute somewhere in the package or the
+benchmark.
 """
 
 from __future__ import annotations
@@ -173,6 +176,15 @@ def test_cli_import_loads_no_generator():
     assert "wrangle.gen" not in modules
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Records build their methods from closures (``wrangle.record``);
+    # ``dataclasses`` would exec generated source per class and import
+    # ``inspect``, ``ast``, ``dis`` and ``tokenize`` in every process.
+    modules = modules_after_cli_import()
+    assert "wrangle.table" in modules
+    assert [m for m in modules if m in ("dataclasses", "inspect")] == []
+
+
 def test_cli_import_loads_no_process_pool_machinery():
     # ``run`` forks its load and spill workers itself; these packages would
     # add their import time to every process.
@@ -210,9 +222,29 @@ def test_only_the_fork_helper_forks_pipes_or_exits():
             if name != "workflow.py" or not helper.lineno <= line <= helper.end_lineno] == []
 
 
+def test_no_module_generates_code_and_only_gen_imports_dataclasses():
+    # ``gen.GenConfig`` stays a dataclass because the benchmark reads it with
+    # ``dataclasses.asdict``; the CLI imports ``gen`` only for ``wrangle gen``.
+    importers, calls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for level, module in imported_modules(path):
+            if level == 0 and module.split(".")[0] == "dataclasses":
+                importers.append(path.name)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        calls.extend(
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")
+        )
+    assert importers == ["gen.py"]
+    assert calls == []
+
+
 def _is_dataclass(decorator: ast.expr) -> bool:
+    """Whether ``decorator`` makes a record: ``@record`` or ``@dataclass(...)``."""
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return isinstance(target, ast.Name) and target.id == "dataclass"
+    return isinstance(target, ast.Name) and target.id in ("record", "dataclass")
 
 
 def test_every_dataclass_field_is_read():
@@ -224,11 +256,17 @@ def test_every_dataclass_field_is_read():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sources}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
-    unread = [
-        f"{path.name}: {cls.name}.{item.target.id}"
+    classes = [
+        (path, cls)
         for path, tree in trees.items() if path.parent == PACKAGE
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+    ]
+    # 25 records and GenConfig: a renamed decorator would scan none and pass.
+    assert len(classes) >= 26
+    unread = [
+        f"{path.name}: {cls.name}.{item.target.id}"
+        for path, cls in classes
         for item in cls.body
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
         and item.target.id not in read
