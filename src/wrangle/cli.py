@@ -21,13 +21,23 @@ carries a weather document.
 per-node results. An ``--out``, or a spill directory, that exists and is no
 directory is refused before any input is read.
 
-``run`` loads its inputs before any node runs. Its CSV inputs, largest file
-first, are shared with forked workers, one per further usable CPU; weather
-inputs stay with the process. With ``--keep-intermediates``, the node
-results are spilled after the last node has run (or failed), largest table
-first, shared the same way. Either way tables, files, errors and exit codes
-are those of doing the work one by one, and no worker outlives the run
-(``workflow._fork_map``).
+``run`` loads its inputs before any node runs, shared with forked workers,
+one per further usable CPU. A fair share is the bytes of all inputs over the
+usable CPUs. A CSV input of one and a half shares or more is cut into
+newline-aligned byte ranges, each but the last sized to fill a share;
+weather inputs stay with the process and count against its share. The
+ranges and the whole CSV files are dealt largest first. Each reader parses
+its ranges and proves each column's kind on them, and the process joins the
+ranges of an input and converts them by those kinds; a worker's whole file
+comes back as text that the process types. A range the column path cannot
+decide (a quoted comma or newline, a stray quote, ragged rows, a lone CR, a
+bad header or undecodable bytes) sends its whole input back to the
+one-by-one load. With ``--keep-intermediates``, the node results are
+spilled after the last node has run (or failed), largest table first,
+shared the same way. Either way tables, files, errors and exit codes are
+those of doing the work one by one, and no worker outlives the run
+(``workflow._fork_map``). The run report says after its first line how the
+load was shared and how long it took.
 """
 
 from __future__ import annotations
@@ -38,14 +48,18 @@ import gc
 import json
 import os
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
+from . import workflow
 from .errors import DataError, RangeError, UnknownOp, WorkflowError
 from .ops import OpDef, get_op, list_ops
-from .table import Column, CType, Table, infer_column_types, parse_csv
+from .record import record
+from .table import (Column, CType, Table, _parse_columns, infer_column_types, join_proven,
+                    parse_csv, proven_kinds)
 from .weather import parse_weather_json
-from .workflow import (_fork_map, encode_result, execute, parse_workflow, random_keys,
+from .workflow import (_count, _fork_map, encode_result, execute, parse_workflow, random_keys,
                        read_columns, sequential_keys, write_atomic, write_result)
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -83,31 +97,155 @@ def _size(path: str) -> int:
         return 0
 
 
+def _cut(path: str, size: int, share: float) -> tuple[bytes, list[tuple[int, int]]] | None:
+    """The bytes of the CSV input at ``path`` and its rows cut into ``round(size / share)`` ranges.
+
+    Range ``k``, counting from 1, ends at the first line end (just after a
+    ``\\n``) at or past byte ``k * share`` of the file, so that each range but
+    the last fills a share; the last takes the rest. None, with nothing
+    read, where ``size`` makes fewer than two ranges; None too where the file
+    cannot be read, has no header line or gives fewer than two ranges.
+    """
+    count = round(size / share) if size else 0
+    if count < 2:
+        return None
+    try:
+        data = _read_bytes(path)
+    except OSError:  # loaded whole, so that it fails where a one-by-one load does
+        return None
+    ends = [data.find(b"\n") + 1]
+    if ends[0]:
+        for k in range(1, count):
+            end = data.find(b"\n", max(ends[0], round(k * share)) - 1) + 1
+            if end > ends[-1]:
+                ends.append(end)
+        ends.append(len(data))
+    ranges = [(start, end) for start, end in zip(ends, ends[1:]) if end > start]
+    return (data, ranges) if len(ranges) > 1 else None
+
+
+class _Declined(Exception):
+    """A range of a cut input that the column path cannot decide."""
+
+
+@record
+class LoadReport:
+    """What ``wrangle run``'s load did: the inputs, the readers that shared them
+    (this process and each worker forked), the inputs cut and the ranges they
+    made, and the load's wall time."""
+
+    inputs: int
+    readers: int
+    cut: int
+    ranges: int
+    wall_ms: float
+
+    def line(self) -> str:
+        cut = f"{self.cut} cut into {_count(self.ranges, 'range')}" if self.cut else "none cut"
+        return (f"  load: {_count(self.inputs, 'input')}, {_count(self.readers, 'reader')}, "
+                f"{cut}, {self.wall_ms:.1f} ms")
+
+
 def _load_inputs(
     paths: dict[str, str], declared: dict[str, str], read: dict[str, frozenset[str] | None]
-) -> dict[str, object]:
-    """Each input of ``paths`` loaded, as loading them one by one in order gives them.
+) -> tuple[dict[str, object], LoadReport]:
+    """Each input of ``paths`` loaded, as loading them one by one in order gives them,
+    and what the load did.
 
-    The CSV inputs are dealt by file size (an unsizable file counts as
-    empty) to :func:`workflow._fork_map`'s workers; weather inputs stay with
-    the process. A worker parses its inputs and sends back their text
-    columns, which the process types.
+    A fair share is the bytes of all inputs (an unsizable file counts as
+    empty) over the usable CPUs, and each CSV input is cut by :func:`_cut`.
+    The bytes of a cut input are read here, once, before any worker is
+    forked; the workers see them through the fork. The ranges of the cut
+    inputs and the other CSV files are dealt by size to
+    :func:`workflow._fork_map`'s readers. Weather inputs stay with the
+    process, and their bytes start its share.
+
+    A reader parses a range behind the input's header line with the column
+    path and proves each column's kind on it (:func:`proven_kinds`); a
+    worker sends back each column's name, kind and text cells, and the
+    process joins an input's ranges in file order (:func:`join_proven`). A
+    whole file is read and parsed by its reader; a worker sends back its
+    text columns, which the process types once its own share is done
+    (proving them in the worker put its proof on the run's critical path).
+    A range that the column path cannot decide, that fails, or that a lost
+    worker took sends its whole input to :func:`_load` here, at its place in
+    ``paths`` order, so that the first input that fails raises what it
+    raises alone.
     """
+    started = time.perf_counter()
+    sizes = {name: _size(path) for name, path in paths.items()}
+    share = sum(sizes.values()) / workflow._usable_cpus()
+    cuts = {}
+    for name, path in paths.items():
+        cut = _cut(path, sizes[name], share) if declared[name] == "table-csv" else None
+        if cut is not None:
+            cuts[name] = cut
+    keys, dealt = [], {}
+    for name in paths:
+        for i, (start, end) in enumerate(cuts[name][1] if name in cuts else [(0, sizes[name])]):
+            keys.append((name, i))
+            if declared[name] == "table-csv":
+                dealt[name, i] = end - start
+    whole: dict[str, object] = {}
 
-    def load(name: str) -> object:
-        return _load(paths[name], declared[name], read[name])
+    def range_table(key: tuple[str, int]) -> Table:
+        name, i = key
+        data, ranges = cuts[name]
+        start, end = ranges[i]
+        try:
+            text = data[: ranges[0][0]].decode("utf-8-sig") + data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Declined from None
+        table = _parse_columns(text, read[name])
+        if table is None:
+            raise _Declined
+        return table
 
-    def parse(name: str) -> list[tuple[str, tuple]]:
-        table = parse_csv(_read_bytes(paths[name]), read[name])
-        return [(c.name, c.cells) for c in table.columns]
+    def run(key: tuple[str, int]) -> object:
+        name = key[0]
+        if name in cuts and name not in whole:
+            try:
+                table = range_table(key)
+            except _Declined:  # the whole input is loaded below
+                pass
+            else:
+                return [(c.name, kind, c.cells, typed.cells)
+                        for c, (kind, typed) in zip(table.columns, proven_kinds(table))]
+        if name not in whole:
+            whole[name] = _load(paths[name], declared[name], read[name])
+        return whole[name]
 
-    def take(name: str, columns: list[tuple[str, tuple]]) -> Table:
-        return infer_column_types(
-            Table(tuple(Column._unchecked(n, CType.TEXT, cells) for n, cells in columns))
-        )
+    def work(key: tuple[str, int]) -> list:
+        name = key[0]
+        if name not in cuts:
+            table = parse_csv(_read_bytes(paths[name]), read[name])
+            return [(c.name, c.cells) for c in table.columns]
+        table = range_table(key)  # a range that declines stops the worker here
+        return [(c.name, kind and kind.value, c.cells)
+                for c, (kind, _) in zip(table.columns, proven_kinds(table))]
 
-    sizes = {name: _size(paths[name]) for name in paths if declared[name] == "table-csv"}
-    return _fork_map(paths, sizes, load, parse, take)[0]
+    def take(key: tuple[str, int], sent: list) -> object:
+        if key[0] not in cuts:
+            return infer_column_types(
+                Table(tuple(Column._unchecked(n, CType.TEXT, cells) for n, cells in sent))
+            )
+        return [(name, kind and CType(kind), cells, None) for name, kind, cells in sent]
+
+    held = sum(sizes[name] for name in paths if declared[name] != "table-csv")
+    done, readers = _fork_map(keys, dealt, run, work, take, held=held)
+    loaded = {}
+    for name in paths:
+        if name in whole:
+            loaded[name] = whole[name]
+        elif name not in cuts:
+            loaded[name] = done[name, 0]
+        else:
+            pieces = [done[key] for key in keys if key[0] == name]
+            loaded[name] = Table(tuple(map(join_proven, zip(*pieces))))
+    ranges = sum(len(cut[1]) for cut in cuts.values())
+    return loaded, LoadReport(
+        len(paths), readers, len(cuts), ranges, (time.perf_counter() - started) * 1000.0
+    )
 
 
 def _workflow_bytes(path: str) -> bytes:
@@ -168,7 +306,7 @@ def _run_workflow(args: argparse.Namespace) -> int:
     for directory in (out_dir, spill_dir):
         if directory is not None and directory.exists() and not directory.is_dir():
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(directory))
-    inputs = _load_inputs(paths, declared, read_columns(spec))
+    inputs, load = _load_inputs(paths, declared, read_columns(spec))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if spill_dir is not None:
@@ -177,7 +315,8 @@ def _run_workflow(args: argparse.Namespace) -> int:
     issuer = sequential_keys() if args.deterministic_keys else random_keys()
     outputs, report = execute(spec, inputs, key_issuer=issuer, spill_dir=spill_dir)
 
-    for line in report.lines():
+    lines = report.lines()
+    for line in (lines[0], load.line(), *lines[1:]):
         print(line)
     for name, value in outputs.items():
         path = write_result(out_dir, name, value)

@@ -54,6 +54,8 @@ import math
 import re
 from datetime import date, datetime, time
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInput, MalformedCsv, SchemaMismatch, TypeMismatch, UnknownColumn
@@ -221,35 +223,18 @@ class Table:
         return any(c.name == name for c in self.columns)
 
     def take(self, indices: Sequence[int]) -> "Table":
-        """The rows at ``indices`` in that order, repeats allowed; no cell is checked again."""
+        """The rows at ``indices`` in that order, repeats allowed; no cell is checked again.
+
+        Each column is built by one ``itemgetter`` over all the indices, which
+        needs two or more of them to return a tuple.
+        """
+        if len(indices) > 1:
+            get = itemgetter(*indices)
+        else:
+            get = lambda cells: tuple(map(cells.__getitem__, indices))
         return Table(
-            tuple(
-                Column._unchecked(c.name, c.ctype, tuple(map(c.cells.__getitem__, indices)))
-                for c in self.columns
-            )
+            tuple(Column._unchecked(c.name, c.ctype, get(c.cells)) for c in self.columns)
         )
-
-
-def table_from_rows(
-    names: Sequence[str],
-    ctypes: Sequence[CType],
-    rows: Iterable[Sequence[Cell]],
-) -> Table:
-    """Build a table column-wise from row data."""
-    if len(names) != len(ctypes):
-        raise SchemaMismatch("names and ctypes differ in length")
-    cols: list[list[Cell]] = [[] for _ in names]
-    for r, row in enumerate(rows):
-        if len(row) != len(names):
-            raise SchemaMismatch(f"row {r} has {len(row)} cells, expected {len(names)}")
-        for i, v in enumerate(row):
-            cols[i].append(v)
-    return Table(
-        tuple(
-            Column(name, ctype, tuple(cells))
-            for name, ctype, cells in zip(names, ctypes, cols)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -767,12 +752,68 @@ def _infer_column(col: Column) -> Column:
     if found is None:
         return col
     ctype, parsed = found
-    if values is col.cells:
-        return Column._unchecked(col.name, ctype, tuple(parsed))
+    return Column._unchecked(col.name, ctype, _with_nulls(col.cells, values, parsed))
+
+
+def _with_nulls(cells: tuple[Cell, ...], values: Sequence[str], parsed: list[Cell]) -> tuple:
+    """``cells`` with its non-null ``values`` replaced by ``parsed``, in order."""
+    if values is cells:
+        return tuple(parsed)
     step = iter(parsed).__next__
-    return Column._unchecked(
-        col.name, ctype, tuple([None if v is None else step() for v in col.cells])
-    )
+    return tuple([None if v is None else step() for v in cells])
+
+
+def proven_kinds(t: Table) -> list[tuple[CType | None, Column]]:
+    """Per text column of ``t``, the kind proven on its cells and the column typed by it.
+
+    The kind is the first in :data:`_KINDS` order that takes every non-null
+    cell, TEXT where none does, and None where every cell is null, since
+    such a column fits any kind. The typed column is the one
+    :func:`infer_column_types` gives. Pieces of one column, each proved on
+    its own, join by :func:`join_proven`.
+    """
+    out = []
+    for col in t.columns:
+        typed = _infer_column(col)
+        nulls = typed.ctype is CType.TEXT and col.cells.count(None) == len(col.cells)
+        out.append((None if nulls else typed.ctype, typed))
+    return out
+
+
+def join_proven(
+    pieces: Sequence[tuple[str, CType | None, tuple[Cell, ...], tuple[Cell, ...] | None]]
+) -> Column:
+    """One column made of ``pieces`` in order, as inferring their joined text gives it.
+
+    Each piece is the column's name, the kind :func:`proven_kinds` proved
+    on the piece's text cells, those cells, and those cells typed by that
+    kind, or None where they are not at hand. Where the pieces that hold a
+    non-null cell all proved one kind, each earlier kind fails on one of
+    them, so it is the column's kind: each untyped piece is converted by it
+    in bulk, the per-cell parser having the last word as in
+    :func:`_infer_values`. Where they differ, the joined text is inferred
+    whole.
+    """
+    name = pieces[0][0]
+    kinds = {kind for _, kind, _, _ in pieces} - {None}
+    if len(kinds) > 1:
+        text = tuple(chain.from_iterable(cells for _, _, cells, _ in pieces))
+        return _infer_column(Column._unchecked(name, CType.TEXT, text))
+    kind = kinds.pop() if kinds else CType.TEXT
+    cells = (_typed_as(kind, text) if typed is None else typed for _, _, text, typed in pieces)
+    return Column._unchecked(name, kind, tuple(chain.from_iterable(cells)))
+
+
+def _typed_as(kind: CType, cells: tuple[Cell, ...]) -> tuple[Cell, ...]:
+    """Text ``cells`` whose non-null cells all parse as ``kind``, converted to it."""
+    if kind is CType.TEXT:
+        return cells
+    values = [v for v in cells if v is not None] if None in cells else cells
+    parser, convert = next((row[1], row[3]) for row in _KINDS if row[0] is kind)
+    parsed = _bulk(convert, values)  # type: ignore[arg-type]
+    if parsed is None:
+        parsed = _parse_each(parser, values)  # type: ignore[arg-type]
+    return _with_nulls(cells, values, parsed)  # type: ignore[arg-type]
 
 
 def _infer_values(values: Sequence[str], joined: str) -> tuple[CType, list[Cell]] | None:

@@ -33,7 +33,7 @@ import threading
 import time as _time
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Mapping
+from typing import IO, Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import (
     BadVersion,
@@ -405,17 +405,19 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _deal(sizes: Mapping[str, int]) -> list[list[str]]:
+def _deal(sizes: Mapping[Hashable, int], held: int = 0) -> list[list]:
     """The keys of ``sizes`` in one share per writer: the process, then each worker.
 
     Keys are dealt largest first (ties in ``sizes`` order), each to the
     share with the least size so far (ties to the earliest share, so the
     process wins them), among as many shares as usable CPUs but no more than
-    keys. A worker's share that gets nothing is dropped; the process's stays.
+    keys. The process's share starts at ``held``, the size of the work it
+    does beside the keys (``wrangle run``'s weather inputs). A worker's
+    share that gets nothing is dropped; the process's stays.
     """
     count = max(1, min(_usable_cpus(), len(sizes)))
-    shares: list[list[str]] = [[] for _ in range(count)]
-    loads = [0] * count
+    shares: list[list] = [[] for _ in range(count)]
+    loads = [held] + [0] * (count - 1)
     for key in sorted(sizes, key=sizes.__getitem__, reverse=True):
         k = loads.index(min(loads))
         shares[k].append(key)
@@ -424,18 +426,22 @@ def _deal(sizes: Mapping[str, int]) -> list[list[str]]:
 
 
 def _fork_map(
-    keys: Iterable[str],
-    sizes: Mapping[str, int],
-    run: Callable[[str], object],
-    work: Callable[[str], object],
-    take: Callable[[str, Any], object] = lambda key, sent: sent,
+    keys: Iterable[Hashable],
+    sizes: Mapping[Hashable, int],
+    run: Callable[[Any], object],
+    work: Callable[[Any], object],
+    take: Callable[[Any, Any], object] = lambda key, sent: sent,
     lost: Callable[[int], None] = lambda pid: None,
-) -> tuple[dict[str, object], int]:
+    held: int = 0,
+) -> tuple[dict[Hashable, object], int]:
     """``{key: run(key)}`` over ``keys`` as running them one by one in order gives it,
     and the writers used: this process and each worker it forked.
 
-    The keys of ``sizes`` are dealt by :func:`_deal`, and one worker is
-    forked for each share past the first; with one share nothing is forked.
+    The keys of ``sizes`` are dealt by :func:`_deal`, the process's share
+    starting at ``held``: the size of the keys not in ``sizes``, which only
+    the process runs. One worker is forked for each share past the first;
+    with one share nothing is forked. Keys and what ``work`` returns must
+    :mod:`marshal`: ``wrangle run``'s keys are ``(input, range)`` pairs.
     A worker runs ``work`` on each key of its share in turn, stopping at the
     first that raises. It sends back ``(key, work(key))`` for those done
     before, as one :mod:`marshal` blob through a pipe, and leaves by
@@ -452,9 +458,9 @@ def _fork_map(
     when run alone.
     """
     keys = list(keys)
-    shares = _deal(sizes)
-    done: dict[str, object] = {}
-    failed: dict[str, Exception] = {}
+    shares = _deal(sizes, held)
+    done: dict[Hashable, object] = {}
+    failed: dict[Hashable, Exception] = {}
     pipes: dict[int, IO[bytes]] = {}
     try:
         for share in shares[1:]:

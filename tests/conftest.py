@@ -1,5 +1,5 @@
-"""Shared helpers: seeded random typed tables and table comparison, and a
-check that no test leaves a child process behind."""
+"""Shared helpers: tables built from rows, seeded random typed tables and
+table comparison, and a check that no test leaves a child process behind."""
 
 from __future__ import annotations
 
@@ -8,10 +8,12 @@ import os
 import random
 import string
 from datetime import date, time, timedelta
+from typing import Iterable, Sequence
 
 import pytest
 
-from wrangle.table import Column, CType, Table
+from wrangle.errors import SchemaMismatch
+from wrangle.table import Cell, Column, CType, Table
 
 
 @pytest.fixture(autouse=True)
@@ -20,6 +22,28 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def table_from_rows(
+    names: Sequence[str],
+    ctypes: Sequence[CType],
+    rows: Iterable[Sequence[Cell]],
+) -> Table:
+    """A table built column-wise from row data, each cell checked against its column's kind."""
+    if len(names) != len(ctypes):
+        raise SchemaMismatch("names and ctypes differ in length")
+    cols: list[list[Cell]] = [[] for _ in names]
+    for r, row in enumerate(rows):
+        if len(row) != len(names):
+            raise SchemaMismatch(f"row {r} has {len(row)} cells, expected {len(names)}")
+        for i, v in enumerate(row):
+            cols[i].append(v)
+    return Table(
+        tuple(
+            Column(name, ctype, tuple(cells))
+            for name, ctype, cells in zip(names, ctypes, cols)
+        )
+    )
 
 
 # Text cells must stay text under type inference: always carry a letter,

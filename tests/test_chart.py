@@ -7,9 +7,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import table_from_rows
 from wrangle.chart import render_bar_chart
 from wrangle.errors import EmptyTable, NegativeValue, TypeMismatch, UnknownColumn
-from wrangle.table import CType, table_from_rows
+from wrangle.table import CType
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

@@ -13,13 +13,16 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from datetime import date
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from wrangle import cli, workflow
@@ -36,6 +39,23 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_data")
     generate(GenConfig(seed=11, sites=2, rows_per_site=150), out)
     return out
+
+
+@pytest.fixture(scope="module")
+def bench_dataset(tmp_path_factory):
+    """The inputs the benchmark generates for seed 7: two 5 MB exports, 1 MB of weather."""
+    out = tmp_path_factory.mktemp("bench_data")
+    generate(GenConfig(seed=7, sites=2, rows_per_site=50000, weather_locations=4), out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def one_day_weather(tmp_path_factory):
+    """A small weather document: one location, one day."""
+    out = tmp_path_factory.mktemp("weather")
+    day = date(2018, 2, 2)
+    generate(GenConfig(rows_per_site=1, date_start=day, date_end=day, weather_locations=1), out)
+    return out / "weather.json"
 
 
 def _refuse_replace(src, dst):
@@ -230,9 +250,21 @@ class TestRun:
                 "--params", '{"names": ["Speed"]}', "--out", str(tmp_path / "s.csv")], capsys)
         assert reads == [None]
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_run_workers_send_back_the_planned_columns(self, cpus, dataset, tmp_path, capsys,
-                                                       monkeypatch):
+    @pytest.mark.parametrize(
+        "cpus, kept_here",
+        [
+            # The larger export stays here; a worker takes the other and sites.csv,
+            # or with three CPUs a worker each.
+            (2, [("ds1_2", 0)]),
+            (3, [("ds1_2", 0)]),
+            # A share is a quarter of the bytes: each export is cut in two.
+            (4, [("ds1_1", 0)]),
+        ],
+        ids=["2", "3", "4"],
+    )
+    def test_run_workers_send_back_the_planned_columns(
+        self, cpus, kept_here, dataset, tmp_path, capsys, monkeypatch
+    ):
         _cpus(monkeypatch, cpus)
         process, reads, received = os.getpid(), [], []
 
@@ -243,18 +275,27 @@ class TestRun:
 
         monkeypatch.setattr(cli, "parse_csv", spy)
         _spy_blobs(monkeypatch, received)
-        run_ok(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
-                "--input", f"ds1_2={dataset}/site_2.csv", "--input", f"ds1_3={dataset}/sites.csv",
-                "--out", str(tmp_path / "o")], capsys)
-        # The larger export stays here and a worker takes the other. sites.csv,
-        # dealt third, goes to the least-loaded writer: that worker with two
-        # CPUs, a second worker with three.
-        kept = frozenset({"Site ID", "Date", "Direction Name", "Speed"})
+        out = run_ok(["run", "dwr1.json", "--input", f"ds1_1={dataset}/site_1.csv",
+                      "--input", f"ds1_2={dataset}/site_2.csv",
+                      "--input", f"ds1_3={dataset}/sites.csv",
+                      "--out", str(tmp_path / "o")], capsys).out
+        ranges = 2 if cpus == 4 else 1
+        keys = [(name, i) for name in ("ds1_1", "ds1_2") for i in range(ranges)]
+        # A whole file comes back as text, a range with the kind proven on each column.
+        names = ("Site ID", "Date", "Direction Name", "Speed")
+        export = tuple(zip(names, ("text", "timestamp", "text", "real")) if ranges > 1 else
+                       zip(names))
         sent = dict(received)
-        assert reads == [kept]
-        assert sent.pop("ds1_3") == parse_csv((dataset / "sites.csv").read_bytes()).column_names
-        assert list(sent.values()) == [("Site ID", "Date", "Direction Name", "Speed")]
-        assert set(sent) < {"ds1_1", "ds1_2"}
+        assert len(sent) == len(received)
+        assert sent.pop(("ds1_3", 0)) == (("Site.ID",), ("SiteName",), ("Lat",), ("Lon",),
+                                          ("LinkLength",))
+        assert sorted(sent) == sorted(set(keys) - set(kept_here))
+        assert set(sent.values()) == {export}
+        # A whole export kept here is read by parse_csv; a range, by the column path.
+        kept = frozenset({"Site ID", "Date", "Direction Name", "Speed"})
+        assert reads == ([] if cpus == 4 else [kept])
+        cut = "2 cut into 4 ranges" if cpus == 4 else "none cut"
+        assert re.search(rf"^  load: 3 inputs, {cpus} readers, {cut}, \d+\.\d ms$", out, re.M)
 
     def test_one_usable_cpu_forks_no_worker(self, dataset, tmp_path, capsys, monkeypatch):
         _cpus(monkeypatch, 1)
@@ -463,11 +504,17 @@ class TestRun:
         (alone, alone_lines), (parallel, parallel_lines) = runs
         assert len(alone) == len(spec.nodes)
         assert parallel == alone
-        spill_line = f"  spill: {len(spec.nodes)} files, {{}} writer{{}}, ms"
-        assert alone_lines[len(spec.nodes) + 1] == spill_line.format(1, "")
-        assert parallel_lines[len(spec.nodes) + 1] == spill_line.format(cpus, "s")
-        assert parallel_lines[:len(spec.nodes) + 1] == alone_lines[:len(spec.nodes) + 1]
-        assert parallel_lines[len(spec.nodes) + 2:] == alone_lines[len(spec.nodes) + 2:]
+        # The load line follows the first line and the spill line the nodes'; only
+        # their reader and writer counts differ.
+        n = len(spec.nodes)
+        assert alone_lines[1] == "  load: 3 inputs, 1 reader, none cut, ms"
+        assert re.fullmatch(r"  load: 3 inputs, [23] readers, none cut, ms", parallel_lines[1])
+        spill_line = f"  spill: {n} files, {{}} writer{{}}, ms"
+        assert alone_lines[n + 2] == spill_line.format(1, "")
+        assert parallel_lines[n + 2] == spill_line.format(cpus, "s")
+        for lines in (alone_lines, parallel_lines):
+            del lines[n + 2], lines[1]
+        assert parallel_lines == alone_lines
 
     @pytest.mark.parametrize(
         "name, edit, node",
@@ -579,15 +626,31 @@ def _spy_loads(monkeypatch) -> list:
 
 
 def _spy_blobs(monkeypatch, received: list, dumps=marshal.dumps) -> None:
-    """Record in ``received`` ``(name, column names)`` for each table a worker's blob
-    brings back whole; workers write their blobs with ``dumps``."""
+    """Record in ``received`` ``(key, columns)`` for each piece a worker's blob brings
+    back whole: ``key`` is ``(input, range)``; ``columns`` holds ``(name,)`` per column
+    of a whole file, and ``(name, kind)`` per column of a range of a cut input, with
+    the value of the kind proven on it, None for a column of nulls. Workers write
+    their blobs with ``dumps``."""
 
     def loads(payload):
         sent = marshal.loads(payload)
-        received.extend((name, tuple(n for n, _ in columns)) for name, columns in sent)
+        received.extend((key, tuple(c[:-1] for c in columns)) for key, columns in sent)
         return sent
 
     monkeypatch.setattr(workflow, "marshal", SimpleNamespace(dumps=dumps, loads=loads))
+
+
+def _spy_deals(monkeypatch) -> list:
+    """Record ``(sizes, shares)`` for each deal of ``wrangle run``'s load: the size of
+    each ``(input, range)`` key, and the keys in one share per reader, the process's first."""
+    deals, real = [], cli._fork_map
+
+    def fork_map(keys, sizes, *args, **kwargs):
+        deals.append((dict(sizes), workflow._deal(sizes, kwargs.get("held", 0))))
+        return real(keys, sizes, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_fork_map", fork_map)
+    return deals
 
 
 def _typed(value):
@@ -630,6 +693,52 @@ _BAD_CASES = [
 ]
 
 
+# Per kind, the texts of a run of cells; null is a bare empty field.
+_RUN_FIELDS = {
+    "int": ["1", "-7", "007"],
+    "real": ["1.5", "2e3", "-0.25"],
+    "timestamp": ["2018-02-01 00:03:35.23", "2018-02-01 23:59:59"],
+    "text": ["a", "'0001083", "NB NS"],
+    "null": [""],
+}
+# Fields a real export may hold now and then: a quoted empty string, a quoted
+# comma, a quoted newline, a stray quote, a lone CR and a pound sign that
+# ``_cut_csv`` writes as the cp1252 byte.
+_ODD_FIELDS = ['""', '"a,b"', '"l1\nl2"', 'a"b', "a\rb", "\u00a3"]
+
+
+@st.composite
+def _cut_csv(draw):
+    """CSV bytes of runs of rows, each column of a run of one kind, with odd fields."""
+    width = draw(st.integers(1, 3))
+    header = [f"c{i}" for i in range(width)]
+    if draw(st.integers(0, 19)) == 0:
+        header[-1] = draw(st.sampled_from(["", "c0"]))  # no name, or a repeated one
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = [draw(st.sampled_from(sorted(_RUN_FIELDS))) for _ in range(width)]
+        for _ in range(draw(st.integers(1, 4))):
+            fields = [draw(st.sampled_from(_RUN_FIELDS[kind])) for kind in kinds]
+            if draw(st.integers(0, 7)) == 0:
+                fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_ODD_FIELDS))
+            ragged = draw(st.sampled_from([0] * 12 + [-1, 1]))
+            fields = fields[:width + ragged] if ragged < 0 else fields + ["x"] * ragged
+            lines.append(",".join(fields) + draw(st.sampled_from(["", "", "", ","])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, eol, ""]))
+    data = text.encode("utf-8").replace("\u00a3".encode("utf-8"), b"\xa3")
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + data
+
+
+def _load_outcome(paths, declared, read):
+    """The inputs ``_load_inputs`` loads, each cell with its type, or what it raises."""
+    try:
+        loaded, _ = cli._load_inputs(paths, declared, read)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return {name: _typed(value) for name, value in loaded.items()}
+
+
 class TestLoadInputs:
     """``wrangle run`` with its CSV inputs parsed in forked workers loads,
     fails and exits as it does loading them one by one, and leaves no
@@ -642,25 +751,30 @@ class TestLoadInputs:
         paths = {name: str(dataset / f) for name, f in zip(declared, _FLOW_FILES[flow])}
         return paths, declared, read_columns(spec)
 
-    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
     @pytest.mark.parametrize("flow", sorted(_FLOW_FILES))
     def test_tables_equal_the_one_by_one_load(self, dataset, flow, cpus, monkeypatch):
         paths, declared, read = self._inputs(dataset, flow)
         _cpus(monkeypatch, 1)
-        alone = cli._load_inputs(paths, declared, read)
+        alone, alone_report = cli._load_inputs(paths, declared, read)
         _cpus(monkeypatch, cpus)
-        received = []
+        received, deals = [], _spy_deals(monkeypatch)
         _spy_blobs(monkeypatch, received)
-        loaded = cli._load_inputs(paths, declared, read)
+        loaded, report = cli._load_inputs(paths, declared, read)
         assert list(loaded) == list(alone)
         assert {k: _typed(v) for k, v in loaded.items()} == {
             k: _typed(v) for k, v in alone.items()
         }
-        sizes = {name: os.path.getsize(paths[name])
-                 for name in paths if declared[name] == "table-csv"}
-        workers = [name for share in workflow._deal(sizes)[1:] for name in share]
-        assert sorted(name for name, _ in received) == sorted(workers)
+        assert (alone_report.readers, alone_report.cut) == (1, 0)
+        ((_, deal),) = deals
+        workers = [key for share in deal[1:] for key in share]
+        assert sorted(key for key, _ in received) == sorted(workers)
         assert received
+        assert report.readers == len(deal)
+        dealt = [key for share in deal for key in share]
+        cut = {name for name, i in dealt if i}
+        assert (report.cut, report.ranges) == (len(cut), len([k for k in dealt if k[0] in cut]))
+        assert report.cut == (2 if (cpus, flow) == (4, "dwr1.json") else 0)
 
     @pytest.mark.parametrize(
         "cpus, process, workers",
@@ -669,7 +783,9 @@ class TestLoadInputs:
             # each to the least-loaded reader, ties to the process.
             (2, ["b", "d", "e"], [["a", "c", "gone"]]),
             (3, ["b"], [["a", "d", "gone"], ["c", "e"]]),
-            (9, ["b"], [["a"], ["c"], ["d"], ["e"], ["gone"]]),
+            # A share is 210 / 9 bytes: b is cut into 4 ranges, a and c into 2 each.
+            # The process reads them before it forks, and no reader reads a range.
+            (9, ["a", "b", "c"], [["d", "e"], ["gone"]]),
         ],
     )
     def test_csv_inputs_are_dealt_largest_first_to_the_least_loaded(
@@ -786,6 +902,107 @@ class TestLoadInputs:
         with pytest.raises(KeyboardInterrupt):
             cli._load_inputs(*self._inputs(dataset, "dwr1.json"))
         assert time.monotonic() - started < 30
+
+    def test_two_cpus_cut_the_dwr2_export_in_two_and_nothing_of_dwr1(
+        self, bench_dataset, monkeypatch
+    ):
+        _cpus(monkeypatch, 2)
+        deals = _spy_deals(monkeypatch)
+        loaded = {}
+        for flow in ("dwr2.json", "dwr1.json"):
+            loaded[flow], report = cli._load_inputs(*self._inputs(bench_dataset, flow))
+            assert (report.readers, report.cut) == (2, 1 if flow == "dwr2.json" else 0)
+        (sizes, dwr2), (_, dwr1) = deals
+        # A share is half of 5.1 MB of export and 1.0 MB of weather. The worker takes
+        # one share of the export; the process the rest of it, beside the weather.
+        assert dwr2 == [[("ds2_1", 1), ("ds2_2", 0)], [("ds2_1", 0)]]
+        assert 3.0e6 < sizes["ds2_1", 0] < 3.1e6 and 2.0e6 < sizes["ds2_1", 1] < 2.1e6
+        assert dwr1 == [[("ds1_1", 0)], [("ds1_2", 0), ("ds1_3", 0)]]
+        _cpus(monkeypatch, 1)
+        alone, _ = cli._load_inputs(*self._inputs(bench_dataset, "dwr2.json"))
+        assert _typed(loaded["dwr2.json"]["ds2_1"]) == _typed(alone["ds2_1"])
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4, 7])
+    def test_a_cut_fills_shares_with_ranges_that_end_after_a_newline(self, cpus, bench_dataset):
+        path = str(bench_dataset / "site_1.csv")
+        size = os.path.getsize(path)
+        share = (size + 1_000_000) / cpus
+        data, ranges = cli._cut(path, size, share)
+        assert len(ranges) == round(size / share)
+        assert ranges[0][0] == data.index(b"\n") + 1
+        assert ranges[-1][1] == size
+        for (_, end), (start, _) in zip(ranges, ranges[1:]):
+            assert end == start and data[end - 1:end] == b"\n"
+        for k, (_, end) in enumerate(ranges[:-1], 1):
+            assert 0 <= end - k * share < 200  # a row is about 100 bytes
+
+    @pytest.mark.parametrize(
+        "data, share, ranges",
+        [
+            (b"h\n" + b"x\n" * 30, 40, [(2, 40), (40, 62)]),  # round(62 / 40) is 2
+            (b"h\n" + b"x\n" * 10, 16, None),  # round(22 / 16) is 1
+            (b"h\n" + b"x\n" * 3, 2, [(2, 4), (4, 6), (6, 8)]),  # the header fills a share
+            (b"h," * 40, 10, None),  # no header line
+            (b"h\n" + b"x" * 60, 10, None),  # no newline past the header
+        ],
+        ids=["two", "one", "header", "no header", "one row"],
+    )
+    def test_a_cut_ends_each_range_after_a_newline_or_is_none(self, data, share, ranges,
+                                                              tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        assert cli._cut(str(path), len(data), share) == (ranges and (data, ranges))
+
+    def test_a_cut_reads_nothing_below_a_share_and_a_half_or_of_a_file_gone(
+        self, tmp_path, monkeypatch
+    ):
+        reads = []
+        monkeypatch.setattr(cli, "_read_bytes", reads.append)
+        assert cli._cut(str(tmp_path / "x.csv"), 149, 100) is None
+        assert cli._cut(str(tmp_path / "x.csv"), 0, 0) is None
+        assert reads == []
+        monkeypatch.undo()
+        assert cli._cut(str(tmp_path / "gone.csv"), 300, 100) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_cut_csv(), draw=st.data())
+    @example(data=b"c0\n1\n2\n1.5\n2.5\n", draw=None)  # an int range, then a real one
+    @example(data=b"c0,c1\n1,x\n2,\na,\nb,\n", draw=None)  # text after int; null-only
+    @example(data=b'c0\n"a\n1"\n2\n', draw=None)  # a newline inside quotes
+    @example(data=b"c0,c1\r\n1,2,\r\n3,4\r\n", draw=None)  # CRLF, a trailing empty
+    @example(data=b"\xef\xbb\xbfc0\n\xa3\n1\n", draw=None)  # a BOM, a cp1252 byte
+    @example(data=b'c0,c1\n"",1\n2\n3,4,5\n', draw=None)  # "", ragged rows
+    def test_a_load_cut_at_any_newlines_equals_the_one_by_one_load(
+        self, data, draw, one_day_weather
+    ):
+        newlines = [i + 1 for i in range(data.index(b"\n") + 1, len(data)) if data[i] == 10]
+        if draw is None:  # an example: cut at every newline, on two CPUs
+            ends, cpus, plan, weather_first = newlines, 2, None, False
+        else:
+            ends = draw.draw(st.sets(st.sampled_from(newlines)) if newlines else st.just(()))
+            cpus = draw.draw(st.integers(1, 3), label="cpus")
+            plan = draw.draw(st.sampled_from([None, frozenset({"c0"}), frozenset({"c1", "zz"})]))
+            weather_first = draw.draw(st.booleans())
+
+        def cut(path, size, share):
+            raw = cli._read_bytes(path)
+            bounds = [raw.index(b"\n") + 1, *sorted(ends), len(raw)]
+            return raw, [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = os.path.join(tmp, "t.csv")
+            Path(csv_path).write_bytes(data)
+            names = ["w", "t"] if weather_first else ["t", "w"]
+            paths = {"t": csv_path, "w": str(one_day_weather)}
+            paths = {name: paths[name] for name in names}
+            declared = {"t": "table-csv", "w": "weather-json"}
+            read = {"t": plan, "w": None}
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(workflow, "_usable_cpus", lambda: 1)
+                alone = _load_outcome(paths, declared, read)
+                m.setattr(workflow, "_usable_cpus", lambda: cpus)
+                m.setattr(cli, "_cut", cut)
+                assert _load_outcome(paths, declared, read) == alone
 
     def test_without_fork_or_affinity_or_beside_a_thread_it_loads_one_by_one(
         self, monkeypatch

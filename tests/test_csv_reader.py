@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slowpaths
+from conftest import table_from_rows
 from wrangle import table
 from wrangle.errors import WrangleError
 from wrangle.gen import GenConfig, generate
-from wrangle.table import CType, infer_column_types, parse_csv, table_from_rows, write_csv
+from wrangle.table import Column, CType, Table, infer_column_types, parse_csv, write_csv
 
 BOM = b"\xef\xbb\xbf"
 
@@ -397,6 +398,33 @@ class TestInferDifferential:
         assert _infer_outcome(infer_column_types, cells) == _infer_outcome(
             slowpaths.per_cell_infer_column_types, cells
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.integers(0, 12).flatmap(column_cells) | st.lists(
+            st.integers(1, 4).flatmap(column_cells), max_size=4
+        ).map(lambda runs: [cell for run in runs for cell in run]),
+        cuts=st.lists(st.integers(1, 15), max_size=4),
+        typed_at=st.lists(st.booleans(), min_size=1, max_size=5),
+    )
+    @example(cells=["1", "2", "1.5", "2.5"], cuts=[2], typed_at=[True])  # int, then real
+    @example(cells=["1", "2", "x"], cuts=[2], typed_at=[False])  # int, then text
+    @example(cells=[None, None, "1"], cuts=[2], typed_at=[True, False])  # nulls only, then int
+    @example(cells=["2018-02-01", None, "2018-02-30"], cuts=[2], typed_at=[False])
+    @example(cells=["1e308", "1e308", "-1e308"], cuts=[1], typed_at=[False])
+    @example(cells=["7:05", "17:00"], cuts=[1], typed_at=[False])
+    def test_pieces_joined_by_their_proven_kinds_equal_the_whole(self, cells, cuts, typed_at):
+        bounds = sorted({0, len(cells), *(c for c in cuts if c < len(cells))})
+        pieces = []
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            text = Column._unchecked("x", CType.TEXT, tuple(cells[start:stop]))
+            ((kind, col),) = table.proven_kinds(Table((text,)))
+            typed_cells = col.cells if typed_at[i % len(typed_at)] else None
+            pieces.append(("x", kind, text.cells, typed_cells))
+        if not pieces:  # no rows: nothing to join
+            pieces.append(("x", None, (), None))
+        joined = Table((table.join_proven(pieces),))
+        assert typed(joined) == _infer_outcome(infer_column_types, cells)[1]
 
     @pytest.mark.parametrize(
         "data",

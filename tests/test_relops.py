@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import opharness
 import slowpaths
-from conftest import assert_cells_close
+from conftest import assert_cells_close, table_from_rows
 from wrangle.errors import RequirementFailed, SchemaMismatch, TypeMismatch, UnknownColumn
 from wrangle import relops
 from wrangle.expr import (
@@ -29,7 +29,7 @@ from wrangle.expr import (
     parse_mutate,
     parse_predicate,
 )
-from wrangle.table import Column, CType, Table, table_from_rows
+from wrangle.table import Column, CType, Table
 
 
 def int_table(names, rows):

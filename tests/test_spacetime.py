@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import opharness
 import oracles
 import slowpaths
+from conftest import table_from_rows
 from wrangle import relops, spacetime, table
 from wrangle.errors import RangeError, TypeMismatch, UnknownColumn
 from wrangle.spacetime import (
@@ -23,7 +24,7 @@ from wrangle.spacetime import (
     time_space_join,
 )
 from wrangle.gen import GenConfig, generate
-from wrangle.table import Column, CType, Table, infer_column_types, parse_csv, table_from_rows
+from wrangle.table import Column, CType, Table, infer_column_types, parse_csv
 from wrangle.traffic import clean_site_id, separate_datetime
 from wrangle.weather import flatten_weather, parse_weather_json
 

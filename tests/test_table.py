@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slowpaths
-from conftest import assert_tables_equal, random_typed_table
+from conftest import assert_tables_equal, random_typed_table, table_from_rows
 from opharness import row, rows_of
 from wrangle import table
 from wrangle.errors import EmptyInput, MalformedCsv, TypeMismatch
@@ -29,7 +29,6 @@ from wrangle.table import (
     infer_column_types,
     kind_of_value,
     parse_csv,
-    table_from_rows,
     write_csv,
 )
 
@@ -306,6 +305,27 @@ class TestTake:
     def test_matches_hand_rolled_copy(self, case):
         t, indices = case
         assert t.take(indices) == slowpaths.hand_rolled_take(t, indices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=3)), max_size=8),
+        data=st.data(),
+    )
+    @example(cells=[], data=None)
+    def test_each_column_is_what_getitem_gives_index_by_index(self, cells, data):
+        # Empty, single, repeated and unordered lists of indices, each in range.
+        cells = tuple(cells)
+        t = Table((Column._unchecked("c", CType.TEXT, cells),))
+        lists = [[], *([[0], [len(cells) - 1] * 3, list(range(len(cells)))[::-1]] if cells else [])]
+        if data is not None and cells:
+            lists.append(data.draw(st.lists(st.integers(-len(cells), len(cells) - 1))))
+        for indices in lists:
+            assert t.take(indices).columns[0].cells == tuple(map(cells.__getitem__, indices))
+
+    @pytest.mark.parametrize("indices", [[3], [0, 3], [3, 0, 1], [-4]])
+    def test_an_index_out_of_range_raises_index_error(self, indices):
+        with pytest.raises(IndexError):
+            _AB.take(indices)
 
 
 class _Level(enum.IntEnum):

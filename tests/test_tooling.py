@@ -8,7 +8,9 @@ Every slow path kept in ``tests/slowpaths.py`` is used by some test. Each
 registered operator's function lives in the module its name's prefix
 names. The bundled workflows read only the traffic columns they keep, and
 their predicate and mutate texts survive a format/parse round trip.
-Every module reads each name it imports. Importing the package loads none
+Every module reads each name it imports, and every top-level function and
+class of the package is read somewhere in it or registered as an operator's
+function. Importing the package loads none
 of its modules, and importing the CLI loads no generator, no process-pool
 machinery, no ``uuid`` and neither ``dataclasses`` nor ``inspect``. No
 module generates code with ``exec``, ``eval`` or ``compile``, and only
@@ -85,6 +87,31 @@ def test_package_module_reads_every_name_it_imports(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(bound - read) == []
+
+
+def test_every_package_function_and_class_is_read_in_the_package_or_registered():
+    # A definition nothing in the package reads is code every process compiles
+    # for the tests alone; helpers of that kind live under tests/.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    registered = {(op.fn.__module__, op.fn.__name__) for op in REGISTRY.values()}
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inside = set(map(id, ast.walk(node)))
+            read = any(
+                id(ref) not in inside
+                and (isinstance(ref, ast.Name) and ref.id == node.name
+                     or isinstance(ref, ast.Attribute) and ref.attr == node.name
+                     or isinstance(ref, ast.alias) and ref.name == node.name)
+                for other in trees.values() for ref in ast.walk(other)
+            )
+            if not read and ("wrangle." + path.stem, node.name) not in registered:
+                unread.append(f"{path.name}: {node.name}")
+    assert len(trees) > 10 and registered
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import slowpaths
-from conftest import assert_cells_close
+from conftest import assert_cells_close, table_from_rows
 from wrangle.errors import RequirementFailed, TypeMismatch
-from wrangle.table import Column, CType, Table, table_from_rows
+from wrangle.table import Column, CType, Table
 from wrangle.traffic import (
     WEEKDAY_NAMES,
     clean_site_id,

@@ -526,6 +526,23 @@ class TestSpill:
         _cpus(monkeypatch, cpus)
         assert workflow._deal(sizes) == shares
 
+    @pytest.mark.parametrize(
+        "cpus, held, sizes, shares",
+        [
+            # What the process holds beside the keys counts against its share.
+            (2, 4, {"a": 5, "b": 3, "c": 1}, [["b"], ["a", "c"]]),
+            (2, 2, {"a": 5, "b": 3, "c": 1}, [["b", "c"], ["a"]]),
+            (3, 9, {"a": 5, "b": 3, "c": 1}, [[], ["a"], ["b", "c"]]),
+            (2, 9, {"a": 5}, [["a"]]),
+            (1, 9, {"a": 5, "b": 3}, [["a", "b"]]),
+        ],
+    )
+    def test_deal_starts_the_process_share_with_what_it_holds(
+        self, cpus, held, sizes, shares, monkeypatch
+    ):
+        _cpus(monkeypatch, cpus)
+        assert workflow._deal(sizes, held) == shares
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_spilled_bytes_equal_those_of_one_writer(self, cpus, tmp_path, monkeypatch):
         rng = random.Random(f"spill:{cpus}")
