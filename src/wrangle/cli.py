@@ -19,23 +19,23 @@ carries a weather document.
 
 ``WRANGLE_WORKSPACE`` overrides where ``run --keep-intermediates`` spills
 per-node results. An ``--out``, or a spill directory, that exists and is no
-directory is refused before any input is read.
+directory is refused before any input is read; so is an ``op --out`` that
+names a directory or lies in none.
 
 ``run`` loads its inputs before any node runs, shared with forked workers,
 one per further usable CPU. A fair share is the bytes of all inputs over the
-usable CPUs. A CSV input of one and a half shares or more is cut into
-newline-aligned byte ranges, each but the last sized to fill a share;
-weather inputs stay with the process and count against its share. The
-ranges and the whole CSV files are dealt largest first. Each reader parses
-its ranges and proves each column's kind on them, and the process joins the
-ranges of an input and converts them by those kinds; a worker's whole file
-comes back as text that the process types. A range the column path cannot
-decide (a quoted comma or newline, a stray quote, ragged rows, a lone CR, a
-bad header or undecodable bytes) sends its whole input back to the
-one-by-one load. With ``--keep-intermediates``, the node results are
-spilled after the last node has run (or failed), largest table first,
-shared the same way. Either way tables, files, errors and exit codes are
-those of doing the work one by one, and no worker outlives the run
+usable CPUs. Each CSV input is a list of pieces: newline-aligned byte ranges
+that each fill a share but the last, if it is a share and a half or more,
+else the whole file. Weather inputs stay with the process and count against
+its share. The pieces are dealt largest first; each reader parses its pieces
+and types each column, and a worker sends the typed cells that marshal and
+the text of the others. An input whose pieces disagree on a column's kind,
+or with a range the column path cannot decide (a quoted comma or newline, a
+stray quote, ragged rows, a lone CR, a bad header or undecodable bytes), is
+loaded again whole, one by one. With ``--keep-intermediates``, the node
+results are spilled after the last node has run (or failed), largest table
+first, shared the same way. Either way tables, files, errors and exit codes
+are those of doing the work one by one, and no worker outlives the run
 (``workflow._fork_map``). The run report says after its first line how the
 load was shared and how long it took.
 """
@@ -56,8 +56,8 @@ from . import workflow
 from .errors import DataError, RangeError, UnknownOp, WorkflowError
 from .ops import OpDef, get_op, list_ops
 from .record import record
-from .table import (Column, CType, Table, _parse_columns, infer_column_types, join_proven,
-                    parse_csv, proven_kinds)
+from .table import (infer_column_types, join_pieces, pack_piece, parse_csv, parse_csv_range,
+                    proven_kinds, unpack_piece)
 from .weather import parse_weather_json
 from .workflow import (_count, _fork_map, encode_result, execute, parse_workflow, random_keys,
                        read_columns, sequential_keys, write_atomic, write_result)
@@ -97,22 +97,24 @@ def _size(path: str) -> int:
         return 0
 
 
-def _cut(path: str, size: int, share: float) -> tuple[bytes, list[tuple[int, int]]] | None:
-    """The bytes of the CSV input at ``path`` and its rows cut into ``round(size / share)`` ranges.
+def _cut(path: str, size: int, share: float) -> tuple[bytes | None, list[tuple[int, int]]]:
+    """The CSV input at ``path`` as pieces: its bytes and its rows cut into
+    ``round(size / share)`` ranges, or ``(None, [(0, size)])``, one piece read whole.
 
     Range ``k``, counting from 1, ends at the first line end (just after a
-    ``\\n``) at or past byte ``k * share`` of the file, so that each range but
-    the last fills a share; the last takes the rest. None, with nothing
-    read, where ``size`` makes fewer than two ranges; None too where the file
-    cannot be read, has no header line or gives fewer than two ranges.
+    ``\\n``) at or past byte ``k * share`` of the file; the last takes the
+    rest. An input is left whole, with nothing read, where ``size`` makes
+    fewer than two ranges, and where it cannot be read, has no header line or
+    gives fewer than two ranges.
     """
+    whole = None, [(0, size)]
     count = round(size / share) if size else 0
     if count < 2:
-        return None
+        return whole
     try:
         data = _read_bytes(path)
-    except OSError:  # loaded whole, so that it fails where a one-by-one load does
-        return None
+    except OSError:  # read by its reader, so that it fails where a one-by-one load does
+        return whole
     ends = [data.find(b"\n") + 1]
     if ends[0]:
         for k in range(1, count):
@@ -121,29 +123,45 @@ def _cut(path: str, size: int, share: float) -> tuple[bytes, list[tuple[int, int
                 ends.append(end)
         ends.append(len(data))
     ranges = [(start, end) for start, end in zip(ends, ends[1:]) if end > start]
-    return (data, ranges) if len(ranges) > 1 else None
+    return (data, ranges) if len(ranges) > 1 else whole
 
 
 class _Declined(Exception):
     """A range of a cut input that the column path cannot decide."""
 
 
+def _read_piece(path: str, columns: frozenset[str] | None, cut: tuple, i: int) -> list:
+    """The :func:`proven_kinds` of piece ``i`` of the CSV input at ``path``, cut by :func:`_cut`:
+    of a whole input read here by :func:`parse_csv`, or of a range parsed behind the
+    header line, which raises :class:`_Declined` where the column path cannot decide it."""
+    data, ranges = cut
+    if data is None:
+        return proven_kinds(parse_csv(_read_bytes(path), columns))
+    start, end = ranges[i]
+    table = parse_csv_range(data[: ranges[0][0]] + data[start:end], columns)
+    if table is None:
+        raise _Declined
+    return proven_kinds(table)
+
+
 @record
 class LoadReport:
     """What ``wrangle run``'s load did: the inputs, the readers that shared them
     (this process and each worker forked), the inputs cut and the ranges they
-    made, and the load's wall time."""
+    made, the CSV inputs loaded whole again, one by one, and the wall time."""
 
     inputs: int
     readers: int
     cut: int
     ranges: int
+    again: int
     wall_ms: float
 
     def line(self) -> str:
         cut = f"{self.cut} cut into {_count(self.ranges, 'range')}" if self.cut else "none cut"
+        again = f", {self.again} loaded whole again" if self.again else ""
         return (f"  load: {_count(self.inputs, 'input')}, {_count(self.readers, 'reader')}, "
-                f"{cut}, {self.wall_ms:.1f} ms")
+                f"{cut}{again}, {self.wall_ms:.1f} ms")
 
 
 def _load_inputs(
@@ -153,99 +171,57 @@ def _load_inputs(
     and what the load did.
 
     A fair share is the bytes of all inputs (an unsizable file counts as
-    empty) over the usable CPUs, and each CSV input is cut by :func:`_cut`.
-    The bytes of a cut input are read here, once, before any worker is
-    forked; the workers see them through the fork. The ranges of the cut
-    inputs and the other CSV files are dealt by size to
-    :func:`workflow._fork_map`'s readers. Weather inputs stay with the
-    process, and their bytes start its share.
-
-    A reader parses a range behind the input's header line with the column
-    path and proves each column's kind on it (:func:`proven_kinds`); a
-    worker sends back each column's name, kind and text cells, and the
-    process joins an input's ranges in file order (:func:`join_proven`). A
-    whole file is read and parsed by its reader; a worker sends back its
-    text columns, which the process types once its own share is done
-    (proving them in the worker put its proof on the run's critical path).
-    A range that the column path cannot decide, that fails, or that a lost
-    worker took sends its whole input to :func:`_load` here, at its place in
-    ``paths`` order, so that the first input that fails raises what it
-    raises alone.
+    empty) over the usable CPUs, and each CSV input is cut into pieces by
+    :func:`_cut`, before any worker is forked. The pieces are dealt by size
+    to :func:`workflow._fork_map`'s readers; weather inputs stay with the
+    process, and their bytes start its share. Every reader reads a piece by
+    :func:`_read_piece`, a worker's piece comes back by :func:`pack_piece`
+    and :func:`unpack_piece`, and an input's pieces join by
+    :func:`join_pieces`. An input whose pieces do not join, or with a piece
+    that declines, fails or was lost with its worker, is loaded whole by
+    :func:`_load` here, at its place in ``paths`` order, so that the first
+    input that fails raises what it raises alone.
     """
     started = time.perf_counter()
     sizes = {name: _size(path) for name, path in paths.items()}
     share = sum(sizes.values()) / workflow._usable_cpus()
-    cuts = {}
-    for name, path in paths.items():
-        cut = _cut(path, sizes[name], share) if declared[name] == "table-csv" else None
-        if cut is not None:
-            cuts[name] = cut
-    keys, dealt = [], {}
-    for name in paths:
-        for i, (start, end) in enumerate(cuts[name][1] if name in cuts else [(0, sizes[name])]):
-            keys.append((name, i))
-            if declared[name] == "table-csv":
-                dealt[name, i] = end - start
+    cuts = {name: _cut(path, sizes[name], share)
+            for name, path in paths.items() if declared[name] == "table-csv"}
+    keys = [(name, i) for name in paths for i in range(len(cuts[name][1]) if name in cuts else 1)]
+    dealt = {(name, i): end - start
+             for name, (_, ranges) in cuts.items() for i, (start, end) in enumerate(ranges)}
     whole: dict[str, object] = {}
 
-    def range_table(key: tuple[str, int]) -> Table:
-        name, i = key
-        data, ranges = cuts[name]
-        start, end = ranges[i]
-        try:
-            text = data[: ranges[0][0]].decode("utf-8-sig") + data[start:end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise _Declined from None
-        table = _parse_columns(text, read[name])
-        if table is None:
-            raise _Declined
-        return table
-
-    def run(key: tuple[str, int]) -> object:
-        name = key[0]
-        if name in cuts and name not in whole:
-            try:
-                table = range_table(key)
-            except _Declined:  # the whole input is loaded below
-                pass
-            else:
-                return [(c.name, kind, c.cells, typed.cells)
-                        for c, (kind, typed) in zip(table.columns, proven_kinds(table))]
+    def load(name: str) -> object:
         if name not in whole:
             whole[name] = _load(paths[name], declared[name], read[name])
         return whole[name]
 
+    def run(key: tuple[str, int]) -> object:
+        name, i = key
+        if name in cuts and name not in whole:
+            try:
+                proven = _read_piece(paths[name], read[name], cuts[name], i)
+                return [(column, kind, typed) for column, kind, _, typed in proven]
+            except (_Declined, DataError):  # loaded whole, where it fails as alone
+                pass
+        return load(name)
+
     def work(key: tuple[str, int]) -> list:
-        name = key[0]
-        if name not in cuts:
-            table = parse_csv(_read_bytes(paths[name]), read[name])
-            return [(c.name, c.cells) for c in table.columns]
-        table = range_table(key)  # a range that declines stops the worker here
-        return [(c.name, kind and kind.value, c.cells)
-                for c, (kind, _) in zip(table.columns, proven_kinds(table))]
+        name, i = key  # a piece that declines or fails stops the worker here
+        return pack_piece(_read_piece(paths[name], read[name], cuts[name], i))
 
-    def take(key: tuple[str, int], sent: list) -> object:
-        if key[0] not in cuts:
-            return infer_column_types(
-                Table(tuple(Column._unchecked(n, CType.TEXT, cells) for n, cells in sent))
-            )
-        return [(name, kind and CType(kind), cells, None) for name, kind, cells in sent]
-
-    held = sum(sizes[name] for name in paths if declared[name] != "table-csv")
-    done, readers = _fork_map(keys, dealt, run, work, take, held=held)
+    held = sum(sizes[name] for name in paths if name not in cuts)
+    done, readers = _fork_map(keys, dealt, run, work, lambda key, sent: unpack_piece(sent),
+                              held=held)
     loaded = {}
     for name in paths:
-        if name in whole:
-            loaded[name] = whole[name]
-        elif name not in cuts:
-            loaded[name] = done[name, 0]
-        else:
-            pieces = [done[key] for key in keys if key[0] == name]
-            loaded[name] = Table(tuple(map(join_proven, zip(*pieces))))
-    ranges = sum(len(cut[1]) for cut in cuts.values())
-    return loaded, LoadReport(
-        len(paths), readers, len(cuts), ranges, (time.perf_counter() - started) * 1000.0
-    )
+        table = None if name in whole else join_pieces([done[k] for k in keys if k[0] == name])
+        loaded[name] = load(name) if table is None else table
+    cut = [ranges for data, ranges in cuts.values() if data is not None]
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    again = len(whole.keys() & cuts.keys())
+    return loaded, LoadReport(len(paths), readers, len(cut), sum(map(len, cut)), again, wall_ms)
 
 
 def _workflow_bytes(path: str) -> bytes:
@@ -356,6 +332,11 @@ def cmd_op(args: argparse.Namespace) -> int:
         return _fail(1, "--params must be a JSON object")
 
     bound = op_def.bind(params)
+    # Refused before any input is read, naming the path given, not the temp file beside it.
+    if args.out and Path(args.out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if args.out and not Path(args.out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     values = _bind_files(op_def, args.table or [], args.weather or [])
     _, payload = encode_result(op_def.name, op_def.run(values, bound))
     if args.out:

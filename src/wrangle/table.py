@@ -443,6 +443,17 @@ def parse_csv(data: bytes, columns: frozenset[str] | None = None) -> Table:
     return table if table is not None else _parse_records(text, columns)
 
 
+def parse_csv_range(data: bytes, columns: frozenset[str] | None = None) -> Table | None:
+    """A header line and a run of rows read by :func:`parse_csv`'s column path, or None
+    where it cannot decide them (a quoted comma or newline, whose field a cut may split,
+    any other case for the field tokenizer, undecodable bytes)."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    return _parse_columns(text, columns)
+
+
 def _kept_names(names: Sequence[str], columns: frozenset[str] | None) -> frozenset[str]:
     """The header ``names`` a read of ``columns`` keeps: all, unless the header has each."""
     return frozenset(names) if columns is None or not columns.issubset(names) else columns
@@ -763,51 +774,58 @@ def _with_nulls(cells: tuple[Cell, ...], values: Sequence[str], parsed: list[Cel
     return tuple([None if v is None else step() for v in cells])
 
 
-def proven_kinds(t: Table) -> list[tuple[CType | None, Column]]:
-    """Per text column of ``t``, the kind proven on its cells and the column typed by it.
+def proven_kinds(t: Table) -> list[tuple[str, CType | None, tuple, tuple]]:
+    """Per text column of ``t``: its name, the kind proven on its cells, those cells,
+    and those cells typed by that kind as :func:`infer_column_types` types them.
 
     The kind is the first in :data:`_KINDS` order that takes every non-null
     cell, TEXT where none does, and None where every cell is null, since
-    such a column fits any kind. The typed column is the one
-    :func:`infer_column_types` gives. Pieces of one column, each proved on
-    its own, join by :func:`join_proven`.
+    such a column fits any kind.
     """
     out = []
     for col in t.columns:
         typed = _infer_column(col)
         nulls = typed.ctype is CType.TEXT and col.cells.count(None) == len(col.cells)
-        out.append((None if nulls else typed.ctype, typed))
+        out.append((col.name, None if nulls else typed.ctype, col.cells, typed.cells))
     return out
 
 
-def join_proven(
-    pieces: Sequence[tuple[str, CType | None, tuple[Cell, ...], tuple[Cell, ...] | None]]
-) -> Column:
-    """One column made of ``pieces`` in order, as inferring their joined text gives it.
+#: The kinds whose cells :mod:`marshal` writes; a null-only column's too.
+_MARSHALLED = frozenset({None, CType.TEXT, CType.INT, CType.REAL, CType.BOOL})
 
-    Each piece is the column's name, the kind :func:`proven_kinds` proved
-    on the piece's text cells, those cells, and those cells typed by that
-    kind, or None where they are not at hand. Where the pieces that hold a
-    non-null cell all proved one kind, each earlier kind fails on one of
-    them, so it is the column's kind: each untyped piece is converted by it
-    in bulk, the per-cell parser having the last word as in
-    :func:`_infer_values`. Where they differ, the joined text is inferred
-    whole.
-    """
-    name = pieces[0][0]
-    kinds = {kind for _, kind, _, _ in pieces} - {None}
-    if len(kinds) > 1:
-        text = tuple(chain.from_iterable(cells for _, _, cells, _ in pieces))
-        return _infer_column(Column._unchecked(name, CType.TEXT, text))
-    kind = kinds.pop() if kinds else CType.TEXT
-    cells = (_typed_as(kind, text) if typed is None else typed for _, _, text, typed in pieces)
-    return Column._unchecked(name, kind, tuple(chain.from_iterable(cells)))
+
+def pack_piece(proven: list) -> list:
+    """The :func:`proven_kinds` of a piece as :mod:`marshal` writes it: per column, its
+    name, its kind's value and its cells, typed where they marshal and text otherwise."""
+    return [(name, kind and kind.value, typed if kind in _MARSHALLED else text)
+            for name, kind, text, typed in proven]
+
+
+def unpack_piece(packed: list) -> list:
+    """The piece :func:`pack_piece` packed, its text cells converted by their kind."""
+    kinds = [(name, value and CType(value), cells) for name, value, cells in packed]
+    return [(name, kind, cells if kind in _MARSHALLED else _typed_as(kind, cells))
+            for name, kind, cells in kinds]
+
+
+def join_pieces(pieces: Sequence[list]) -> Table | None:
+    """The ``pieces`` of an input joined in order, typed as inferring their joined text
+    types them; None where two prove different kinds for a column. Each piece holds
+    per column its name, the kind proven on it and its cells typed by that kind:
+    where one kind is proven, each earlier kind fails on some piece."""
+    columns = []
+    for parts in zip(*pieces):
+        kinds = {kind for _, kind, _ in parts} - {None}
+        if len(kinds) > 1:
+            return None
+        cells = parts[0][2] if len(parts) == 1 else tuple(chain.from_iterable(c for *_, c in parts))
+        columns.append(Column._unchecked(parts[0][0], kinds.pop() if kinds else CType.TEXT, cells))
+    return Table(tuple(columns))
 
 
 def _typed_as(kind: CType, cells: tuple[Cell, ...]) -> tuple[Cell, ...]:
-    """Text ``cells`` whose non-null cells all parse as ``kind``, converted to it."""
-    if kind is CType.TEXT:
-        return cells
+    """Text ``cells`` whose non-null cells all parse as ``kind``, converted to it
+    in bulk, the per-cell parser having the last word as in :func:`_infer_values`."""
     values = [v for v in cells if v is not None] if None in cells else cells
     parser, convert = next((row[1], row[3]) for row in _KINDS if row[0] is kind)
     parsed = _bulk(convert, values)  # type: ignore[arg-type]

@@ -441,7 +441,7 @@ def _fork_map(
     starting at ``held``: the size of the keys not in ``sizes``, which only
     the process runs. One worker is forked for each share past the first;
     with one share nothing is forked. Keys and what ``work`` returns must
-    :mod:`marshal`: ``wrangle run``'s keys are ``(input, range)`` pairs.
+    :mod:`marshal`: ``wrangle run``'s keys are ``(input, piece)`` pairs.
     A worker runs ``work`` on each key of its share in turn, stopping at the
     first that raises. It sends back ``(key, work(key))`` for those done
     before, as one :mod:`marshal` blob through a pipe, and leaves by

@@ -16,7 +16,7 @@ import sys
 import tempfile
 import threading
 import time
-from datetime import date
+from datetime import date, datetime
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -281,14 +281,14 @@ class TestRun:
                       "--out", str(tmp_path / "o")], capsys).out
         ranges = 2 if cpus == 4 else 1
         keys = [(name, i) for name in ("ds1_1", "ds1_2") for i in range(ranges)]
-        # A whole file comes back as text, a range with the kind proven on each column.
+        # Every piece, a whole file or a range, comes back with the kind proven on each column.
         names = ("Site ID", "Date", "Direction Name", "Speed")
-        export = tuple(zip(names, ("text", "timestamp", "text", "real")) if ranges > 1 else
-                       zip(names))
+        export = tuple(zip(names, ("text", "timestamp", "text", "real")))
         sent = dict(received)
         assert len(sent) == len(received)
-        assert sent.pop(("ds1_3", 0)) == (("Site.ID",), ("SiteName",), ("Lat",), ("Lon",),
-                                          ("LinkLength",))
+        assert sent.pop(("ds1_3", 0)) == (("Site.ID", "int"), ("SiteName", "text"),
+                                          ("Lat", "real"), ("Lon", "real"),
+                                          ("LinkLength", "real"))
         assert sorted(sent) == sorted(set(keys) - set(kept_here))
         assert set(sent.values()) == {export}
         # A whole export kept here is read by parse_csv; a range, by the column path.
@@ -627,10 +627,9 @@ def _spy_loads(monkeypatch) -> list:
 
 def _spy_blobs(monkeypatch, received: list, dumps=marshal.dumps) -> None:
     """Record in ``received`` ``(key, columns)`` for each piece a worker's blob brings
-    back whole: ``key`` is ``(input, range)``; ``columns`` holds ``(name,)`` per column
-    of a whole file, and ``(name, kind)`` per column of a range of a cut input, with
-    the value of the kind proven on it, None for a column of nulls. Workers write
-    their blobs with ``dumps``."""
+    back whole: ``key`` is ``(input, piece)``; ``columns`` holds ``(name, kind)`` per
+    column, with the value of the kind proven on the piece, None for a column of
+    nulls. Workers write their blobs with ``dumps``."""
 
     def loads(payload):
         sent = marshal.loads(payload)
@@ -855,20 +854,20 @@ class TestLoadInputs:
         run_ok([*argv, "--out", str(tmp_path / "alone")], capsys)
         _cpus(monkeypatch, 3)
         process = os.getpid()
-        real_parse = cli.parse_csv
+        real_read = cli._read_piece
 
-        def parse_csv(data, columns=None):
+        def read_piece(*args):
             if os.getpid() != process:
                 if how == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 if how == "raises":
                     raise RuntimeError("worker failed")
-            return real_parse(data, columns)
+            return real_read(*args)
 
         def fork():
             raise OSError("no more processes")
 
-        monkeypatch.setattr(cli, "parse_csv", parse_csv)
+        monkeypatch.setattr(cli, "_read_piece", read_piece)
         if how == "no fork":
             monkeypatch.setattr(os, "fork", fork)
         received = []
@@ -889,15 +888,15 @@ class TestLoadInputs:
     ):
         _cpus(monkeypatch, 2)
         process = os.getpid()
-        real_parse = cli.parse_csv
+        real_read = cli._read_piece
 
-        def parse_csv(data, columns=None):
+        def read_piece(*args):
             if os.getpid() == process:
                 raise KeyboardInterrupt
-            time.sleep(60)  # never sends its table
-            return real_parse(data, columns)
+            time.sleep(60)  # never sends its piece
+            return real_read(*args)
 
-        monkeypatch.setattr(cli, "parse_csv", parse_csv)
+        monkeypatch.setattr(cli, "_read_piece", read_piece)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             cli._load_inputs(*self._inputs(dataset, "dwr1.json"))
@@ -921,6 +920,41 @@ class TestLoadInputs:
         _cpus(monkeypatch, 1)
         alone, _ = cli._load_inputs(*self._inputs(bench_dataset, "dwr2.json"))
         assert _typed(loaded["dwr2.json"]["ds2_1"]) == _typed(alone["ds2_1"])
+
+    def test_a_worker_sends_cells_that_marshal_typed_and_timestamps_as_text(
+        self, bench_dataset, monkeypatch
+    ):
+        _cpus(monkeypatch, 2)
+        sent = []
+
+        def loads(payload):
+            pieces = marshal.loads(payload)
+            sent.extend(pieces)
+            return pieces
+
+        monkeypatch.setattr(workflow, "marshal", SimpleNamespace(dumps=marshal.dumps, loads=loads))
+        loaded, _ = cli._load_inputs(*self._inputs(bench_dataset, "dwr1.json"))
+        # The worker reads the second export whole (see the test above).
+        piece = dict(sent)["ds1_2", 0]
+        columns = {name: (kind, {type(v) for v in cells}) for name, kind, cells in piece}
+        assert columns == {"Site ID": ("text", {str}), "Date": ("timestamp", {str}),
+                           "Direction Name": ("text", {str}), "Speed": ("real", {float})}
+        assert {type(v) for v in loaded["ds1_2"].column("Date").cells} == {datetime}
+
+    def test_an_input_loaded_whole_again_is_counted_on_the_load_line(
+        self, bench_dataset, tmp_path, capsys, monkeypatch
+    ):
+        # One quoted comma in row 1 of dwr2's export: the worker's range declines, and
+        # so does the process's retry, so the export is loaded whole again, one by one.
+        data = (bench_dataset / "site_1.csv").read_bytes()
+        (tmp_path / "site_1.csv").write_bytes(data.replace(b'"NB_NS"', b'"NB,NS"', 1))
+        _cpus(monkeypatch, 2)
+        out = run_ok(["run", "dwr2.json", "--input", f"ds2_1={tmp_path / 'site_1.csv'}",
+                      "--input", f"ds2_2={bench_dataset / 'sites.csv'}",
+                      "--input", f"ds2_3={bench_dataset / 'weather.json'}",
+                      "--out", str(tmp_path / "o")], capsys).out
+        assert re.search(r"^  load: 3 inputs, 2 readers, 1 cut into 2 ranges, "
+                         r"1 loaded whole again, \d+\.\d ms$", out, re.M), out
 
     @pytest.mark.parametrize("cpus", [2, 3, 4, 7])
     def test_a_cut_fills_shares_with_ranges_that_end_after_a_newline(self, cpus, bench_dataset):
@@ -949,20 +983,22 @@ class TestLoadInputs:
     )
     def test_a_cut_ends_each_range_after_a_newline_or_is_none(self, data, share, ranges,
                                                               tmp_path):
+        # An input left whole is one piece, which its reader reads.
         path = tmp_path / "in.csv"
         path.write_bytes(data)
-        assert cli._cut(str(path), len(data), share) == (ranges and (data, ranges))
+        whole = (None, [(0, len(data))])
+        assert cli._cut(str(path), len(data), share) == (ranges and (data, ranges) or whole)
 
     def test_a_cut_reads_nothing_below_a_share_and_a_half_or_of_a_file_gone(
         self, tmp_path, monkeypatch
     ):
         reads = []
         monkeypatch.setattr(cli, "_read_bytes", reads.append)
-        assert cli._cut(str(tmp_path / "x.csv"), 149, 100) is None
-        assert cli._cut(str(tmp_path / "x.csv"), 0, 0) is None
+        assert cli._cut(str(tmp_path / "x.csv"), 149, 100) == (None, [(0, 149)])
+        assert cli._cut(str(tmp_path / "x.csv"), 0, 0) == (None, [(0, 0)])
         assert reads == []
         monkeypatch.undo()
-        assert cli._cut(str(tmp_path / "gone.csv"), 300, 100) is None
+        assert cli._cut(str(tmp_path / "gone.csv"), 300, 100) == (None, [(0, 300)])
 
     @settings(max_examples=150, deadline=None)
     @given(data=_cut_csv(), draw=st.data())
@@ -975,28 +1011,35 @@ class TestLoadInputs:
     def test_a_load_cut_at_any_newlines_equals_the_one_by_one_load(
         self, data, draw, one_day_weather
     ):
+        # Beside the cut input t, a second CSV input u is left whole. The weather
+        # starts the process's share, so with two or more CPUs a worker takes u whole.
         newlines = [i + 1 for i in range(data.index(b"\n") + 1, len(data)) if data[i] == 10]
-        if draw is None:  # an example: cut at every newline, on two CPUs
-            ends, cpus, plan, weather_first = newlines, 2, None, False
+        if draw is None:  # an example: cut at every newline, on two CPUs, u the same bytes
+            ends, cpus, plans, names, other = newlines, 2, (None, None), ["t", "u", "w"], data
         else:
             ends = draw.draw(st.sets(st.sampled_from(newlines)) if newlines else st.just(()))
             cpus = draw.draw(st.integers(1, 3), label="cpus")
-            plan = draw.draw(st.sampled_from([None, frozenset({"c0"}), frozenset({"c1", "zz"})]))
-            weather_first = draw.draw(st.booleans())
-
-        def cut(path, size, share):
-            raw = cli._read_bytes(path)
-            bounds = [raw.index(b"\n") + 1, *sorted(ends), len(raw)]
-            return raw, [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+            plans = draw.draw(st.tuples(*[st.sampled_from(
+                [None, frozenset({"c0"}), frozenset({"c1", "zz"})])] * 2))
+            names = draw.draw(st.permutations(["t", "u", "w"]))
+            other = draw.draw(_cut_csv(), label="u")
 
         with tempfile.TemporaryDirectory() as tmp:
             csv_path = os.path.join(tmp, "t.csv")
             Path(csv_path).write_bytes(data)
-            names = ["w", "t"] if weather_first else ["t", "w"]
-            paths = {"t": csv_path, "w": str(one_day_weather)}
+            Path(tmp, "u.csv").write_bytes(other)
+
+            def cut(path, size, share):
+                if path != csv_path:
+                    return None, [(0, size)]
+                raw = cli._read_bytes(path)
+                bounds = [raw.index(b"\n") + 1, *sorted(ends), len(raw)]
+                return raw, [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+            paths = {"t": csv_path, "u": os.path.join(tmp, "u.csv"), "w": str(one_day_weather)}
             paths = {name: paths[name] for name in names}
-            declared = {"t": "table-csv", "w": "weather-json"}
-            read = {"t": plan, "w": None}
+            declared = {"t": "table-csv", "u": "table-csv", "w": "weather-json"}
+            read = {"t": plans[0], "u": plans[1], "w": None}
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(workflow, "_usable_cpus", lambda: 1)
                 alone = _load_outcome(paths, declared, read)
@@ -1170,6 +1213,24 @@ class TestOp:
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "out, error",
+        [("d", "[Errno 21] Is a directory"), ("nodir/out.csv", "[Errno 2] No such file or directory")],
+        ids=["directory", "missing parent"],
+    )
+    def test_out_that_cannot_be_written_is_exit_1_before_any_input_is_read(
+        self, out, error, dataset, tmp_path, capsys, monkeypatch
+    ):
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        loads = _spy_loads(monkeypatch)
+        code = main(["op", "table.infer_types", "--table", f"{dataset}/sites.csv", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}: '{out}'\n"
+        assert loads == []
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     def test_a_directory_as_table_is_exit_1_naming_the_fault(self, tmp_path, capsys):
         code = main(["op", "table.infer_types", "--table", str(tmp_path)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import marshal
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -405,26 +406,36 @@ class TestInferDifferential:
             st.integers(1, 4).flatmap(column_cells), max_size=4
         ).map(lambda runs: [cell for run in runs for cell in run]),
         cuts=st.lists(st.integers(1, 15), max_size=4),
-        typed_at=st.lists(st.booleans(), min_size=1, max_size=5),
+        sent=st.lists(st.booleans(), min_size=1, max_size=5),
     )
-    @example(cells=["1", "2", "1.5", "2.5"], cuts=[2], typed_at=[True])  # int, then real
-    @example(cells=["1", "2", "x"], cuts=[2], typed_at=[False])  # int, then text
-    @example(cells=[None, None, "1"], cuts=[2], typed_at=[True, False])  # nulls only, then int
-    @example(cells=["2018-02-01", None, "2018-02-30"], cuts=[2], typed_at=[False])
-    @example(cells=["1e308", "1e308", "-1e308"], cuts=[1], typed_at=[False])
-    @example(cells=["7:05", "17:00"], cuts=[1], typed_at=[False])
-    def test_pieces_joined_by_their_proven_kinds_equal_the_whole(self, cells, cuts, typed_at):
+    @example(cells=["1", "2", "1.5", "2.5"], cuts=[2], sent=[True])  # int, then real
+    @example(cells=["1", "2", "x"], cuts=[2], sent=[False])  # int, then text
+    @example(cells=[None, None, "1"], cuts=[2], sent=[True, False])  # nulls only, then int
+    @example(cells=["2018-02-01", None, "2018-02-30"], cuts=[2], sent=[True])
+    @example(cells=["1e308", "1e308", "-1e308"], cuts=[1], sent=[True])
+    @example(cells=["7:05", "17:00"], cuts=[1], sent=[True])
+    @example(cells=["2018-02-01 00:00:01.18", None], cuts=[1], sent=[True])
+    def test_pieces_joined_by_their_proven_kinds_equal_the_whole(self, cells, cuts, sent):
+        # A piece is typed where it is read, or, read by a worker, sent packed through
+        # marshal and converted where it arrives. Pieces that prove different kinds
+        # for the column do not join.
         bounds = sorted({0, len(cells), *(c for c in cuts if c < len(cells))})
-        pieces = []
+        pieces, kinds = [], set()
         for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
             text = Column._unchecked("x", CType.TEXT, tuple(cells[start:stop]))
-            ((kind, col),) = table.proven_kinds(Table((text,)))
-            typed_cells = col.cells if typed_at[i % len(typed_at)] else None
-            pieces.append(("x", kind, text.cells, typed_cells))
-        if not pieces:  # no rows: nothing to join
-            pieces.append(("x", None, (), None))
-        joined = Table((table.join_proven(pieces),))
-        assert typed(joined) == _infer_outcome(infer_column_types, cells)[1]
+            proven = table.proven_kinds(Table((text,)))
+            if sent[i % len(sent)]:
+                piece = table.unpack_piece(marshal.loads(marshal.dumps(table.pack_piece(proven))))
+            else:
+                piece = [(name, kind, typed_cells) for name, kind, _, typed_cells in proven]
+            kinds.add(piece[0][1])
+            pieces.append(piece)
+        if not pieces:  # no rows: one piece of none
+            pieces.append([("x", None, ())])
+        joined = table.join_pieces(pieces)
+        assert (joined is None) == (len(kinds - {None}) > 1)
+        if joined is not None:
+            assert typed(joined) == _infer_outcome(infer_column_types, cells)[1]
 
     @pytest.mark.parametrize(
         "data",
